@@ -1,10 +1,18 @@
-"""Brute-force combinatorial oracles.
+"""Combinatorial oracles.
 
 Smirnov words (no adjacent equal letters) with descent statistics, proper
 colorings of labeled graphs and digraphs, permutation statistics, fundamental
 quasisymmetric functions in the weakly-decreasing convention, and their two
-specializations.  Everything here enumerates objects directly; the closed
-forms elsewhere are verified against these tables.
+specializations.  The closed forms elsewhere are verified against these
+tables.
+
+The two word and coloring enumerators, ``brute_enumerator`` and
+``chromatic_qsym``, count by the transfer-matrix method (Stanley, EC1 4.7):
+a DP over prefixes that keeps only what the remaining letters or vertices can
+still see.  Everything else here enumerates objects one at a time, and so do
+the public ``smirnov_words`` and ``word_stats``.  The trust chain is therefore
+closed form <-> DP, checked by ``verify`` and the acceptance tests, and
+DP <-> per-object enumeration, checked by the unit tests at small n.
 """
 
 from __future__ import annotations
@@ -31,6 +39,38 @@ def _endpoint_class(first: int, last: int) -> str:
     return "="
 
 
+def _passes(class_filter: str, first: int, last: int) -> bool:
+    cls = _endpoint_class(first, last)
+    return class_filter == "all" or class_filter == cls or (class_filter == "!=" and cls != "=")
+
+
+def _packed_table(k: int, base: int, width: int, packed: dict[int, int]) -> MonomialTable:
+    """Unpack a DP result into a monomial table.
+
+    Keys are contents packed in base ``base`` (x_1 in the lowest digit);
+    values are polynomials in t with nonnegative coefficients packed
+    ``width`` bits per power of t (t^0 in the lowest bits).  Adding two
+    packed polynomials is int addition and multiplying by t^d is a left
+    shift by d * width, exact as long as no coefficient reaches 2^width.
+    """
+    mask = (1 << width) - 1
+    terms = {}
+    for code, poly in packed.items():
+        vec = []
+        for _ in range(k):
+            code, e = divmod(code, base)
+            vec.append(e)
+        coeffs = {}
+        d = 0
+        while poly:
+            if poly & mask:
+                coeffs[d] = poly & mask
+            poly >>= width
+            d += 1
+        terms[tuple(vec)] = LaurentPoly(coeffs)
+    return MonomialTable(k, terms)
+
+
 def smirnov_words(n: int, k: int, class_filter: str = "all") -> Iterator[Word]:
     """Stream the Smirnov words of length n over the alphabet 1..k whose
     first/last letters satisfy the class filter."""
@@ -46,12 +86,7 @@ def smirnov_words(n: int, k: int, class_filter: str = "all") -> Iterator[Word]:
                 continue
             word[i] = c
             if i == n - 1:
-                cls = _endpoint_class(word[0], c)
-                if (
-                    class_filter == "all"
-                    or class_filter == cls
-                    or (class_filter == "!=" and cls != "=")
-                ):
+                if _passes(class_filter, word[0], c):
                     yield tuple(word)
             else:
                 yield from extend(i + 1)
@@ -99,21 +134,40 @@ VARIANT_RULES = {
 
 
 def brute_enumerator(variant: str, n: int, k: int) -> MonomialTable:
-    """Sum of t^stat(w) x_w over the filtered Smirnov words, aggregated on
-    the fly as a monomial table over k variables."""
+    """Sum of t^stat(w) x_w over the filtered Smirnov words, as a monomial
+    table over k variables.
+
+    A prefix DP over the states (first letter, last letter, content), each
+    carrying the descent polynomial of the prefixes that reach it.  Each step
+    appends a letter other than the last one, with a descent when it is
+    smaller.  The endpoint filter, and for the cyclic statistic the wrap
+    descent last > first, are applied once all n letters are placed.
+    """
     if variant not in VARIANT_RULES:
         raise ValueError(f"unknown variant {variant!r}")
+    if n < 1 or k < 1:
+        raise ValueError("n and k must be positive")
     class_filter, stat = VARIANT_RULES[variant]
-    counts: dict[tuple, dict[int, int]] = {}
-    for w in smirnov_words(n, k, class_filter):
-        vec = [0] * k
-        for letter in w:
-            vec[letter - 1] += 1
-        stats = word_stats(w)
-        e = stats.des if stat == "des" else stats.cdes
-        bucket = counts.setdefault(tuple(vec), {})
-        bucket[e] = bucket.get(e, 0) + 1
-    return MonomialTable(k, {vec: LaurentPoly(poly) for vec, poly in counts.items()})
+    base = n + 1
+    unit = [base**c for c in range(k)]
+    width = (k**n).bit_length()  # no coefficient exceeds k^n, the number of words
+    moves = [[(c, unit[c], c < last) for c in range(k) if c != last] for last in range(k)]
+    layer = {(c, c, unit[c]): 1 for c in range(k)}
+    for _ in range(n - 1):
+        nxt: dict[tuple[int, int, int], int] = {}
+        for (first, last, code), poly in layer.items():
+            down = poly << width
+            for c, step, descent in moves[last]:
+                key = (first, c, code + step)
+                nxt[key] = nxt.get(key, 0) + (down if descent else poly)
+        layer = nxt
+    totals: dict[int, int] = {}
+    for (first, last, code), poly in layer.items():
+        if _passes(class_filter, first, last):
+            if stat == "cdes" and last > first:
+                poly <<= width
+            totals[code] = totals.get(code, 0) + poly
+    return _packed_table(k, base, width, totals)
 
 
 @dataclass(frozen=True)
@@ -162,33 +216,51 @@ def chromatic_qsym(g: Digraph, k: int) -> MonomialTable:
 
     des counts the stored edges (i, j) with kappa(i) > kappa(j), which in
     labeled mode means pairs {i, j} with i < j and kappa(i) > kappa(j).
+
+    A frontier DP that colors vertices 1..n in order.  A state is the content
+    so far plus the colors of the frontier: the colored vertices that still
+    have an uncolored neighbour.  Each edge is checked, and its descent
+    counted, when its later endpoint gets a color.
     """
     if k < 1:
         raise ValueError("need at least one color")
-    neighbors: list[list[int]] = [[] for _ in range(g.n + 1)]
+    n = g.n
+    base = n + 1
+    unit = [base**c for c in range(k)]
+    width = (k**n).bit_length()  # no coefficient exceeds k^n, the number of colorings
+    back: list[list[tuple[int, bool]]] = [[] for _ in range(n + 1)]
+    reach = list(range(n + 1))  # largest neighbour of each vertex, or itself
     for i, j in g.edges:
         a, b = min(i, j), max(i, j)
-        neighbors[b].append(a)
-    coloring = [0] * (g.n + 1)
-    counts: dict[tuple, dict[int, int]] = {}
-
-    def assign(v: int) -> None:
-        if v > g.n:
-            e = sum(1 for i, j in g.edges if coloring[i] > coloring[j])
-            vec = [0] * k
-            for u in range(1, g.n + 1):
-                vec[coloring[u] - 1] += 1
-            bucket = counts.setdefault(tuple(vec), {})
-            bucket[e] = bucket.get(e, 0) + 1
-            return
-        for c in range(1, k + 1):
-            if all(coloring[u] != c for u in neighbors[v]):
-                coloring[v] = c
-                assign(v + 1)
-        coloring[v] = 0
-
-    assign(1)
-    return MonomialTable(k, {vec: LaurentPoly(poly) for vec, poly in counts.items()})
+        back[b].append((a, i == a))  # the edge descends when kappa(i) > kappa(j)
+        reach[a] = max(reach[a], b)
+    frontier: list[int] = []
+    layer = {(0, ()): 1}
+    for v in range(1, n + 1):
+        checks = [(frontier.index(a), a_first) for a, a_first in back[v]]
+        grown = frontier + [v]
+        kept = [i for i, u in enumerate(grown) if reach[u] > v]
+        moves: dict[tuple[int, ...], list[tuple[int, int, tuple[int, ...]]]] = {}
+        nxt: dict[tuple[int, tuple[int, ...]], int] = {}
+        for (code, colors), poly in layer.items():
+            if colors not in moves:
+                options = []
+                for c in range(k):
+                    des = 0
+                    for pos, a_first in checks:
+                        if colors[pos] == c:
+                            break
+                        des += colors[pos] > c if a_first else c > colors[pos]
+                    else:
+                        ext = colors + (c,)
+                        options.append((unit[c], des * width, tuple(ext[i] for i in kept)))
+                moves[colors] = options
+            for step, shift, after in moves[colors]:
+                key = (code + step, after)
+                nxt[key] = nxt.get(key, 0) + (poly << shift)
+        layer = nxt
+        frontier = [grown[i] for i in kept]
+    return _packed_table(k, base, width, {code: poly for (code, _), poly in layer.items()})
 
 
 Perm = tuple[int, ...]

@@ -48,7 +48,7 @@ def test_criterion_02_oracle_equivalence():
     ok = True
     for variant in en.VARIANTS:
         lo = 2 if variant in ("Wneq", "XC") else 1
-        for n in range(lo, 7):
+        for n in range(lo, 8):
             lhs = expand_in_variables(en.closed_form(variant, n), 6)
             if variant == "XC":
                 rhs = combinat.chromatic_qsym(combinat.Digraph.cycle(n), 6)
@@ -56,7 +56,7 @@ def test_criterion_02_oracle_equivalence():
                 rhs = combinat.brute_enumerator(variant, n, 6)
             ok = ok and lhs == rhs
     elapsed = time.perf_counter() - start
-    _report(2, "oracle equivalence n<=6 k=6", ok and elapsed < 60.0)
+    _report(2, "oracle equivalence n<=7 k=6", ok and elapsed < 60.0)
 
 
 def test_criterion_03_e_positivity():

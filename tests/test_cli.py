@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from smirnov import cli
+from smirnov import cli, combinat
 from smirnov import enumerators as en
 from smirnov.exact import LaurentPoly
 
@@ -124,6 +124,37 @@ class TestVerify:
             capsys, "verify", "--suite", "powersum", "--max-n", "2"
         )
         assert code == 1
+
+    def oracle_suite_exit_code(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "verify", "--suite", "oracle", "--max-n", "4", "--vars", "4", "--format", "json",
+        )
+        assert (code == 1) == any(r["status"] == "fail" for r in json.loads(out))
+        return code
+
+    def test_dropped_wrap_descent_flips_exit_code(self, capsys, monkeypatch):
+        original = combinat.brute_enumerator
+        acyclic = {"Wtilde": "W", "Wtildeneq": "Wneq"}
+        monkeypatch.setattr(
+            combinat,
+            "brute_enumerator",
+            lambda variant, n, k: original(acyclic.get(variant, variant), n, k),
+        )
+        assert self.oracle_suite_exit_code(capsys) == 1
+
+    @pytest.mark.parametrize(
+        "perturb",
+        [
+            lambda g: combinat.Digraph(g.n, tuple(tuple(sorted(e)) for e in g.edges), False),
+            lambda g: combinat.Digraph(g.n, tuple(dict.fromkeys(g.edges)), g.directed),
+        ],
+        ids=["orientation-ignored", "parallel-edges-merged"],
+    )
+    def test_perturbed_coloring_oracle_flips_exit_code(self, capsys, monkeypatch, perturb):
+        original = combinat.chromatic_qsym
+        monkeypatch.setattr(combinat, "chromatic_qsym", lambda g, k: original(perturb(g), k))
+        assert self.oracle_suite_exit_code(capsys) == 1
 
     def test_unknown_suite_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:

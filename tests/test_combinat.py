@@ -1,6 +1,7 @@
-"""Brute-force oracles: words, colorings, permutations, quasisymmetric F."""
+"""Combinatorial oracles: words, colorings, permutations, quasisymmetric F."""
 
 import math
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from smirnov.combinat import (
     F_ones_specialization,
     F_principal_series,
     F_principal_specialization,
+    VARIANT_RULES,
     brute_enumerator,
     chromatic_qsym,
     fundamental_F,
@@ -76,7 +78,53 @@ class TestWordStats:
             assert all(word_stats(r).cdes >= 1 for r in rotations)
 
 
+def add_term(acc, vec, e):
+    bucket = acc.setdefault(tuple(vec), {})
+    bucket[e] = bucket.get(e, 0) + 1
+
+
+def as_table(k, acc):
+    return MonomialTable(k, {vec: LaurentPoly(poly) for vec, poly in acc.items()})
+
+
+def content(values, k):
+    vec = [0] * k
+    for v in values:
+        vec[v - 1] += 1
+    return vec
+
+
+def words_by_enumeration(variant, n, k):
+    """Sum of t^stat x^content taken word by word over smirnov_words."""
+    class_filter, stat = VARIANT_RULES[variant]
+    acc = {}
+    for w in smirnov_words(n, k, class_filter):
+        add_term(acc, content(w, k), getattr(word_stats(w), stat))
+    return as_table(k, acc)
+
+
+def colorings_by_enumeration(g, k):
+    """Sum of t^des x^content over every proper coloring in colors^n."""
+    acc = {}
+    for kappa in product(range(1, k + 1), repeat=g.n):
+        color = (None,) + kappa
+        if all(color[i] != color[j] for i, j in g.edges):
+            add_term(acc, content(kappa, k), sum(color[i] > color[j] for i, j in g.edges))
+    return as_table(k, acc)
+
+
 class TestBruteEnumerator:
+    @pytest.mark.parametrize("variant", sorted(VARIANT_RULES))
+    def test_dp_matches_word_enumeration(self, variant):
+        for n in range(1, 7):
+            for k in range(1, 6):
+                assert brute_enumerator(variant, n, k) == words_by_enumeration(variant, n, k)
+
+    @pytest.mark.parametrize("args", [("W", 0, 3), ("W", 3, 0), ("Wbogus", 3, 3)])
+    def test_rejects_bad_arguments(self, args):
+        with pytest.raises(ValueError):
+            brute_enumerator(*args)
+
     def test_degree_three_over_two_letters(self):
         table = brute_enumerator("W", 3, 2)
         assert table == MonomialTable(2, {(2, 1): T, (1, 2): T})
@@ -107,7 +155,36 @@ class TestBruteEnumerator:
                 assert greater == less.map_coeffs(lambda p: p.reverse(n - 1))
 
 
+@st.composite
+def digraphs(draw):
+    n = draw(st.integers(1, 5))
+    directed = draw(st.booleans())
+    pairs = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda e: e[0] != e[1])
+    edges = draw(st.lists(pairs, max_size=7)) if n > 1 else []
+    if not directed:
+        edges = [(min(e), max(e)) for e in edges]
+    return Digraph(n, tuple(edges), directed)
+
+
 class TestChromatic:
+    @pytest.mark.parametrize(
+        "family,lo", [(Digraph.path, 1), (Digraph.cycle, 2), (Digraph.directed_cycle, 2)]
+    )
+    def test_dp_matches_coloring_enumeration(self, family, lo):
+        for n in range(lo, 7):
+            g = family(n)
+            for k in range(1, 5):
+                assert chromatic_qsym(g, k) == colorings_by_enumeration(g, k)
+
+    @given(digraphs(), st.integers(1, 4))
+    @settings(max_examples=80, deadline=None)
+    def test_dp_matches_enumeration_on_any_digraph(self, g, k):
+        assert chromatic_qsym(g, k) == colorings_by_enumeration(g, k)
+
+    def test_rejects_zero_colors(self):
+        with pytest.raises(ValueError):
+            chromatic_qsym(Digraph.path(2), 0)
+
     def test_path_is_word_enumerator(self):
         for n in range(1, 6):
             for k in range(1, 6):
