@@ -31,10 +31,7 @@ from .symfun import (
     e_unimodal_palindromic,
     expand_in_variables,
     monomial_to_e,
-    omega,
     partitions_of,
-    series_div,
-    series_mul,
     z_of,
 )
 from .combinat import (
@@ -43,7 +40,6 @@ from .combinat import (
     WordStats,
     F_ones_specialization,
     F_principal_series,
-    F_principal_specialization,
     brute_enumerator,
     chromatic_qsym,
     fundamental_F,
@@ -60,7 +56,6 @@ from .enumerators import (
     abc,
     cleared_form_check,
     closed_form,
-    counting_identities,
     distinguished_element_check,
     f_expansion,
     powersum_form,
@@ -69,7 +64,6 @@ from .enumerators import (
     q_exp_identity_check,
     root_of_unity,
     transfer_matrix_check,
-    unimodality_suite,
 )
 
 __version__ = "0.1.0"

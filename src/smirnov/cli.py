@@ -84,12 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("json", "text"), default="text")
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=1,
-            help="reserved override; execution is currently single-threaded",
-        )
 
     p_expand = sub.add_parser("expand", help="elementary, power sum, or fundamental expansion")
     p_expand.add_argument("--variant", required=True)
@@ -138,9 +132,6 @@ def _check_range(parser: argparse.ArgumentParser, flag: str, value: int, lo: int
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads: must be positive")
-
     try:
         if args.verb == "expand":
             return _cmd_expand(parser, args)
@@ -259,7 +250,7 @@ def _cmd_roots(parser, args) -> int:
 def _cmd_verify(parser, args) -> int:
     _check_range(parser, "--max-n", args.max_n, 1, 8)
     _check_range(parser, "--vars", args.vars, 1, 8)
-    _check_range(parser, "--max-order", args.max_order, 1, 12)
+    _check_range(parser, "--max-order", args.max_order, 1, 8)
     names = verify.SUITES if args.suite == "all" else (args.suite,)
     records = verify.run_suites(
         names, max_n=args.max_n, nvars=args.vars, max_order=args.max_order

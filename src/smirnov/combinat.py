@@ -361,16 +361,6 @@ def F_ones_specialization(n: int, S: Iterable[int], m: int) -> int:
     return math.comb(m + n - 1 - len(S), n)
 
 
-def F_principal_specialization(n: int, S: Iterable[int]) -> tuple[QtPoly, int]:
-    """Stable principal specialization (x_i -> q^(i-1)) of the fundamental
-    function, as the numerator over the implicit denominator
-    (1-q)(1-q^2)...(1-q^n).  The numerator is q raised to the sum of S."""
-    S = frozenset(S)
-    if any(not 1 <= i <= n - 1 for i in S):
-        raise ValueError("S must be a subset of 1..n-1")
-    return QtPoly.q_power(sum(S)), n
-
-
 def F_principal_series(n: int, S: Iterable[int], order: int) -> QtPoly:
     """Direct truncated sum of q^(f(1)-1 + ... + f(n)-1) over f in the
     strict-at-S weakly decreasing family; the oracle for the closed form."""

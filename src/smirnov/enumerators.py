@@ -4,17 +4,14 @@ Each enumerator variant is the graded coefficient of a quotient of
 elementary-basis generating series sharing one denominator.  This module
 builds those quotients, the power sum and fundamental quasisymmetric
 expansions, the q-Eulerian polynomials with their q-exponential identities
-and root-of-unity evaluations, the weighted-walk determinant identity, and
-the unimodality and counting reports.
+and root-of-unity evaluations, and the weighted-walk determinant identity.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Mapping
 
 from .exact import (
@@ -25,7 +22,6 @@ from .exact import (
     QtPoly,
     eulerian,
     eval_at_root_of_unity,
-    palindrome_unimodal,
     q_binomial,
     t_quantum,
 )
@@ -36,9 +32,6 @@ from .symfun import (
     SymFun,
     SymSeries,
     _partition_table,
-    e_positivity_report,
-    e_unimodal_direct,
-    e_unimodal_palindromic,
     partitions_of,
 )
 
@@ -265,14 +258,6 @@ class FExpansion:
             out = out + QtPoly.q_power(sum(S), LaurentPoly.t_power(e, mult))
         return out
 
-    def ones_specialization(self, m: int) -> LaurentPoly:
-        out = ZERO
-        for e, S, mult in self.terms:
-            out = out + LaurentPoly.t_power(
-                e, mult * combinat.F_ones_specialization(self.degree, S, m)
-            )
-        return out
-
     def to_json_obj(self) -> dict:
         return {
             "degree": self.degree,
@@ -473,131 +458,14 @@ def root_of_unity(kind: str, n: int, k: int) -> LaurentPoly:
     return parts["via_eval"]
 
 
-# ---------------------------------------------------------------------------
-# Weighted-walk determinant identity.
-#
-# Entries live in the ring of polynomials in z and x_1..x_k with LaurentPoly
-# coefficients, represented as {(z-exponent, x-exponent vector): coeff}.
-# ---------------------------------------------------------------------------
-
-_ZX = dict
-
-
-def _zx_zero() -> _ZX:
-    return {}
-
-
-def _zx_const(k: int, c: LaurentPoly) -> _ZX:
-    return {(0, (0,) * k): c} if c else {}
-
-
-def _zx_add(a: _ZX, b: _ZX) -> _ZX:
-    out = dict(a)
-    for key, c in b.items():
-        nc = out.get(key, ZERO) + c
-        if nc:
-            out[key] = nc
-        else:
-            out.pop(key, None)
-    return out
-
-
-def _zx_neg(a: _ZX) -> _ZX:
-    return {key: -c for key, c in a.items()}
-
-
-def _zx_sub(a: _ZX, b: _ZX) -> _ZX:
-    return _zx_add(a, _zx_neg(b))
-
-
-def _zx_mul(a: _ZX, b: _ZX) -> _ZX:
-    out: _ZX = {}
-    for (z1, v1), c1 in a.items():
-        for (z2, v2), c2 in b.items():
-            key = (z1 + z2, tuple(x + y for x, y in zip(v1, v2)))
-            nc = out.get(key, ZERO) + c1 * c2
-            if nc:
-                out[key] = nc
-            else:
-                out.pop(key, None)
-    return out
-
-
-def _zx_div_exact(a: _ZX, b: _ZX) -> _ZX:
-    """Exact division, peeling leading terms in lexicographic order."""
-    if not b:
-        raise ZeroDivisionError("division by zero")
-    quo: _ZX = {}
-    rem = dict(a)
-    blead = max(b)
-    bcoeff = b[blead]
-    while rem:
-        rlead = max(rem)
-        zdiff = rlead[0] - blead[0]
-        vdiff = tuple(x - y for x, y in zip(rlead[1], blead[1]))
-        if zdiff < 0 or any(d < 0 for d in vdiff):
-            raise ValueError("not divisible")
-        c = rem[rlead] / bcoeff
-        key = (zdiff, vdiff)
-        quo[key] = quo.get(key, ZERO) + c
-        rem = _zx_sub(rem, _zx_mul({key: c}, b))
-    return quo
-
-
-def _det_cofactor(m: list[list[_ZX]], k: int) -> _ZX:
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    out = _zx_zero()
-    for j in range(n):
-        if not m[0][j]:
-            continue
-        minor = [[row[c] for c in range(n) if c != j] for row in m[1:]]
-        term = _zx_mul(m[0][j], _det_cofactor(minor, k))
-        out = _zx_add(out, term if j % 2 == 0 else _zx_neg(term))
-    return out
-
-
-def _det_bareiss(m: list[list[_ZX]], k: int) -> _ZX:
-    """Fraction-free elimination; every division is exact by construction."""
-    n = len(m)
-    m = [row[:] for row in m]
-    prev = _zx_const(k, ONE)
-    for r in range(n - 1):
-        pivot = m[r][r]
-        if not pivot:
-            raise ValueError("zero pivot")
-        for i in range(r + 1, n):
-            for j in range(r + 1, n):
-                num = _zx_sub(_zx_mul(pivot, m[i][j]), _zx_mul(m[i][r], m[r][j]))
-                m[i][j] = _zx_div_exact(num, prev)
-            m[i][r] = _zx_zero()
-        prev = pivot
-    return m[n - 1][n - 1]
-
-
-def walk_matrix(k: int) -> list[list[_ZX]]:
-    """I - zA for the complete loopless digraph on 1..k with edge weights
-    x_j into vertex j, multiplied by t on descending edges."""
-    rows = []
-    for i in range(1, k + 1):
-        row = []
-        for j in range(1, k + 1):
-            if i == j:
-                row.append(_zx_const(k, ONE))
-            else:
-                vec = [0] * k
-                vec[j - 1] = 1
-                weight = -ONE if i < j else -T
-                row.append({(1, tuple(vec)): weight})
-        rows.append(row)
-    return rows
-
-
 def transfer_matrix_check(k: int, order: int | None = None) -> bool:
     """det(I - zA) = 1 - sum over j >= 2 of e_j(x_1..x_k) t[j-1]_t z^j.
 
-    Cofactor expansion at small sizes, fraction-free elimination beyond.
+    A is the walk matrix of the complete loopless digraph on 1..k: the edge
+    i -> j carries x_j, times t when it descends (i > j).  Every off-diagonal
+    entry of I - zA is the single monomial -x_j (times t) z, so each term of
+    the Leibniz sum is one monomial whose z-power is its total x-degree, and
+    truncating at z^order is a cut on total degree.
     """
     if not 1 <= k <= 6:
         raise ValueError("k must be between 1 and 6")
@@ -605,17 +473,23 @@ def transfer_matrix_check(k: int, order: int | None = None) -> bool:
         order = k
     if order > k:
         raise ValueError("order cannot exceed k")
-    matrix = walk_matrix(k)
-    det = _det_cofactor(matrix, k) if k <= 4 else _det_bareiss(matrix, k)
-    expected: _ZX = _zx_const(k, ONE)
-    for j in range(2, k + 1):
-        weight = -(T * t_quantum(j - 1))
-        table = _partition_table("e", (j,), k)
-        for vec in table.terms:
-            expected = _zx_add(expected, {(j, vec): weight})
-    lhs = {key: c for key, c in det.items() if key[0] <= order}
-    rhs = {key: c for key, c in expected.items() if key[0] <= order}
-    return lhs == rhs
+    det: dict[tuple[int, ...], LaurentPoly] = {}
+    for sigma in permutations(range(k)):
+        moved = [i for i in range(k) if sigma[i] != i]
+        if len(moved) > order:
+            continue
+        inversions = sum(a > b for a, b in combinations(sigma, 2))
+        vec = tuple(int(sigma[i] != i) for i in range(k))
+        term = LaurentPoly.t_power(
+            sum(i > sigma[i] for i in moved), (-1) ** (inversions + len(moved))
+        )
+        det[vec] = det.get(vec, ZERO) + term
+    expected = MonomialTable.zero(k)
+    for j in range(order + 1):
+        expected = expected + _partition_table("e", (j,) if j else (), k).scale(
+            denominator_weight(j)
+        )
+    return MonomialTable(k, det) == expected
 
 
 def distinguished_element_check(j: int, k: int) -> bool:
@@ -633,174 +507,3 @@ def distinguished_element_check(j: int, k: int) -> bool:
             lhs = lhs + MonomialTable(k, {tuple(vec): 1})
     rhs = _partition_table("e", (j + 1,), k).scale(j + 1) if j + 1 <= k else MonomialTable.zero(k)
     return lhs == rhs
-
-
-def _shape_palindromic_unimodal(p: LaurentPoly) -> bool:
-    """Palindromic about the midpoint of its own support, and unimodal."""
-    if not p:
-        return True
-    center = Fraction(p.valuation() + p.degree(), 2)
-    return palindrome_unimodal(p, center) == (True, True)
-
-
-def unimodality_suite(n_max: int) -> list[dict]:
-    """Palindromicity/unimodality assertions for every variant with a stated
-    center, the even-cycle failure witness, and the special coefficient
-    formulas for the cyclic enumerator."""
-    if n_max > 8:
-        raise ValueError("n_max must be at most 8")
-    records = []
-
-    def record(check: str, params: dict, ok: bool, lhs, rhs) -> None:
-        records.append(
-            {"check": check, "params": params, "status": "pass" if ok else "fail",
-             "lhs": lhs, "rhs": rhs}
-        )
-
-    for n in range(2, n_max + 1):
-        for variant, center in (
-            ("W", Fraction(n - 1, 2)),
-            ("Wneq", Fraction(n - 1, 2)),
-            ("Wtildeneq", Fraction(n, 2)),
-        ):
-            flags = e_unimodal_palindromic(closed_form(variant, n), center)
-            record(
-                "unimodal-palindromic",
-                {"variant": variant, "n": n, "center": str(center)},
-                flags == (True, True),
-                list(flags),
-                [True, True],
-            )
-        # labeled cycle: odd clean, even fails with an explicit witness
-        xc = closed_form("XC", n)
-        center = Fraction(n, 2)
-        flags = e_unimodal_palindromic(xc, center)
-        direct = e_unimodal_direct(xc)
-        positive, _ = e_positivity_report(xc)
-        if n % 2:
-            record(
-                "cycle-odd-unimodal-palindromic",
-                {"n": n, "center": str(center)},
-                flags == (True, True) and direct,
-                list(flags) + [direct],
-                [True, True, True],
-            )
-        else:
-            m = n // 2
-            witness = xc.coeff((2,) * m)
-            expected = LaurentPoly.t_power(m - 1) + LaurentPoly.t_power(m + 1)
-            record(
-                "cycle-even-positive-palindromic-not-unimodal",
-                {"n": n, "center": str(center)},
-                positive and flags[0] and not flags[1] and not direct,
-                [positive, flags[0], flags[1], direct],
-                [True, True, False, False],
-            )
-            record(
-                "cycle-even-witness",
-                {"n": n, "partition": [2] * m},
-                witness == expected,
-                witness.to_json_obj(),
-                expected.to_json_obj(),
-            )
-            fixed = xc + SymFun("e", n, {(2,) * m: LaurentPoly.t_power(m)})
-            fixed_flags = e_unimodal_palindromic(fixed, center)
-            record(
-                "cycle-even-corrected",
-                {"n": n, "center": str(center)},
-                fixed_flags == (True, True) and e_unimodal_direct(fixed),
-                list(fixed_flags),
-                [True, True],
-            )
-        # special coefficient shapes of the cyclic-descent enumerator; the
-        # smallest-part-one shape needs the ordering multiplicity of the
-        # parts >= 2, since the geometric expansion sums over ordered tuples
-        wt = closed_form("Wtilde", n)
-        for lam in partitions_of(n):
-            ell = len(lam)
-            if lam[-1] == 1:
-                head = lam[:-1]
-                mult = math.factorial(ell - 1)
-                for part in set(head):
-                    mult //= math.factorial(head.count(part))
-                expected = LaurentPoly.t_power(ell - 1, mult)
-                for part in head:
-                    expected = expected * t_quantum(part - 1)
-                record(
-                    "cyclic-coefficient-smallest-part-one",
-                    {"n": n, "partition": list(lam)},
-                    wt.coeff(lam) == expected and _shape_palindromic_unimodal(expected),
-                    wt.coeff(lam).to_json_obj(),
-                    expected.to_json_obj(),
-                )
-            if len(set(lam)) == 1:
-                j = lam[0]
-                expected = LaurentPoly.t_power(j + ell - 2, j) * t_quantum(j - 1) ** (ell - 1)
-                record(
-                    "cyclic-coefficient-rectangle",
-                    {"n": n, "partition": list(lam)},
-                    wt.coeff(lam) == expected and _shape_palindromic_unimodal(expected),
-                    wt.coeff(lam).to_json_obj(),
-                    expected.to_json_obj(),
-                )
-    if n_max >= 5:
-        w5 = closed_form("Wtilde", 5)
-        pal_any = any(
-            e_unimodal_palindromic(w5, Fraction(c2, 2))[0] for c2 in range(0, 2 * 5 + 1)
-        )
-        record(
-            "cyclic-degree-five-counterexample",
-            {"n": 5},
-            (not pal_any) and (not e_unimodal_direct(w5)),
-            [pal_any, e_unimodal_direct(w5)],
-            [False, False],
-        )
-    return records
-
-
-def counting_identities(n_max: int, m_max: int) -> list[dict]:
-    """Alphabet-restricted descent counts against binomial sums over
-    permutations graded by the drop-gap sets of their inverses."""
-    if n_max > 6 or m_max > 5:
-        raise ValueError("bounds exceed the supported range")
-    records = []
-    for n in range(1, n_max + 1):
-        perm_data = []
-        for sigma in combinat.permutations_of(n):
-            stats = combinat.perm_stats(sigma)
-            inv_stats = combinat.perm_stats(combinat.inverse_perm(sigma))
-            perm_data.append((sigma, stats, len(inv_stats.des2_set)))
-        for m in range(1, m_max + 1):
-            for mode in ("des", "des-first-less", "cdes"):
-                if mode == "des":
-                    lhs = combinat.brute_enumerator("W", n, m).sum_coeffs()
-                    rhs = ZERO
-                    for _, stats, size in perm_data:
-                        rhs = rhs + LaurentPoly.t_power(
-                            stats.des, math.comb(m + size, n)
-                        )
-                elif mode == "des-first-less":
-                    lhs = combinat.brute_enumerator("Wless", n, m).sum_coeffs()
-                    rhs = ZERO
-                    for sigma, stats, size in perm_data:
-                        if sigma[0] < sigma[-1]:
-                            rhs = rhs + LaurentPoly.t_power(
-                                stats.des, math.comb(m + size, n)
-                            )
-                else:
-                    lhs = combinat.brute_enumerator("Wtilde", n, m).sum_coeffs()
-                    rhs = ZERO
-                    for _, stats, size in perm_data:
-                        rhs = rhs + LaurentPoly.t_power(
-                            stats.cdes, math.comb(m + size, n)
-                        )
-                records.append(
-                    {
-                        "check": f"counting-{mode}",
-                        "params": {"n": n, "m": m},
-                        "status": "pass" if lhs == rhs else "fail",
-                        "lhs": lhs.to_json_obj(),
-                        "rhs": rhs.to_json_obj(),
-                    }
-                )
-    return records

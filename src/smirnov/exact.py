@@ -188,10 +188,6 @@ class LaurentPoly:
                     rem.pop(tgt, None)
         return LaurentPoly(quo)
 
-    def substitute_inverse(self) -> "LaurentPoly":
-        """t -> 1/t."""
-        return LaurentPoly({-e: c for e, c in self.terms.items()})
-
     def shifted(self, k: int) -> "LaurentPoly":
         """Multiply by t^k."""
         return LaurentPoly({e + k: c for e, c in self.terms.items()})

@@ -216,12 +216,6 @@ class SymFun:
             )
         raise ValueError("omega is not implemented for the monomial basis")
 
-    def to_zpart(self) -> "SymFun":
-        """p basis: rescale so coefficients multiply p_lam / z_lam."""
-        if self.basis != "p" or self.zpart:
-            raise ValueError("to_zpart requires the plain p basis")
-        return SymFun("p", self.degree, {l: c * z_of(l) for l, c in self.terms.items()}, True)
-
     def from_zpart(self) -> "SymFun":
         if not self.zpart:
             raise ValueError("from_zpart requires zpart coefficients")
@@ -273,10 +267,6 @@ class SymFun:
 
     def __repr__(self) -> str:
         return f"SymFun({self.basis}{'/z' if self.zpart else ''}, deg={self.degree})"
-
-
-def omega(f: SymFun) -> SymFun:
-    return f.omega()
 
 
 class MonomialTable:
@@ -527,10 +517,6 @@ class SymSeries:
         self.coeffs = list(coeffs)
 
     @classmethod
-    def zeros(cls, basis: str, order: int) -> "SymSeries":
-        return cls(basis, [SymFun.zero(basis, n) for n in range(order + 1)])
-
-    @classmethod
     def one(cls, basis: str, order: int) -> "SymSeries":
         coeffs = [SymFun.scalar(basis)] + [SymFun.zero(basis, n) for n in range(1, order + 1)]
         return cls(basis, coeffs)
@@ -636,14 +622,6 @@ class SymSeries:
                     acc = acc - other.coeffs[j] * coeffs[n - j]
             coeffs.append(acc)
         return SymSeries(self.basis, coeffs)
-
-
-def series_mul(a: SymSeries, b: SymSeries, order: int | None = None) -> SymSeries:
-    return a.mul(b, order)
-
-
-def series_div(a: SymSeries, b: SymSeries, order: int | None = None) -> SymSeries:
-    return a.div(b, order)
 
 
 def e_positivity_report(f: SymFun) -> tuple[bool, list[tuple[Partition, LaurentPoly, bool]]]:

@@ -1,13 +1,16 @@
 """Verification suites tying every closed form to a brute-force oracle.
 
-Each suite yields a list of records ``{check, params, status, lhs, rhs}``
-with the compared values rendered through the symmetric-function JSON
-encoding wherever they are symmetric.  The CLI serializes these records
-directly, so the layout here is a stable machine contract.
+Every suite lives here, the unimodality and counting reports included.
+Each yields a list of records ``{check, params, status, lhs, rhs}``, all
+built by ``_record``, with the compared values rendered through the
+symmetric-function JSON encoding wherever they are symmetric.  The CLI
+serializes these records directly, so the layout here is a stable machine
+contract.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from . import combinat
@@ -15,11 +18,13 @@ from . import enumerators as en
 from .exact import (
     ONE,
     T,
+    ZERO,
     LaurentPoly,
     QtPoly,
     divisors,
     euler_series_check,
     eulerian,
+    palindrome_unimodal,
     t_quantum,
 )
 from .symfun import (
@@ -27,6 +32,9 @@ from .symfun import (
     NotSymmetricError,
     SymFun,
     SymSeries,
+    e_positivity_report,
+    e_unimodal_direct,
+    e_unimodal_palindromic,
     expand_in_variables,
     monomial_to_e,
     partitions_of,
@@ -264,8 +272,7 @@ def suite_f(max_n: int) -> list[dict]:
         for subset_bits in range(1 << (n - 1)):
             S = frozenset(i + 1 for i in range(n - 1) if subset_bits >> i & 1)
             direct = combinat.F_principal_series(n, S, order)
-            numerator, nn = combinat.F_principal_specialization(n, S)
-            closed = numerator * combinat.inverse_q_product(nn, order)
+            closed = QtPoly.q_power(sum(S)) * combinat.inverse_q_product(n, order)
             closed = QtPoly({e: c for e, c in closed.terms.items() if e <= order})
             records.append(
                 _record(
@@ -280,7 +287,6 @@ def suite_f(max_n: int) -> list[dict]:
 
 
 def suite_qexp(max_order: int) -> list[dict]:
-    max_order = min(max_order, 8)
     records = []
     for n in range(0, 8):
         lhs = en.q_eulerian("Amajexc", n)
@@ -327,6 +333,152 @@ def suite_roots(max_n: int = 8) -> list[dict]:
                         parts["via_eval"],
                         parts["closed"],
                     )
+                )
+    return records
+
+
+def _shape_palindromic_unimodal(p: LaurentPoly) -> bool:
+    """Palindromic about the midpoint of its own support, and unimodal."""
+    if not p:
+        return True
+    center = Fraction(p.valuation() + p.degree(), 2)
+    return palindrome_unimodal(p, center) == (True, True)
+
+
+def suite_unimodal(n_max: int = 8) -> list[dict]:
+    """Palindromicity/unimodality assertions for every variant with a stated
+    center, the even-cycle failure witness, and the special coefficient
+    formulas for the cyclic enumerator."""
+    if n_max > 8:
+        raise ValueError("n_max must be at most 8")
+    records = []
+    for n in range(2, n_max + 1):
+        for variant, center in (
+            ("W", Fraction(n - 1, 2)),
+            ("Wneq", Fraction(n - 1, 2)),
+            ("Wtildeneq", Fraction(n, 2)),
+        ):
+            flags = e_unimodal_palindromic(en.closed_form(variant, n), center)
+            records.append(
+                _record(
+                    "unimodal-palindromic",
+                    {"variant": variant, "n": n, "center": str(center)},
+                    flags == (True, True),
+                    list(flags),
+                    [True, True],
+                )
+            )
+        # labeled cycle: odd clean, even fails with an explicit witness
+        xc = en.closed_form("XC", n)
+        center = Fraction(n, 2)
+        flags = e_unimodal_palindromic(xc, center)
+        direct = e_unimodal_direct(xc)
+        positive, _ = e_positivity_report(xc)
+        if n % 2:
+            records.append(
+                _record(
+                    "cycle-odd-unimodal-palindromic",
+                    {"n": n, "center": str(center)},
+                    flags == (True, True) and direct,
+                    list(flags) + [direct],
+                    [True, True, True],
+                )
+            )
+        else:
+            m = n // 2
+            witness = xc.coeff((2,) * m)
+            expected = LaurentPoly.t_power(m - 1) + LaurentPoly.t_power(m + 1)
+            fixed = xc + SymFun("e", n, {(2,) * m: LaurentPoly.t_power(m)})
+            fixed_flags = e_unimodal_palindromic(fixed, center)
+            records += [
+                _record(
+                    "cycle-even-positive-palindromic-not-unimodal",
+                    {"n": n, "center": str(center)},
+                    positive and flags[0] and not flags[1] and not direct,
+                    [positive, flags[0], flags[1], direct],
+                    [True, True, False, False],
+                ),
+                _record(
+                    "cycle-even-witness",
+                    {"n": n, "partition": [2] * m},
+                    witness == expected,
+                    witness,
+                    expected,
+                ),
+                _record(
+                    "cycle-even-corrected",
+                    {"n": n, "center": str(center)},
+                    fixed_flags == (True, True) and e_unimodal_direct(fixed),
+                    list(fixed_flags),
+                    [True, True],
+                ),
+            ]
+        # special coefficient shapes of the cyclic-descent enumerator; the
+        # smallest-part-one shape needs the ordering multiplicity of the
+        # parts >= 2, since the geometric expansion sums over ordered tuples
+        wt = en.closed_form("Wtilde", n)
+        for lam in partitions_of(n):
+            ell = len(lam)
+            shapes = []
+            if lam[-1] == 1:
+                head = lam[:-1]
+                mult = math.factorial(ell - 1)
+                for part in set(head):
+                    mult //= math.factorial(head.count(part))
+                expected = LaurentPoly.t_power(ell - 1, mult)
+                for part in head:
+                    expected = expected * t_quantum(part - 1)
+                shapes.append(("cyclic-coefficient-smallest-part-one", expected))
+            if len(set(lam)) == 1:
+                j = lam[0]
+                expected = LaurentPoly.t_power(j + ell - 2, j) * t_quantum(j - 1) ** (ell - 1)
+                shapes.append(("cyclic-coefficient-rectangle", expected))
+            for name, expected in shapes:
+                ok = wt.coeff(lam) == expected and _shape_palindromic_unimodal(expected)
+                records.append(
+                    _record(name, {"n": n, "partition": list(lam)}, ok, wt.coeff(lam), expected)
+                )
+    if n_max >= 5:
+        w5 = en.closed_form("Wtilde", 5)
+        pal_any = any(
+            e_unimodal_palindromic(w5, Fraction(c2, 2))[0] for c2 in range(0, 2 * 5 + 1)
+        )
+        direct = e_unimodal_direct(w5)
+        records.append(
+            _record(
+                "cyclic-degree-five-counterexample",
+                {"n": 5},
+                not pal_any and not direct,
+                [pal_any, direct],
+                [False, False],
+            )
+        )
+    return records
+
+
+def suite_counting(n_max: int = 6, m_max: int = 5) -> list[dict]:
+    """Alphabet-restricted descent counts against binomial sums over
+    permutations graded by the drop-gap sets of their inverses."""
+    if n_max > 6 or m_max > 5:
+        raise ValueError("bounds exceed the supported range")
+    records = []
+    for n in range(1, n_max + 1):
+        perm_data = []
+        for sigma in combinat.permutations_of(n):
+            stats = combinat.perm_stats(sigma)
+            inv_stats = combinat.perm_stats(combinat.inverse_perm(sigma))
+            perm_data.append((sigma, stats, len(inv_stats.des2_set)))
+        for m in range(1, m_max + 1):
+            for mode, variant in (("des", "W"), ("des-first-less", "Wless"), ("cdes", "Wtilde")):
+                lhs = combinat.brute_enumerator(variant, n, m).sum_coeffs()
+                rhs = ZERO
+                for sigma, stats, size in perm_data:
+                    if mode == "des-first-less" and not sigma[0] < sigma[-1]:
+                        continue
+                    te = stats.cdes if mode == "cdes" else stats.des
+                    rhs = rhs + LaurentPoly.t_power(te, math.comb(m + size, n))
+                records.append(
+                    _record(f"counting-{mode}", {"n": n, "m": m}, lhs == rhs, lhs, rhs)
                 )
     return records
 
@@ -432,11 +584,11 @@ def run_suite(name: str, *, max_n: int = 5, nvars: int = 6, max_order: int = 8) 
     if name == "roots":
         return suite_roots()
     if name == "unimodal":
-        return en.unimodality_suite(8)
+        return suite_unimodal()
     if name == "counting":
-        return en.counting_identities(6, 5)
+        return suite_counting()
     if name == "series":
-        return suite_series(min(max_order, 8))
+        return suite_series(max_order)
     if name == "transfer":
         return suite_transfer()
     raise ValueError(f"unknown suite {name!r}")

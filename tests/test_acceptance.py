@@ -117,7 +117,7 @@ def test_criterion_05_fundamental_expansions_and_counting():
             fe = en.f_expansion(variant, n)
             rhs = expand_in_variables(en.closed_form(variant, n).omega(), n)
             ok = ok and fe.to_table(n) == rhs
-    records = en.counting_identities(6, 5)
+    records = verify.suite_counting(6, 5)
     ok = ok and bool(records) and all(r["status"] == "pass" for r in records)
     _report(5, "fundamental expansions and counting identities", ok)
 
@@ -157,7 +157,7 @@ def test_criterion_08_transfer_matrix():
 
 
 def test_criterion_09_unimodality_palindromicity():
-    records = en.unimodality_suite(8)
+    records = verify.suite_unimodal(8)
     ok = bool(records) and all(r["status"] == "pass" for r in records)
     for n in range(2, 9):
         flags = e_unimodal_palindromic(en.closed_form("Wneq", n), Fraction(n - 1, 2))

@@ -1,14 +1,19 @@
 """Command-line behavior: output shapes, determinism, exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from smirnov import cli, combinat
 from smirnov import enumerators as en
-from smirnov.exact import LaurentPoly
+from smirnov.exact import LaurentPoly, t_quantum
+from smirnov.symfun import SymFun
+
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 
 
 def run_cli(capsys, *argv):
@@ -156,6 +161,38 @@ class TestVerify:
         monkeypatch.setattr(combinat, "chromatic_qsym", lambda g, k: original(perturb(g), k))
         assert self.oracle_suite_exit_code(capsys) == 1
 
+    def test_shifted_denominator_fails_transfer(self, capsys, monkeypatch):
+        monkeypatch.setattr(en, "t_quantum", lambda n: t_quantum(n + 1))
+        code, _, _ = run_cli(capsys, "verify", "--suite", "transfer")
+        assert code == 1
+
+    def test_perturbed_cyclic_form_fails_unimodal(self, capsys, monkeypatch):
+        original = en.closed_form
+
+        def closed_form(variant, n):
+            out = original(variant, n)
+            return out + SymFun.generator("e", n) if variant == "Wtilde" else out
+
+        monkeypatch.setattr(en, "closed_form", closed_form)
+        code, _, _ = run_cli(capsys, "verify", "--suite", "unimodal")
+        assert code == 1
+
+    def test_dropped_wrap_descent_fails_counting(self, capsys, monkeypatch):
+        original = combinat.brute_enumerator
+        monkeypatch.setattr(
+            combinat,
+            "brute_enumerator",
+            lambda variant, n, k: original("W" if variant == "Wtilde" else variant, n, k),
+        )
+        code, _, _ = run_cli(capsys, "verify", "--suite", "counting")
+        assert code == 1
+
+    def test_all_suites_json_matches_reference_digest(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--format", "json")
+        reference = json.loads(REFERENCE.read_text())["verify --suite all --format json"]
+        assert code == reference["exit"] == 0
+        assert hashlib.sha256(out.encode()).hexdigest()[:32] == reference["stdout"]
+
     def test_unknown_suite_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:
             cli.main(["verify", "--suite", "nonsense"])
@@ -183,6 +220,12 @@ class TestUsageErrors:
         code = cli.main(["expand", "--variant", "Wneq", "--n", "1"])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    def test_max_order_above_supported_range(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["verify", "--suite", "qexp", "--max-order", "9"])
+        assert info.value.code == 2
+        assert "--max-order" in capsys.readouterr().err
 
     def test_missing_verb(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -254,7 +254,14 @@ class TestTransferMatrix:
         assert en.transfer_matrix_check(k)
 
     def test_truncated_order(self):
-        assert en.transfer_matrix_check(4, 2)
+        for k in range(1, 7):
+            for order in range(1, k + 1):
+                assert en.transfer_matrix_check(k, order), (k, order)
+
+    @pytest.mark.parametrize("k, order", [(0, None), (7, None), (3, 4)])
+    def test_out_of_range_is_rejected(self, k, order):
+        with pytest.raises(ValueError):
+            en.transfer_matrix_check(k, order)
 
     def test_singleton_is_trivial(self):
         assert en.transfer_matrix_check(1)
@@ -264,19 +271,14 @@ class TestTransferMatrix:
             for j in range(0, 6):
                 assert en.distinguished_element_check(j, k)
 
-    def test_bareiss_agrees_with_cofactor(self):
-        for k in (2, 3, 4):
-            m = en.walk_matrix(k)
-            assert en._det_cofactor(m, k) == en._det_bareiss(m, k)
-
 
 class TestSuites:
     def test_unimodality_records_all_pass(self):
-        records = en.unimodality_suite(6)
+        records = verify.suite_unimodal(6)
         assert records and all(r["status"] == "pass" for r in records)
 
     def test_counting_records_all_pass(self):
-        records = en.counting_identities(4, 3)
+        records = verify.suite_counting(4, 3)
         assert records and all(r["status"] == "pass" for r in records)
 
     def test_counting_hand_values(self):
