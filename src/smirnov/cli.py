@@ -46,6 +46,15 @@ QEULER_ALIASES = {
 }
 
 
+# verify flag -> (run_suite bound, default).  A flag given to a single suite
+# that does not read it is a usage error rather than silently ignored.
+VERIFY_BOUNDS = {
+    "--max-n": ("max_n", 5),
+    "--vars": ("nvars", 6),
+    "--max-order": ("max_order", 8),
+}
+
+
 def _variant(parser: argparse.ArgumentParser, raw: str) -> str:
     tag = VARIANT_ALIASES.get(raw.lower())
     if tag is None:
@@ -116,9 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_v = sub.add_parser("verify", help="run verification suites")
     p_v.add_argument("--suite", choices=("all",) + verify.SUITES, default="all")
-    p_v.add_argument("--max-n", type=int, default=5)
-    p_v.add_argument("--vars", type=int, default=6)
-    p_v.add_argument("--max-order", type=int, default=8)
+    for flag in VERIFY_BOUNDS:
+        p_v.add_argument(flag, type=int)
     common(p_v)
 
     return parser
@@ -248,13 +256,17 @@ def _cmd_roots(parser, args) -> int:
 
 
 def _cmd_verify(parser, args) -> int:
-    _check_range(parser, "--max-n", args.max_n, 1, 8)
-    _check_range(parser, "--vars", args.vars, 1, 8)
-    _check_range(parser, "--max-order", args.max_order, 1, 8)
+    bounds = {}
+    for flag, (bound, default) in VERIFY_BOUNDS.items():
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is None:
+            value = default
+        elif args.suite != "all" and bound not in verify.SUITE_BOUNDS[args.suite][1]:
+            parser.error(f"{flag}: suite {args.suite} does not read this flag")
+        _check_range(parser, flag, value, 1, 8)
+        bounds[bound] = value
     names = verify.SUITES if args.suite == "all" else (args.suite,)
-    records = verify.run_suites(
-        names, max_n=args.max_n, nvars=args.vars, max_order=args.max_order
-    )
+    records = verify.run_suites(names, **bounds)
     ok = verify.all_pass(records)
     if args.format == "json":
         _emit_json(records)

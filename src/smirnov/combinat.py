@@ -9,10 +9,14 @@ tables.
 The two word and coloring enumerators, ``brute_enumerator`` and
 ``chromatic_qsym``, count by the transfer-matrix method (Stanley, EC1 4.7):
 a DP over prefixes that keeps only what the remaining letters or vertices can
-still see.  Everything else here enumerates objects one at a time, and so do
-the public ``smirnov_words`` and ``word_stats``.  The trust chain is therefore
-closed form <-> DP, checked by ``verify`` and the acceptance tests, and
-DP <-> per-object enumeration, checked by the unit tests at small n.
+still see.  ``perm_walk`` is the same method for permutations, with states
+(used values, last value, first value); ``enumerators.f_expansion`` and
+``enumerators.q_eulerian`` run it with their own step rules.  Everything else
+here enumerates objects one at a time, and so do the public
+``smirnov_words``, ``word_stats``, ``permutations_of``, ``perm_stats`` and
+``inverse_perm``.  The trust chain is therefore closed form <-> DP, checked
+by ``verify`` and the acceptance tests, and DP <-> per-object enumeration
+(words, colorings, permutations), checked by the unit tests at small n.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .exact import LaurentPoly, QtPoly
 from .symfun import MonomialTable
@@ -53,22 +57,28 @@ def _packed_table(k: int, base: int, width: int, packed: dict[int, int]) -> Mono
     packed polynomials is int addition and multiplying by t^d is a left
     shift by d * width, exact as long as no coefficient reaches 2^width.
     """
-    mask = (1 << width) - 1
     terms = {}
     for code, poly in packed.items():
         vec = []
         for _ in range(k):
             code, e = divmod(code, base)
             vec.append(e)
-        coeffs = {}
-        d = 0
-        while poly:
-            if poly & mask:
-                coeffs[d] = poly & mask
-            poly >>= width
-            d += 1
-        terms[tuple(vec)] = LaurentPoly(coeffs)
+        terms[tuple(vec)] = LaurentPoly(packed_coeffs(poly, width))
     return MonomialTable(k, terms)
+
+
+def packed_coeffs(poly: int, width: int) -> dict[int, int]:
+    """The nonzero coefficients of a polynomial packed ``width`` bits per
+    slot, keyed by slot (slot 0 in the lowest bits)."""
+    mask = (1 << width) - 1
+    coeffs = {}
+    slot = 0
+    while poly:
+        if poly & mask:
+            coeffs[slot] = poly & mask
+        poly >>= width
+        slot += 1
+    return coeffs
 
 
 def smirnov_words(n: int, k: int, class_filter: str = "all") -> Iterator[Word]:
@@ -318,6 +328,35 @@ def perm_stats(sigma: Sequence[int]) -> PermStats:
 
 def permutations_of(n: int) -> Iterator[Perm]:
     return permutations(range(1, n + 1))
+
+
+def perm_walk(
+    n: int, width: int, step: Callable[[int, int, int, int], int | None], keep_first: bool = False
+) -> dict[tuple[int, int], int]:
+    """Prefix DP over the permutations of 1..n in one-line notation.
+
+    A state is (the values used so far, value v at bit v - 1; the last
+    value; the first value, or 0 unless ``keep_first``) and carries one
+    polynomial packed ``width`` bits per slot, as in ``_packed_table``.
+    ``step(p, used, last, v)`` decides everything about appending v at
+    position p from that state (``last`` is 0 when p = 1): it returns how
+    many slots the append moves a polynomial up, or None to forbid it.  The
+    result maps (first, last) of the complete permutations to their sum.
+    """
+    layer = {(0, 0, 0): 1}
+    for p in range(1, n + 1):
+        nxt: dict[tuple[int, int, int], int] = {}
+        for (used, last, first), poly in layer.items():
+            for v in range(1, n + 1):
+                if used >> (v - 1) & 1:
+                    continue
+                slots = step(p, used, last, v)
+                if slots is None:
+                    continue
+                key = (used | 1 << (v - 1), v, v if p == 1 and keep_first else first)
+                nxt[key] = nxt.get(key, 0) + (poly << slots * width)
+        layer = nxt
+    return {(first, last): poly for (_, last, first), poly in layer.items()}
 
 
 def fundamental_F(n: int, S: Iterable[int], k: int) -> MonomialTable:

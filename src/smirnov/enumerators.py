@@ -5,10 +5,20 @@ elementary-basis generating series sharing one denominator.  This module
 builds those quotients, the power sum and fundamental quasisymmetric
 expansions, the q-Eulerian polynomials with their q-exponential identities
 and root-of-unity evaluations, and the weighted-walk determinant identity.
+
+The fundamental expansions and the q-Eulerian polynomials are sums over
+permutations, counted by the prefix DP ``combinat.perm_walk`` rather than
+one permutation at a time: ``f_expansion`` walks sigma^-1 and
+``q_eulerian`` walks sigma, each with its own step rule (``F_RULES``,
+``Q_RULES``), so ``verify``'s f-principal-numerator check compares two
+independent walks.  Each walk is checked in the unit tests against a sweep
+over every permutation with ``combinat.perm_stats``, as the word DPs are
+checked against word enumeration.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -37,12 +47,29 @@ from .symfun import (
 
 VARIANTS = ("W", "Wless", "Wgreater", "Wequal", "Wneq", "Wtilde", "Wtildeneq", "XC")
 POWERSUM_VARIANTS = ("W", "Wless", "Wgreater", "Wtilde", "Wtildeneq")
-F_VARIANTS = ("W", "Wless", "Wgreater", "Wtilde")
 CLEARED_VARIANTS = ("W", "Wless", "Wgreater", "Wtilde")
 TOP_VARIANTS = ("Wneq", "XC")
-Q_EULERIAN_KINDS = ("Amajexc", "Ades", "Aless", "Atilde")
 ROOT_FAMILIES = ("Ades", "Aless", "Atilde")
 QEXP_IDENTITIES = ("A", "Aless", "Atilde")
+
+# f_expansion walks tau = sigma^-1: variant -> (endpoint class of sigma,
+# statistic of sigma, gaps of tau whose positions form S)
+F_RULES = {
+    "W": ("all", "des", "drops"),
+    "Wless": ("<", "des", "drops"),
+    "Wgreater": (">", "des", "rises"),
+    "Wtilde": ("all", "cdes", "drops"),
+}
+F_VARIANTS = tuple(F_RULES)
+
+# q_eulerian walks sigma: kind -> (endpoint class, statistic)
+Q_RULES = {
+    "Amajexc": ("all", "majexc"),
+    "Ades": ("all", "des"),
+    "Aless": ("<", "des"),
+    "Atilde": ("all", "cdes"),
+}
+Q_EULERIAN_KINDS = tuple(Q_RULES)
 
 
 def abc(i: int) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
@@ -280,23 +307,42 @@ class FExpansion:
 
 def f_expansion(variant: str, n: int) -> FExpansion:
     """Fundamental quasisymmetric expansion of the omega image, as a sum
-    over permutations weighted by descent or cyclic descent."""
+    over permutations weighted by descent or cyclic descent.
+
+    A walk over tau = sigma^-1 (``combinat.perm_walk``) with slot
+    S_bits * (n + 1) + e.  Appending value v to tau is a descent of sigma at
+    v when v + 1 is already placed; the gap between the last value and v
+    puts position p - 1 into S; the endpoint classes of sigma forbid placing
+    n before 1 (first < last) or 1 before n (first > last); and the cyclic
+    descent sigma(n) > sigma(1) is n placed after 1.
+    """
     if variant not in F_VARIANTS:
         raise ValueError(f"no fundamental expansion for {variant!r}")
     if not 1 <= n <= 8:
         raise ValueError("n must be between 1 and 8")
+    cls, stat, gaps = F_RULES[variant]
+    cols = n + 1
+    top = 1 << (n - 1)
+
+    def step(p: int, used: int, last: int, v: int) -> int | None:
+        if v == n and cls == "<" and not used & 1:
+            return None
+        if v == 1 and cls == ">" and not used & top:
+            return None
+        e = used >> v & 1
+        if v == n and stat == "cdes" and used & 1:
+            e += 1
+        gap = last - v if gaps == "drops" else v - last
+        if p > 1 and gap >= 2:
+            return (1 << (p - 2)) * cols + e
+        return e
+
+    width = math.factorial(n).bit_length()  # no coefficient exceeds n!
+    total = sum(combinat.perm_walk(n, width, step).values())
     counts: dict[tuple[int, tuple[int, ...]], int] = {}
-    for sigma in combinat.permutations_of(n):
-        if variant == "Wless" and not sigma[0] < sigma[-1]:
-            continue
-        if variant == "Wgreater" and not sigma[0] > sigma[-1]:
-            continue
-        stats = combinat.perm_stats(sigma)
-        inv_stats = combinat.perm_stats(combinat.inverse_perm(sigma))
-        e = stats.cdes if variant == "Wtilde" else stats.des
-        S = inv_stats.asc2_set if variant == "Wgreater" else inv_stats.des2_set
-        key = (e, tuple(sorted(S)))
-        counts[key] = counts.get(key, 0) + 1
+    for slot, c in combinat.packed_coeffs(total, width).items():
+        bits, e = divmod(slot, cols)
+        counts[(e, tuple(i + 1 for i in range(n - 1) if bits >> i & 1))] = c
     return FExpansion.from_counts(n, counts)
 
 
@@ -309,6 +355,14 @@ def q_eulerian(kind: str, n: int) -> QtPoly:
     drops by at least two; that statistic, rather than the rising-gap sum,
     is the one compatible with the principal specialization (the rising-gap
     reading is kept available through q_statistic_diagnostic).
+
+    A walk over sigma itself (``combinat.perm_walk``), independent of the
+    walk over sigma^-1 in ``f_expansion``.  Appending v at position p after
+    ``last`` is a descent when last > v, adds v to the q-weight when v + 1
+    is already placed but not just before v, and for Amajexc adds p - 1 to
+    maj on a descent and 1 to exc when v > p.  The endpoint filter and the
+    wrap descent sigma(n) > sigma(1) are applied to the complete
+    permutations.
     """
     if kind not in Q_EULERIAN_KINDS:
         raise ValueError(f"unknown kind {kind!r}")
@@ -316,37 +370,25 @@ def q_eulerian(kind: str, n: int) -> QtPoly:
         raise ValueError("n must be between 0 and 8")
     if n == 0:
         return QtPoly.zero() if kind == "Aless" else QtPoly.one()
-    counts: dict[tuple[int, int], int] = {}
-    inv = [0] * n
-    for sigma in combinat.permutations_of(n):
-        if kind == "Aless" and not sigma[0] < sigma[-1]:
-            continue
-        if kind == "Amajexc":
-            maj = exc = 0
-            for i in range(n - 1):
-                if sigma[i] > sigma[i + 1]:
-                    maj += i + 1
-                if sigma[i] > i + 1:
-                    exc += 1
-            if sigma[n - 1] > n:
-                exc += 1
-            key = (maj - exc, exc)
-        else:
-            des = 0
-            for i in range(n - 1):
-                if sigma[i] > sigma[i + 1]:
-                    des += 1
-            te = des + (1 if kind == "Atilde" and sigma[-1] > sigma[0] else 0)
-            for i, v in enumerate(sigma, start=1):
-                inv[v - 1] = i
-            qe = 0
-            for i in range(n - 1):
-                if inv[i] - inv[i + 1] >= 2:
-                    qe += i + 1
-            key = (qe, te)
-        counts[key] = counts.get(key, 0) + 1
+    cls, stat = Q_RULES[kind]
+    cols = n + 1
+
+    def step(p: int, used: int, last: int, v: int) -> int:
+        if stat == "majexc":  # slot maj * cols + exc
+            return (p - 1) * cols * (last > v) + (v > p)
+        q = v if used >> v & 1 and last != v + 1 else 0
+        return q * cols + (last > v)  # slot q-weight * cols + des
+
+    width = math.factorial(n).bit_length()  # no coefficient exceeds n!
+    walk = combinat.perm_walk(n, width, step, keep_first=cls != "all" or stat == "cdes")
+    total = 0
+    for (first, last), poly in walk.items():
+        if combinat._passes(cls, first, last):
+            total += poly << width if stat == "cdes" and last > first else poly
     out: dict[int, dict[int, int]] = {}
-    for (qe, te), c in counts.items():
+    for slot, c in combinat.packed_coeffs(total, width).items():
+        a, b = divmod(slot, cols)
+        qe, te = (a - b, b) if stat == "majexc" else (a, b)
         out.setdefault(qe, {})[te] = c
     return QtPoly({qe: LaurentPoly(poly) for qe, poly in out.items()})
 
@@ -381,7 +423,7 @@ def q_exp_identity_check(kind: str, order: int) -> bool:
     if kind not in QEXP_IDENTITIES:
         raise ValueError(f"unknown identity {kind!r}")
     if order > 8:
-        raise ValueError("order must be at most 8 on the factorial path")
+        raise ValueError("order must be at most 8, the largest n of q_eulerian")
     for n in range(1, order + 1):
         acc = QtPoly.zero()
         lo = 0 if kind == "A" else 1

@@ -41,18 +41,6 @@ from .symfun import (
     z_of,
 )
 
-SUITES = (
-    "oracle",
-    "powersum",
-    "f",
-    "qexp",
-    "roots",
-    "unimodal",
-    "counting",
-    "series",
-    "transfer",
-)
-
 
 def _present(x):
     if isinstance(x, SymFun):
@@ -572,26 +560,27 @@ def suite_transfer(max_k: int = 5) -> list[dict]:
     return records
 
 
+# suite -> (suite function, the run_suite bounds it reads, in argument order)
+SUITE_BOUNDS = {
+    "oracle": (suite_oracle, ("max_n", "nvars")),
+    "powersum": (suite_powersum, ("max_n",)),
+    "f": (suite_f, ("max_n",)),
+    "qexp": (suite_qexp, ("max_order",)),
+    "roots": (suite_roots, ()),
+    "unimodal": (suite_unimodal, ()),
+    "counting": (suite_counting, ()),
+    "series": (suite_series, ("max_order",)),
+    "transfer": (suite_transfer, ()),
+}
+SUITES = tuple(SUITE_BOUNDS)
+
+
 def run_suite(name: str, *, max_n: int = 5, nvars: int = 6, max_order: int = 8) -> list[dict]:
-    if name == "oracle":
-        return suite_oracle(max_n, nvars)
-    if name == "powersum":
-        return suite_powersum(max_n)
-    if name == "f":
-        return suite_f(max_n)
-    if name == "qexp":
-        return suite_qexp(max_order)
-    if name == "roots":
-        return suite_roots()
-    if name == "unimodal":
-        return suite_unimodal()
-    if name == "counting":
-        return suite_counting()
-    if name == "series":
-        return suite_series(max_order)
-    if name == "transfer":
-        return suite_transfer()
-    raise ValueError(f"unknown suite {name!r}")
+    if name not in SUITE_BOUNDS:
+        raise ValueError(f"unknown suite {name!r}")
+    fn, reads = SUITE_BOUNDS[name]
+    bounds = {"max_n": max_n, "nvars": nvars, "max_order": max_order}
+    return fn(*(bounds[b] for b in reads))
 
 
 def run_suites(names, *, max_n: int = 5, nvars: int = 6, max_order: int = 8) -> list[dict]:

@@ -14,6 +14,7 @@ from smirnov.exact import LaurentPoly, t_quantum
 from smirnov.symfun import SymFun
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+REFERENCE_RUNS = json.loads(REFERENCE.read_text())
 
 
 def run_cli(capsys, *argv):
@@ -187,16 +188,82 @@ class TestVerify:
         code, _, _ = run_cli(capsys, "verify", "--suite", "counting")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "variant, rule",
+        [("Wtilde", ("all", "des", "drops")), ("Wgreater", (">", "des", "drops"))],
+        ids=["wrap-t-dropped", "rises-read-as-drops"],
+    )
+    def test_mutated_f_walk_fails_f_suite(self, capsys, monkeypatch, variant, rule):
+        monkeypatch.setitem(en.F_RULES, variant, rule)
+        code, _, _ = run_cli(capsys, "verify", "--suite", "f", "--max-n", "4")
+        assert code == 1
+
+    def test_dropped_cyclic_wrap_fails_qexp(self, capsys, monkeypatch):
+        monkeypatch.setitem(en.Q_RULES, "Atilde", ("all", "des"))
+        en.q_eulerian.cache_clear()
+        try:
+            code, _, _ = run_cli(capsys, "verify", "--suite", "qexp")
+        finally:
+            en.q_eulerian.cache_clear()
+        assert code == 1
+
     def test_all_suites_json_matches_reference_digest(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--format", "json")
-        reference = json.loads(REFERENCE.read_text())["verify --suite all --format json"]
+        reference = REFERENCE_RUNS["verify --suite all --format json"]
         assert code == reference["exit"] == 0
         assert hashlib.sha256(out.encode()).hexdigest()[:32] == reference["stdout"]
+
+    @pytest.mark.parametrize(
+        "suite, flag, value",
+        [
+            ("roots", "--max-n", "3"),
+            ("transfer", "--vars", "1"),
+            ("qexp", "--max-n", "4"),
+            ("f", "--vars", "6"),
+            ("oracle", "--max-order", "8"),
+            ("series", "--max-n", "5"),
+            ("unimodal", "--max-order", "4"),
+            ("counting", "--vars", "3"),
+            ("powersum", "--max-order", "2"),
+        ],
+    )
+    def test_flag_the_suite_does_not_read_is_rejected(self, capsys, suite, flag, value):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["verify", "--suite", suite, flag, value])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert flag in err and f"suite {suite}" in err
+
+    def test_explicit_default_matches_implicit(self, capsys):
+        implicit = run_cli(capsys, "verify", "--suite", "f", "--format", "json")
+        explicit = run_cli(capsys, "verify", "--suite", "f", "--max-n", "5", "--format", "json")
+        assert explicit == implicit and implicit[0] == 0
+
+    def test_all_accepts_every_flag(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "--suite", "all", "--max-n", "2", "--vars", "2", "--max-order", "2"
+        )
+        assert code == 0
+        assert out.endswith("checks passed\n")
 
     def test_unknown_suite_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:
             cli.main(["verify", "--suite", "nonsense"])
         assert info.value.code == 2
+
+
+class TestReferenceOutputs:
+    """Every single-answer command that perfbench/reference.json records, at
+    n = 8, run in-process: exit code and stdout digest must match."""
+
+    @pytest.mark.parametrize(
+        "command", [c for c in REFERENCE_RUNS if not c.startswith("verify ")]
+    )
+    def test_stdout_matches_reference_digest(self, capsys, command):
+        code, out, _ = run_cli(capsys, *command.split())
+        reference = REFERENCE_RUNS[command]
+        assert code == reference["exit"]
+        assert hashlib.sha256(out.encode()).hexdigest()[:32] == reference["stdout"]
 
 
 class TestUsageErrors:

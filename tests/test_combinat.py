@@ -1,6 +1,7 @@
 """Combinatorial oracles: words, colorings, permutations, quasisymmetric F."""
 
 import math
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -17,7 +18,9 @@ from smirnov.combinat import (
     fundamental_F,
     inverse_perm,
     inverse_q_product,
+    packed_coeffs,
     perm_stats,
+    perm_walk,
     permutations_of,
     smirnov_words,
     word_stats,
@@ -253,6 +256,29 @@ class TestPermStats:
                 assert s.maj2des == sum(s.des2_set)
                 assert s.maj2asc == sum(s.asc2_set)
                 assert s.cdes == s.des + (1 if sigma[-1] > sigma[0] else 0)
+
+
+class TestPermWalk:
+    def test_descent_step_matches_perm_stats(self):
+        for n in range(1, 7):
+            width = math.factorial(n).bit_length()
+            walk = perm_walk(n, width, lambda p, used, last, v: int(last > v))
+            expected = Counter(perm_stats(sigma).des for sigma in permutations_of(n))
+            assert packed_coeffs(sum(walk.values()), width) == dict(expected)
+
+    def test_forbidden_steps_and_kept_endpoints(self):
+        # None forbids placing 2 while 1 is unused; keep_first reports sigma(1)
+        def step(p, used, last, v):
+            return None if v == 2 and not used & 1 else 0
+
+        walk = perm_walk(5, 7, step, keep_first=True)
+        expected = Counter(
+            (sigma[0], sigma[-1]) for sigma in permutations_of(5) if sigma.index(1) < sigma.index(2)
+        )
+        assert walk == dict(expected)
+
+    def test_first_is_zero_unless_kept(self):
+        assert perm_walk(3, 3, lambda p, used, last, v: 0) == {(0, 1): 2, (0, 2): 2, (0, 3): 2}
 
 
 class TestFundamentalF:

@@ -1,6 +1,7 @@
 """Closed forms against oracles, q-Eulerian identities, determinant check."""
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -214,6 +215,87 @@ class TestQEulerian:
         # one permutation of length 1, no cyclic descent
         assert en.q_eulerian("Atilde", 1) == QtPoly.one()
         assert en.q_exp_identity_check("Atilde", 1)
+
+
+@lru_cache(maxsize=None)
+def swept_permutations(n):
+    """Every permutation of 1..n with its own and its inverse's statistics."""
+    return [
+        (sigma, combinat.perm_stats(sigma), combinat.perm_stats(combinat.inverse_perm(sigma)))
+        for sigma in combinat.permutations_of(n)
+    ]
+
+
+def swept_f_expansion(variant, n):
+    counts = {}
+    for sigma, stats, inv_stats in swept_permutations(n):
+        if variant == "Wless" and not sigma[0] < sigma[-1]:
+            continue
+        if variant == "Wgreater" and not sigma[0] > sigma[-1]:
+            continue
+        e = stats.cdes if variant == "Wtilde" else stats.des
+        S = inv_stats.asc2_set if variant == "Wgreater" else inv_stats.des2_set
+        key = (e, tuple(sorted(S)))
+        counts[key] = counts.get(key, 0) + 1
+    return en.FExpansion.from_counts(n, counts)
+
+
+def swept_q_eulerian(kind, n):
+    counts = {}
+    for sigma, stats, inv_stats in swept_permutations(n):
+        if kind == "Aless" and not sigma[0] < sigma[-1]:
+            continue
+        if kind == "Amajexc":
+            qe, te = stats.maj - stats.exc, stats.exc
+        else:
+            qe, te = inv_stats.maj2des, stats.cdes if kind == "Atilde" else stats.des
+        counts.setdefault(qe, {})
+        counts[qe][te] = counts[qe].get(te, 0) + 1
+    return QtPoly({qe: LaurentPoly(poly) for qe, poly in counts.items()})
+
+
+class TestPermutationWalks:
+    """The walks behind f_expansion and q_eulerian against a sweep over every
+    permutation, with the statistics read off perm_stats of sigma and of its
+    inverse."""
+
+    @pytest.mark.parametrize("variant", en.F_VARIANTS)
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_f_walk_matches_permutation_sweep(self, variant, n):
+        assert en.f_expansion(variant, n) == swept_f_expansion(variant, n)
+
+    @pytest.mark.parametrize("kind", en.Q_EULERIAN_KINDS)
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_q_walk_matches_permutation_sweep(self, kind, n):
+        assert en.q_eulerian(kind, n) == swept_q_eulerian(kind, n)
+
+    def test_degree_one_edges(self):
+        # the one permutation has first == last: no endpoint class, no wrap
+        assert en.f_expansion("Wless", 1).terms == ()
+        assert en.f_expansion("Wgreater", 1).terms == ()
+        assert en.f_expansion("Wtilde", 1).terms == ((0, (), 1),)
+        assert en.q_eulerian("Aless", 1) == QtPoly.zero()
+        assert en.q_eulerian("Atilde", 1) == QtPoly.one()
+
+    @pytest.mark.parametrize("kind", en.Q_EULERIAN_KINDS)
+    def test_degree_zero_convention(self, kind):
+        expected = QtPoly.zero() if kind == "Aless" else QtPoly.one()
+        assert en.q_eulerian(kind, 0) == expected
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: en.f_expansion("Wequal", 3),
+            lambda: en.f_expansion("W", 0),
+            lambda: en.f_expansion("W", 9),
+            lambda: en.q_eulerian("Abogus", 3),
+            lambda: en.q_eulerian("Ades", -1),
+            lambda: en.q_eulerian("Ades", 9),
+        ],
+    )
+    def test_rejects_bad_arguments(self, call):
+        with pytest.raises(ValueError):
+            call()
 
 
 class TestRootsOfUnity:
