@@ -160,6 +160,8 @@ def main(argv=None) -> int:
 def _cmd_expand(parser, args) -> int:
     variant = _variant(parser, args.variant)
     _check_range(parser, "--n", args.n, 1, 8)
+    if args.vars is not None and args.basis != "e":
+        parser.error(f"--vars: basis {args.basis} does not expand into variables; use --basis e")
     if args.basis == "p":
         return _emit_powersum(parser, args, variant)
     if args.basis == "F":

@@ -41,7 +41,7 @@ from .symfun import (
     Partition,
     SymFun,
     SymSeries,
-    _partition_table,
+    expand_in_variables,
     partitions_of,
 )
 
@@ -528,8 +528,8 @@ def transfer_matrix_check(k: int, order: int | None = None) -> bool:
         det[vec] = det.get(vec, ZERO) + term
     expected = MonomialTable.zero(k)
     for j in range(order + 1):
-        expected = expected + _partition_table("e", (j,) if j else (), k).scale(
-            denominator_weight(j)
+        expected = expected + expand_in_variables(
+            SymFun.generator("e", j, denominator_weight(j)), k
         )
     return MonomialTable(k, det) == expected
 
@@ -547,5 +547,5 @@ def distinguished_element_check(j: int, k: int) -> bool:
             for v in subset:
                 vec[v] += 1
             lhs = lhs + MonomialTable(k, {tuple(vec): 1})
-    rhs = _partition_table("e", (j + 1,), k).scale(j + 1) if j + 1 <= k else MonomialTable.zero(k)
+    rhs = expand_in_variables(SymFun.generator("e", j + 1, j + 1), k)
     return lhs == rhs

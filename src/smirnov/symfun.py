@@ -9,9 +9,14 @@ faithful as long as the variable count is at least the degree.  A
 ``SymSeries`` is a graded sequence of ``SymFun`` values indexed by the power
 of a formal variable z; the grading and the x-degree always coincide here.
 
-Basis conversion back from a ``MonomialTable`` goes through a triangular
-solve against elementary expansions; it doubles as a symmetry certificate for
-tables produced by brute-force enumeration.
+Both directions between a ``SymFun`` and a ``MonomialTable`` go through the
+monomial basis.  The coefficient of m_mu in e_lam, h_lam or p_lam is an
+integer count of matrices with row sums lam and column sums mu (0-1 rows,
+nonnegative rows, single-entry rows; Macdonald I.6), computed by one cached
+DP over the parts of lam without building any k-variable table.  Expansion
+sums these counts per mu and writes each m_mu coefficient over its orbit;
+conversion back is a triangular solve against the e counts, and doubles as a
+symmetry certificate for tables produced by brute-force enumeration.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, permutations
 from typing import Callable, Mapping
 
 from .exact import ONE, ZERO, LaurentPoly, Scalar
@@ -368,58 +372,90 @@ class MonomialTable:
 
 
 @lru_cache(maxsize=None)
-def _unit_table(basis: str, i: int, k: int) -> MonomialTable:
-    """Expansion of e_i, h_i, or p_i in k variables."""
-    if i == 0:
-        return MonomialTable.one(k)
-    terms: dict[tuple, int] = {}
-    if basis == "e":
-        for subset in combinations(range(k), i):
-            vec = [0] * k
-            for j in subset:
-                vec[j] = 1
-            terms[tuple(vec)] = 1
-    elif basis == "h":
-        for multiset in combinations_with_replacement(range(k), i):
-            vec = [0] * k
-            for j in multiset:
-                vec[j] += 1
-            terms[tuple(vec)] = 1
-    elif basis == "p":
-        for j in range(k):
-            vec = [0] * k
-            vec[j] = i
-            terms[tuple(vec)] = 1
+def _m_coeff(basis: str, lam: Partition, mu: Partition) -> int:
+    """Coefficient of x^mu in b_lam for b in e, h, p, m, as a plain int.
+
+    For e, h and p this counts the matrices with row sums lam and column
+    sums mu whose rows are 0-1 vectors (e), nonnegative vectors (h) or a
+    single column (p).  The first row is chosen against the column sums,
+    and what is left is the count for the remaining parts of lam against
+    the sorted leftover column sums, since the count is symmetric in the
+    columns.  For m the value is [lam = mu].
+
+    >>> _m_coeff("e", (2, 1), (1, 1, 1)), _m_coeff("h", (2, 1), (2, 1))
+    (3, 2)
+    """
+    if basis == "m" or not lam:
+        return int(lam == mu)
+    part, rest = lam[0], lam[1:]
+    if basis == "p":
+        leftovers = [mu[:j] + (c - part,) + mu[j + 1 :] for j, c in enumerate(mu) if c >= part]
     else:
-        raise ValueError(f"no unit table for basis {basis!r}")
-    return MonomialTable(k, terms)
+        top = 1 if basis == "e" else part
+        partial: list[tuple[Partition, int]] = [((), 0)]
+        for cap in mu:
+            partial = [
+                (left + (cap - a,), taken + a)
+                for left, taken in partial
+                for a in range(min(top, cap, part - taken) + 1)
+            ]
+        leftovers = [left for left, taken in partial if taken == part]
+    return sum(
+        _m_coeff(basis, rest, tuple(sorted((c for c in left if c), reverse=True)))
+        for left in leftovers
+    )
 
 
-@lru_cache(maxsize=None)
-def _partition_table(basis: str, lam: Partition, k: int) -> MonomialTable:
-    if basis == "m":
-        vecs = set(permutations(lam + (0,) * (k - len(lam)))) if len(lam) <= k else set()
-        return MonomialTable(k, {vec: 1 for vec in vecs})
-    out = MonomialTable.one(k)
-    for part in lam:
-        out = out * _unit_table(basis, part, k)
+def _orbit(mu: Partition, k: int) -> list[tuple[int, ...]]:
+    """Distinct rearrangements of mu padded with zeros to length k."""
+    counts: dict[int, int] = {}
+    for v in mu + (0,) * (k - len(mu)):
+        counts[v] = counts.get(v, 0) + 1
+    out: list[tuple[int, ...]] = []
+    vec: list[int] = []
+
+    def place() -> None:
+        if len(vec) == k:
+            out.append(tuple(vec))
+            return
+        for v, left in counts.items():
+            if left:
+                counts[v] = left - 1
+                vec.append(v)
+                place()
+                vec.pop()
+                counts[v] = left
+
+    place()
     return out
 
 
 def expand_in_variables(f: SymFun, k: int) -> MonomialTable:
     """Set all variables beyond the first k to zero.
 
+    The coefficient of m_mu is the sum of c_lam times the integer count
+    ``_m_coeff(basis, lam, mu)`` (over z_lam for ``zpart``); it is written
+    at every rearrangement of mu padded to length k, for each mu with at
+    most k parts.  No k-variable table is multiplied.
+
     >>> expand_in_variables(SymFun.generator("e", 2), 2).terms
     {(1, 1): LaurentPoly(1)}
     """
     if k < 1:
         raise ValueError("need at least one variable")
-    out = MonomialTable.zero(k)
-    for lam, c in f.terms.items():
-        if f.zpart:
-            c = c * Fraction(1, z_of(lam))
-        out = out + _partition_table(f.basis, lam, k).scale(c)
-    return out
+    terms: dict[tuple, LaurentPoly] = {}
+    for mu in partitions_of(f.degree):
+        if len(mu) > k:
+            continue
+        c = ZERO
+        for lam, coeff in f.terms.items():
+            mult = _m_coeff(f.basis, lam, mu)
+            if mult:
+                c = c + coeff * (Fraction(mult, z_of(lam)) if f.zpart else mult)
+        if c:
+            for vec in _orbit(mu, k):
+                terms[vec] = c
+    return MonomialTable(k, terms)
 
 
 def _orbit_size(mu: Partition, k: int) -> int:
@@ -432,17 +468,11 @@ def _orbit_size(mu: Partition, k: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _e_in_m(lam: Partition, k: int) -> tuple[tuple[Partition, int], ...]:
-    """Monomial-basis coordinates of e_lam in k variables."""
-    table = _partition_table("e", lam, k)
-    out = []
-    for mu in partitions_of(sum(lam)):
-        if len(mu) > k:
-            continue
-        c = table.terms.get(mu + (0,) * (k - len(mu)))
-        if c is not None:
-            out.append((mu, c.coeff(0)))
-    return tuple(out)
+def _e_in_m(lam: Partition) -> tuple[tuple[Partition, int], ...]:
+    """Monomial-basis coordinates of e_lam, from the e-transition counts."""
+    return tuple(
+        (mu, c) for mu in partitions_of(sum(lam)) if (c := _m_coeff("e", lam, mu))
+    )
 
 
 def monomial_to_e(table: MonomialTable, n: int | None = None, k: int | None = None) -> SymFun:
@@ -450,8 +480,10 @@ def monomial_to_e(table: MonomialTable, n: int | None = None, k: int | None = No
 
     The table must be a symmetric homogeneous polynomial of degree n in
     k >= n variables; otherwise ``NotSymmetricError`` (or ValueError for
-    malformed input) is raised.  Inversion peels lexicographically largest
-    orbits against elementary expansions, so success certifies symmetry.
+    malformed input) is raised.  Every orbit must be complete with one
+    coefficient, which gives the m-basis coordinates; these are peeled in
+    lexicographic order against the m-basis coordinates of e_lam, read from
+    the e-transition counts, so success certifies symmetry.
     """
     if k is None:
         k = table.nvars
@@ -492,7 +524,7 @@ def monomial_to_e(table: MonomialTable, n: int | None = None, k: int | None = No
             continue
         lam = conjugate(mu)
         result[lam] = c
-        for nu, mult in _e_in_m(lam, k):
+        for nu, mult in _e_in_m(lam):
             nc = residual.get(nu, ZERO) - c * mult
             if nc:
                 residual[nu] = nc

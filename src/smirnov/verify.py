@@ -71,6 +71,14 @@ def _record(check: str, params: dict, ok: bool, lhs, rhs) -> dict:
 
 def suite_oracle(max_n: int, nvars: int) -> list[dict]:
     records = []
+    tables: dict[tuple[str, int], MonomialTable] = {}
+
+    def words(variant: str, n: int) -> MonomialTable:
+        """Each word table once per call, looked up at call time."""
+        if (variant, n) not in tables:
+            tables[variant, n] = combinat.brute_enumerator(variant, n, nvars)
+        return tables[variant, n]
+
     for variant in en.VARIANTS:
         start = 2 if variant in ("Wneq", "XC") else 1
         for n in range(start, max_n + 1):
@@ -78,38 +86,36 @@ def suite_oracle(max_n: int, nvars: int) -> list[dict]:
             if variant == "XC":
                 rhs = combinat.chromatic_qsym(combinat.Digraph.cycle(n), nvars)
             else:
-                rhs = combinat.brute_enumerator(variant, n, nvars)
+                rhs = words(variant, n)
             records.append(
                 _record("oracle", {"variant": variant, "n": n, "vars": nvars}, lhs == rhs, lhs, rhs)
             )
     for n in range(1, max_n + 1):
         lhs = combinat.chromatic_qsym(combinat.Digraph.path(n), nvars)
-        rhs = combinat.brute_enumerator("W", n, nvars)
+        rhs = words("W", n)
         records.append(_record("chromatic-path", {"n": n, "vars": nvars}, lhs == rhs, lhs, rhs))
     for n in range(2, max_n + 1):
         lhs = combinat.chromatic_qsym(combinat.Digraph.directed_cycle(n), nvars)
-        rhs = combinat.brute_enumerator("Wtildeneq", n, nvars)
+        rhs = words("Wtildeneq", n)
         records.append(
             _record("chromatic-directed-cycle", {"n": n, "vars": nvars}, lhs == rhs, lhs, rhs)
         )
         lhs = combinat.chromatic_qsym(combinat.Digraph.cycle(n), nvars)
-        rhs = combinat.brute_enumerator("Wless", n, nvars) + combinat.brute_enumerator(
-            "Wgreater", n, nvars
-        ).scale(T)
+        rhs = words("Wless", n) + words("Wgreater", n).scale(T)
         records.append(
             _record("chromatic-cycle-split", {"n": n, "vars": nvars}, lhs == rhs, lhs, rhs)
         )
     for n in range(1, max_n + 1):
-        less = combinat.brute_enumerator("Wless", n, nvars)
-        greater = combinat.brute_enumerator("Wgreater", n, nvars)
-        equal = combinat.brute_enumerator("Wequal", n, nvars)
+        less = words("Wless", n)
+        greater = words("Wgreater", n)
+        equal = words("Wequal", n)
         for name, lhs_variant, rhs in (
             ("refinement-all", "W", less + greater + equal),
             ("refinement-cyclic", "Wtilde", less.scale(T) + greater + equal),
             ("refinement-distinct", "Wneq", less + greater),
             ("refinement-cyclic-distinct", "Wtildeneq", less.scale(T) + greater),
         ):
-            lhs = combinat.brute_enumerator(lhs_variant, n, nvars)
+            lhs = words(lhs_variant, n)
             records.append(_record(name, {"n": n, "vars": nvars}, lhs == rhs, lhs, rhs))
         reversed_less = less.map_coeffs(lambda p: p.reverse(n - 1))
         records.append(

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from smirnov import cli, combinat
+from smirnov import cli, combinat, symfun
 from smirnov import enumerators as en
 from smirnov.exact import LaurentPoly, t_quantum
 from smirnov.symfun import SymFun
@@ -70,6 +70,14 @@ class TestExpand:
         )
         assert code == 0
         assert json.loads(out)["degree"] == 3
+
+    @pytest.mark.parametrize("basis", ["p", "F"])
+    def test_vars_with_a_basis_that_has_no_table_is_rejected(self, capsys, basis):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["expand", "--variant", "W", "--n", "3", "--basis", basis, "--vars", "3"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--vars" in err and f"basis {basis}" in err
 
     def test_variant_aliases(self, capsys):
         for alias in ("Wtilde", "wtilde", "W~"):
@@ -161,6 +169,47 @@ class TestVerify:
         original = combinat.chromatic_qsym
         monkeypatch.setattr(combinat, "chromatic_qsym", lambda g, k: original(perturb(g), k))
         assert self.oracle_suite_exit_code(capsys) == 1
+
+    def test_each_word_table_is_built_once(self, capsys, monkeypatch):
+        original = combinat.brute_enumerator
+        calls = []
+
+        def counted(variant, n, k):
+            calls.append((variant, n, k))
+            return original(variant, n, k)
+
+        monkeypatch.setattr(combinat, "brute_enumerator", counted)
+        assert self.oracle_suite_exit_code(capsys) == 0
+        words = {(v, n, 4) for v in en.VARIANTS if v != "XC" for n in range(1, 5)}
+        assert len(calls) == len(set(calls)) and set(calls) == words
+
+    @pytest.mark.parametrize(
+        "basis, argv",
+        [
+            ("e", ["--suite", "oracle", "--max-n", "4", "--vars", "4"]),
+            ("h", ["--suite", "f", "--max-n", "4"]),
+            ("p", ["--suite", "powersum", "--max-n", "4"]),
+        ],
+        ids=["e-count-oracle", "h-count-f", "p-count-powersum"],
+    )
+    def test_bumped_transition_count_flips_exit_code(self, capsys, monkeypatch, basis, argv):
+        # the closed forms reach k variables through these counts; a wrong
+        # one must show against the word, F-expansion and brute-force sides
+        original = symfun._m_coeff
+        assert original(basis, (2, 1), (2, 1))
+
+        def bumped(b, lam, mu):
+            return original(b, lam, mu) + (b == basis and lam == mu == (2, 1))
+
+        monkeypatch.setattr(symfun, "_m_coeff", bumped)
+        original.cache_clear()
+        symfun._e_in_m.cache_clear()
+        try:
+            code, _, _ = run_cli(capsys, "verify", *argv)
+        finally:
+            original.cache_clear()
+            symfun._e_in_m.cache_clear()
+        assert code == 1
 
     def test_shifted_denominator_fails_transfer(self, capsys, monkeypatch):
         monkeypatch.setattr(en, "t_quantum", lambda n: t_quantum(n + 1))

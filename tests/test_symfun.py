@@ -3,11 +3,15 @@
 import json
 import math
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smirnov.exact import ONE, T, LaurentPoly, t_quantum
+from smirnov import enumerators as en
+from smirnov import symfun
+from smirnov.exact import ONE, T, ZERO, LaurentPoly, t_quantum
 from smirnov.symfun import (
     MonomialTable,
     NotSymmetricError,
@@ -107,6 +111,94 @@ class TestExpansion:
                 assert expand_in_variables(f * g, k) == expand_in_variables(
                     f, k
                 ) * expand_in_variables(g, k)
+
+
+def unit_table(basis, i, k):
+    """e_i, h_i or p_i in k variables, one monomial at a time."""
+    if basis == "e":
+        picks = combinations(range(k), i)
+    elif basis == "h":
+        picks = combinations_with_replacement(range(k), i)
+    else:
+        picks = [(j,) * i for j in range(k)]
+    terms = {}
+    for pick in picks:
+        vec = [0] * k
+        for j in pick:
+            vec[j] += 1
+        terms[tuple(vec)] = 1
+    return MonomialTable(k, terms)
+
+
+@lru_cache(maxsize=None)
+def reference_table(basis, lam, k):
+    """b_lam in k variables: a product of unit tables, or an m orbit."""
+    if basis == "m":
+        orbit = set(permutations(lam + (0,) * (k - len(lam)))) if len(lam) <= k else ()
+        return MonomialTable(k, {vec: 1 for vec in orbit})
+    table = MonomialTable.one(k)
+    for part in lam:
+        table = table * unit_table(basis, part, k)
+    return table
+
+
+def reference_expansion(f, k):
+    out = MonomialTable.zero(k)
+    for lam, c in f.terms.items():
+        scale = c * Fraction(1, z_of(lam)) if f.zpart else c
+        out = out + reference_table(f.basis, lam, k).scale(scale)
+    return out
+
+
+def dominated(mu, nu):
+    """mu is below nu in dominance order."""
+    return all(sum(mu[:j]) <= sum(nu[:j]) for j in range(1, len(mu) + 1))
+
+
+class TestTransitionCounts:
+    @pytest.mark.parametrize(
+        "basis, zpart",
+        [("e", False), ("h", False), ("p", False), ("p", True), ("m", False)],
+        ids=["e", "h", "p", "p-zpart", "m"],
+    )
+    def test_expansion_matches_products_of_unit_tables(self, basis, zpart):
+        for n in range(7):
+            lams = partitions_of(n)
+            for k in range(1, n + 2):
+                total = {}
+                for i, lam in enumerate(lams):
+                    c = LaurentPoly({i: 1, i + 1: -2 - i})
+                    total[lam] = c
+                    f = SymFun(basis, n, {lam: c}, zpart)
+                    assert expand_in_variables(f, k) == reference_expansion(f, k), (lam, k)
+                f = SymFun(basis, n, total, zpart)
+                assert expand_in_variables(f, k) == reference_expansion(f, k), (n, k)
+
+    def test_e_and_h_counts_are_symmetric(self):
+        for n in range(9):
+            for lam in partitions_of(n):
+                for mu in partitions_of(n):
+                    for basis in "eh":
+                        assert symfun._m_coeff(basis, lam, mu) == symfun._m_coeff(basis, mu, lam)
+
+    def test_e_counts_follow_gale_ryser(self):
+        for n in range(9):
+            for lam in partitions_of(n):
+                conj = conjugate(lam)
+                assert symfun._m_coeff("e", lam, conj) == 1
+                for mu in partitions_of(n):
+                    assert (symfun._m_coeff("e", lam, mu) > 0) == dominated(mu, conj), (lam, mu)
+
+    def test_m_counts_are_the_identity(self):
+        for lam in partitions_of(5):
+            for mu in partitions_of(5):
+                assert symfun._m_coeff("m", lam, mu) == int(lam == mu)
+
+    def test_cold_cache_round_trip_at_eight(self):
+        f = en.closed_form("Wtilde", 8)
+        symfun._m_coeff.cache_clear()
+        symfun._e_in_m.cache_clear()
+        assert monomial_to_e(expand_in_variables(f, 8)) == f
 
 
 small_polys = st.dictionaries(st.integers(0, 3), st.integers(-4, 4), max_size=3).map(LaurentPoly)
