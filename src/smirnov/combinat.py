@@ -6,17 +6,19 @@ quasisymmetric functions in the weakly-decreasing convention, and their two
 specializations.  The closed forms elsewhere are verified against these
 tables.
 
-The two word and coloring enumerators, ``brute_enumerator`` and
-``chromatic_qsym``, count by the transfer-matrix method (Stanley, EC1 4.7):
-a DP over prefixes that keeps only what the remaining letters or vertices can
-still see.  ``perm_walk`` is the same method for permutations, with states
-(used values, last value, first value); ``enumerators.f_expansion`` and
-``enumerators.q_eulerian`` run it with their own step rules.  Everything else
-here enumerates objects one at a time, and so do the public
-``smirnov_words``, ``word_stats``, ``permutations_of``, ``perm_stats`` and
-``inverse_perm``.  The trust chain is therefore closed form <-> DP, checked
-by ``verify`` and the acceptance tests, and DP <-> per-object enumeration
-(words, colorings, permutations), checked by the unit tests at small n.
+The DPs here are the transfer-matrix method (Stanley, EC1 4.7).  Every word
+enumerator is quasisymmetric, so ``brute_enumerator`` reads the coefficient
+of each composition of n from one prefix DP per alphabet size shared by all
+seven variants (``_word_ends``), and ``_fill`` writes it at every placement
+into k variables.  ``chromatic_qsym`` is a frontier DP over the vertices, and
+``perm_walk`` a prefix DP over permutations that ``enumerators.f_expansion``
+and ``enumerators.q_eulerian`` run with their own step rules.  Everything
+else here enumerates objects one at a time, ``smirnov_words``,
+``word_stats``, ``permutations_of``, ``perm_stats``, ``inverse_perm`` and
+``fundamental_F`` included.  The trust chain is closed form <-> DP or
+M_alpha rule (``enumerators.FExpansion.to_table``), checked by ``verify``
+and the acceptance tests, and DP or M_alpha rule <-> per-object enumeration,
+checked by the unit tests at small n.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .exact import LaurentPoly, QtPoly
@@ -43,8 +45,7 @@ def _endpoint_class(first: int, last: int) -> str:
     return "="
 
 
-def _passes(class_filter: str, first: int, last: int) -> bool:
-    cls = _endpoint_class(first, last)
+def _passes(class_filter: str, cls: str) -> bool:
     return class_filter == "all" or class_filter == cls or (class_filter == "!=" and cls != "=")
 
 
@@ -96,7 +97,7 @@ def smirnov_words(n: int, k: int, class_filter: str = "all") -> Iterator[Word]:
                 continue
             word[i] = c
             if i == n - 1:
-                if _passes(class_filter, word[0], c):
+                if _passes(class_filter, _endpoint_class(word[0], c)):
                     yield tuple(word)
             else:
                 yield from extend(i + 1)
@@ -143,41 +144,94 @@ VARIANT_RULES = {
 }
 
 
+def compositions(n: int, k: int) -> list[tuple[int, ...]]:
+    """The compositions of n with at most k parts, one per cut set.
+
+    >>> compositions(3, 2)
+    [(3,), (1, 2), (2, 1)]
+    """
+    out = []
+    for bits in range(1 << (n - 1)):
+        if bits.bit_count() < k:
+            cuts = [0] + [i for i in range(1, n) if bits >> (i - 1) & 1] + [n]
+            out.append(tuple(b - a for a, b in zip(cuts, cuts[1:])))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _word_ends(n: int, k: int) -> tuple[int, dict[tuple[int, ...], dict[str, int]]]:
+    """(width, alpha -> endpoint class -> descent polynomial packed ``width``
+    bits per power of t) of the Smirnov words of length n with content
+    exactly alpha, for the compositions alpha of n with at most k parts.
+
+    One prefix DP over (first, last, content, letters used) per alphabet
+    size l, keeping a prefix only while its unused letters fit in what is
+    left of the word, so every word it completes uses all l letters.
+    """
+    width = math.factorial(n).bit_length()  # no coefficient exceeds n!
+    base = n + 1
+    ends: dict[tuple[int, ...], dict[str, int]] = {}
+    for ell in range(1, min(n, k) + 1):
+        unit = [base**c for c in range(ell)]
+        layer = {(c, c, unit[c], 1 << c): 1 for c in range(ell)}
+        for i in range(2, n + 1):
+            nxt: dict[tuple[int, int, int, int], int] = {}
+            for (first, last, code, used), poly in layer.items():
+                down = poly << width
+                for c in range(ell):
+                    grown = used | 1 << c
+                    if c == last or ell - grown.bit_count() > n - i:
+                        continue
+                    key = (first, c, code + unit[c], grown)
+                    nxt[key] = nxt.get(key, 0) + (down if c < last else poly)
+            layer = nxt
+        for (first, last, code, _), poly in layer.items():
+            alpha = tuple(code // u % base for u in unit)
+            by_class = ends.setdefault(alpha, {})
+            cls = _endpoint_class(first, last)
+            by_class[cls] = by_class.get(cls, 0) + poly
+    return width, ends
+
+
+def _fill(k: int, coeffs: dict[tuple[int, ...], LaurentPoly]) -> MonomialTable:
+    """The quasisymmetric table over k variables whose coefficient at each
+    composition alpha is ``coeffs[alpha]``: it is written at every placement
+    of alpha's parts into k slots, in order, with zeros elsewhere."""
+    terms = {}
+    for alpha, c in coeffs.items():
+        for slots in combinations(range(k), len(alpha)):
+            vec = [0] * k
+            for slot, part in zip(slots, alpha):
+                vec[slot] = part
+            terms[tuple(vec)] = c
+    return MonomialTable(k, terms)
+
+
 def brute_enumerator(variant: str, n: int, k: int) -> MonomialTable:
     """Sum of t^stat(w) x_w over the filtered Smirnov words, as a monomial
     table over k variables.
 
-    A prefix DP over the states (first letter, last letter, content), each
-    carrying the descent polynomial of the prefixes that reach it.  Each step
-    appends a letter other than the last one, with a descent when it is
-    smaller.  The endpoint filter, and for the cyclic statistic the wrap
-    descent last > first, are applied once all n letters are placed.
+    Relabelling letters in increasing order keeps adjacency, descents, the
+    endpoint class and the wrap descent, so the table is quasisymmetric:
+    ``_fill`` writes it from the coefficients at the compositions of n.
+    Each is read from ``_word_ends`` by the endpoint filter, with a t for
+    the cyclic wrap descent last > first (endpoint class '<').
     """
     if variant not in VARIANT_RULES:
         raise ValueError(f"unknown variant {variant!r}")
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive")
     class_filter, stat = VARIANT_RULES[variant]
-    base = n + 1
-    unit = [base**c for c in range(k)]
-    width = (k**n).bit_length()  # no coefficient exceeds k^n, the number of words
-    moves = [[(c, unit[c], c < last) for c in range(k) if c != last] for last in range(k)]
-    layer = {(c, c, unit[c]): 1 for c in range(k)}
-    for _ in range(n - 1):
-        nxt: dict[tuple[int, int, int], int] = {}
-        for (first, last, code), poly in layer.items():
-            down = poly << width
-            for c, step, descent in moves[last]:
-                key = (first, c, code + step)
-                nxt[key] = nxt.get(key, 0) + (down if descent else poly)
-        layer = nxt
-    totals: dict[int, int] = {}
-    for (first, last, code), poly in layer.items():
-        if _passes(class_filter, first, last):
-            if stat == "cdes" and last > first:
-                poly <<= width
-            totals[code] = totals.get(code, 0) + poly
-    return _packed_table(k, base, width, totals)
+    width, ends = _word_ends(n, min(n, k))
+    coeffs = {}
+    for alpha, by_class in ends.items():
+        total = 0
+        for cls, poly in by_class.items():
+            if _passes(class_filter, cls):
+                total += poly << width if stat == "cdes" and cls == "<" else poly
+        if total:
+            coeffs[alpha] = LaurentPoly(packed_coeffs(total, width))
+    return _fill(k, coeffs)
 
 
 @dataclass(frozen=True)

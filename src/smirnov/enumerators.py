@@ -6,14 +6,12 @@ builds those quotients, the power sum and fundamental quasisymmetric
 expansions, the q-Eulerian polynomials with their q-exponential identities
 and root-of-unity evaluations, and the weighted-walk determinant identity.
 
-The fundamental expansions and the q-Eulerian polynomials are sums over
-permutations, counted by the prefix DP ``combinat.perm_walk`` rather than
-one permutation at a time: ``f_expansion`` walks sigma^-1 and
-``q_eulerian`` walks sigma, each with its own step rule (``F_RULES``,
-``Q_RULES``), so ``verify``'s f-principal-numerator check compares two
-independent walks.  Each walk is checked in the unit tests against a sweep
-over every permutation with ``combinat.perm_stats``, as the word DPs are
-checked against word enumeration.
+``f_expansion`` and ``q_eulerian`` run the permutation prefix DP
+``combinat.perm_walk`` with their own step rules (``F_RULES``, ``Q_RULES``):
+the first over sigma^-1, the second over sigma, so ``verify``'s
+f-principal-numerator check compares two independent walks.  The unit tests
+check each walk against a sweep over every permutation, and
+``FExpansion.to_table`` (the M_alpha rule) against ``combinat.fundamental_F``.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
 from typing import Mapping
 
 from .exact import (
@@ -255,6 +253,21 @@ def powersum_top_coefficient(variant: str, n: int) -> LaurentPoly:
     return t_quantum(2) * t_quantum(n) + n * LaurentPoly.t_power(2) * t_quantum(n - 3)
 
 
+def _subset_sums(values: list[int]) -> list[int]:
+    """Each entry replaced by the sum of the entries at its bit subsets, one
+    pass per bit (the zeta transform of the subset lattice).
+
+    >>> _subset_sums([1, 2, 4, 8])
+    [1, 3, 5, 15]
+    """
+    out = list(values)
+    for bit in range((len(out) - 1).bit_length()):
+        for c in range(len(out)):
+            if c >> bit & 1:
+                out[c] += out[c ^ 1 << bit]
+    return out
+
+
 @dataclass(frozen=True)
 class FExpansion:
     """A sum of t^e F_{n,S} terms with positive integer multiplicities."""
@@ -270,12 +283,24 @@ class FExpansion:
         return cls(n, items)
 
     def to_table(self, k: int) -> MonomialTable:
-        out = MonomialTable.zero(k)
+        """The expansion over k variables, by the M_alpha rule (Gessel 1984;
+        Stanley, EC2 7.19): in the weakly decreasing convention, F_{n,S} has
+        coefficient [S within the cuts of alpha] at a composition alpha, the
+        cuts being the partial sums of alpha read from its last part.  So the
+        coefficient at alpha is a subset sum at its cut set, and
+        ``combinat._fill`` writes the table from the compositions."""
+        n = self.degree
+        width = sum(mult for _, _, mult in self.terms).bit_length()
+        by_set = [0] * (1 << (n - 1))
         for e, S, mult in self.terms:
-            out = out + combinat.fundamental_F(self.degree, S, k).scale(
-                LaurentPoly.t_power(e, mult)
-            )
-        return out
+            by_set[sum(1 << (i - 1) for i in S)] += mult << e * width
+        below = _subset_sums(by_set)
+        coeffs = {}
+        for alpha in combinat.compositions(n, k):
+            packed = below[sum(1 << (c - 1) for c in accumulate(reversed(alpha[1:])))]
+            if packed:
+                coeffs[alpha] = LaurentPoly(combinat.packed_coeffs(packed, width))
+        return combinat._fill(k, coeffs)
 
     def principal_numerator(self) -> QtPoly:
         """Stable principal specialization numerator over the implicit
@@ -383,7 +408,7 @@ def q_eulerian(kind: str, n: int) -> QtPoly:
     walk = combinat.perm_walk(n, width, step, keep_first=cls != "all" or stat == "cdes")
     total = 0
     for (first, last), poly in walk.items():
-        if combinat._passes(cls, first, last):
+        if combinat._passes(cls, combinat._endpoint_class(first, last)):
             total += poly << width if stat == "cdes" and last > first else poly
     out: dict[int, dict[int, int]] = {}
     for slot, c in combinat.packed_coeffs(total, width).items():

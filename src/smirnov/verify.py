@@ -60,12 +60,14 @@ def _present(x):
 
 
 def _record(check: str, params: dict, ok: bool, lhs, rhs) -> dict:
+    shown = _present(lhs)
+    same = isinstance(lhs, MonomialTable) and isinstance(rhs, MonomialTable) and lhs == rhs
     return {
         "check": check,
         "params": params,
         "status": "pass" if ok else "fail",
-        "lhs": _present(lhs),
-        "rhs": _present(rhs),
+        "lhs": shown,
+        "rhs": shown if same else _present(rhs),  # equal tables present identically
     }
 
 
@@ -73,49 +75,50 @@ def suite_oracle(max_n: int, nvars: int) -> list[dict]:
     records = []
     tables: dict[tuple[str, int], MonomialTable] = {}
 
-    def words(variant: str, n: int) -> MonomialTable:
-        """Each word table once per call, looked up at call time."""
+    def table(variant: str, n: int) -> MonomialTable:
+        """Each oracle table once per call, looked up at call time: the word
+        table of a word variant, the labeled cycle's coloring table for XC."""
         if (variant, n) not in tables:
-            tables[variant, n] = combinat.brute_enumerator(variant, n, nvars)
+            if variant == "XC":
+                tables[variant, n] = combinat.chromatic_qsym(combinat.Digraph.cycle(n), nvars)
+            else:
+                tables[variant, n] = combinat.brute_enumerator(variant, n, nvars)
         return tables[variant, n]
 
     for variant in en.VARIANTS:
         start = 2 if variant in ("Wneq", "XC") else 1
         for n in range(start, max_n + 1):
             lhs = expand_in_variables(en.closed_form(variant, n), nvars)
-            if variant == "XC":
-                rhs = combinat.chromatic_qsym(combinat.Digraph.cycle(n), nvars)
-            else:
-                rhs = words(variant, n)
+            rhs = table(variant, n)
             records.append(
                 _record("oracle", {"variant": variant, "n": n, "vars": nvars}, lhs == rhs, lhs, rhs)
             )
     for n in range(1, max_n + 1):
         lhs = combinat.chromatic_qsym(combinat.Digraph.path(n), nvars)
-        rhs = words("W", n)
+        rhs = table("W", n)
         records.append(_record("chromatic-path", {"n": n, "vars": nvars}, lhs == rhs, lhs, rhs))
     for n in range(2, max_n + 1):
         lhs = combinat.chromatic_qsym(combinat.Digraph.directed_cycle(n), nvars)
-        rhs = words("Wtildeneq", n)
+        rhs = table("Wtildeneq", n)
         records.append(
             _record("chromatic-directed-cycle", {"n": n, "vars": nvars}, lhs == rhs, lhs, rhs)
         )
-        lhs = combinat.chromatic_qsym(combinat.Digraph.cycle(n), nvars)
-        rhs = words("Wless", n) + words("Wgreater", n).scale(T)
+        lhs = table("XC", n)
+        rhs = table("Wless", n) + table("Wgreater", n).scale(T)
         records.append(
             _record("chromatic-cycle-split", {"n": n, "vars": nvars}, lhs == rhs, lhs, rhs)
         )
     for n in range(1, max_n + 1):
-        less = words("Wless", n)
-        greater = words("Wgreater", n)
-        equal = words("Wequal", n)
+        less = table("Wless", n)
+        greater = table("Wgreater", n)
+        equal = table("Wequal", n)
         for name, lhs_variant, rhs in (
             ("refinement-all", "W", less + greater + equal),
             ("refinement-cyclic", "Wtilde", less.scale(T) + greater + equal),
             ("refinement-distinct", "Wneq", less + greater),
             ("refinement-cyclic-distinct", "Wtildeneq", less.scale(T) + greater),
         ):
-            lhs = words(lhs_variant, n)
+            lhs = table(lhs_variant, n)
             records.append(_record(name, {"n": n, "vars": nvars}, lhs == rhs, lhs, rhs))
         reversed_less = less.map_coeffs(lambda p: p.reverse(n - 1))
         records.append(

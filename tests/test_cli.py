@@ -11,7 +11,7 @@ import pytest
 from smirnov import cli, combinat, symfun
 from smirnov import enumerators as en
 from smirnov.exact import LaurentPoly, t_quantum
-from smirnov.symfun import SymFun
+from smirnov.symfun import MonomialTable, SymFun
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 REFERENCE_RUNS = json.loads(REFERENCE.read_text())
@@ -183,6 +183,33 @@ class TestVerify:
         words = {(v, n, 4) for v in en.VARIANTS if v != "XC" for n in range(1, 5)}
         assert len(calls) == len(set(calls)) and set(calls) == words
 
+    def test_each_coloring_table_is_built_once(self, capsys, monkeypatch):
+        original = combinat.chromatic_qsym
+        calls = []
+
+        def counted(g, k):
+            calls.append((g, k))
+            return original(g, k)
+
+        monkeypatch.setattr(combinat, "chromatic_qsym", counted)
+        assert self.oracle_suite_exit_code(capsys) == 0
+        graphs = {(combinat.Digraph.path(n), 4) for n in range(1, 5)}
+        for n in range(2, 5):
+            graphs |= {(combinat.Digraph.cycle(n), 4), (combinat.Digraph.directed_cycle(n), 4)}
+        assert len(calls) == len(set(calls)) and set(calls) == graphs
+
+    def test_fill_at_leading_placement_only_flips_exit_code(self, capsys, monkeypatch):
+        # every coefficient of a word table is written from its composition;
+        # a table that keeps only the placement in the first slots must fail
+        monkeypatch.setattr(
+            combinat,
+            "_fill",
+            lambda k, coeffs: MonomialTable(
+                k, {alpha + (0,) * (k - len(alpha)): c for alpha, c in coeffs.items()}
+            ),
+        )
+        assert self.oracle_suite_exit_code(capsys) == 1
+
     @pytest.mark.parametrize(
         "basis, argv",
         [
@@ -247,6 +274,15 @@ class TestVerify:
         code, _, _ = run_cli(capsys, "verify", "--suite", "f", "--max-n", "4")
         assert code == 1
 
+    def test_m_alpha_rule_as_equality_fails_f_suite(self, capsys, monkeypatch):
+        # S == cuts instead of S within the cuts: F_{n,S} read as M_alpha.
+        # Reading the cuts from alpha's first part instead of its last still
+        # passes here, because this suite compares symmetric sums; only
+        # TestFExpansion's comparison with fundamental_F pins that orientation.
+        monkeypatch.setattr(en, "_subset_sums", list)
+        code, _, _ = run_cli(capsys, "verify", "--suite", "f", "--max-n", "4")
+        assert code == 1
+
     def test_dropped_cyclic_wrap_fails_qexp(self, capsys, monkeypatch):
         monkeypatch.setitem(en.Q_RULES, "Atilde", ("all", "des"))
         en.q_eulerian.cache_clear()
@@ -259,6 +295,13 @@ class TestVerify:
     def test_all_suites_json_matches_reference_digest(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--format", "json")
         reference = REFERENCE_RUNS["verify --suite all --format json"]
+        assert code == reference["exit"] == 0
+        assert hashlib.sha256(out.encode()).hexdigest()[:32] == reference["stdout"]
+
+    def test_deep_oracle_json_matches_reference_digest(self, capsys):
+        command = "verify --suite oracle --max-n 7 --vars 6 --format json"
+        code, out, _ = run_cli(capsys, *command.split())
+        reference = REFERENCE_RUNS[command]
         assert code == reference["exit"] == 0
         assert hashlib.sha256(out.encode()).hexdigest()[:32] == reference["stdout"]
 

@@ -15,6 +15,7 @@ from smirnov.combinat import (
     VARIANT_RULES,
     brute_enumerator,
     chromatic_qsym,
+    compositions,
     fundamental_F,
     inverse_perm,
     inverse_q_product,
@@ -105,6 +106,37 @@ def words_by_enumeration(variant, n, k):
     return as_table(k, acc)
 
 
+def words_by_full_table(variant, n, k):
+    """The full-table word DP: a prefix DP over (first letter, last letter,
+    content) across all k letters, with the endpoint filter and the wrap
+    descent applied once all n letters are placed."""
+    class_filter, stat = VARIANT_RULES[variant]
+    base = n + 1
+    unit = [base**c for c in range(k)]
+    width = (k**n).bit_length()  # no coefficient exceeds k^n, the number of words
+    moves = [[(c, unit[c], c < last) for c in range(k) if c != last] for last in range(k)]
+    layer = {(c, c, unit[c]): 1 for c in range(k)}
+    for _ in range(n - 1):
+        nxt = {}
+        for (first, last, code), poly in layer.items():
+            down = poly << width
+            for c, step, descent in moves[last]:
+                key = (first, c, code + step)
+                nxt[key] = nxt.get(key, 0) + (down if descent else poly)
+        layer = nxt
+    totals = {}
+    for (first, last, code), poly in layer.items():
+        cls = "<" if first < last else ">" if first > last else "="
+        if class_filter in ("all", cls) or (class_filter == "!=" and cls != "="):
+            if stat == "cdes" and last > first:
+                poly <<= width
+            totals[code] = totals.get(code, 0) + poly
+    return MonomialTable(k, {
+        tuple(code // u % base for u in unit): LaurentPoly(packed_coeffs(poly, width))
+        for code, poly in totals.items()
+    })
+
+
 def colorings_by_enumeration(g, k):
     """Sum of t^des x^content over every proper coloring in colors^n."""
     acc = {}
@@ -118,9 +150,18 @@ def colorings_by_enumeration(g, k):
 class TestBruteEnumerator:
     @pytest.mark.parametrize("variant", sorted(VARIANT_RULES))
     def test_dp_matches_word_enumeration(self, variant):
+        # k = n + 1, n + 2 leave letters unused, so every composition also
+        # lands at placements with zeros between and around its parts
         for n in range(1, 7):
-            for k in range(1, 6):
+            spare = (n + 1, n + 2) if n <= 5 else ()  # n = 6 would add about 6 s
+            for k in sorted({*range(1, 6), *spare}):
                 assert brute_enumerator(variant, n, k) == words_by_enumeration(variant, n, k)
+
+    @pytest.mark.parametrize("variant", sorted(VARIANT_RULES))
+    def test_matches_full_table_dp(self, variant):
+        for n in range(1, 8):
+            for k in range(1, 7):
+                assert brute_enumerator(variant, n, k) == words_by_full_table(variant, n, k)
 
     @pytest.mark.parametrize("args", [("W", 0, 3), ("W", 3, 0), ("Wbogus", 3, 3)])
     def test_rejects_bad_arguments(self, args):
@@ -279,6 +320,22 @@ class TestPermWalk:
 
     def test_first_is_zero_unless_kept(self):
         assert perm_walk(3, 3, lambda p, used, last, v: 0) == {(0, 1): 2, (0, 2): 2, (0, 3): 2}
+
+
+class TestCompositions:
+    def test_count_by_number_of_parts(self):
+        for n in range(1, 9):
+            for k in range(1, n + 2):
+                expected = sum(math.comb(n - 1, ell - 1) for ell in range(1, min(k, n) + 1))
+                assert len(compositions(n, k)) == expected
+
+    def test_each_is_a_composition_once(self):
+        for n in range(1, 8):
+            for k in range(1, n + 2):
+                comps = compositions(n, k)
+                assert len(set(comps)) == len(comps)
+                for alpha in comps:
+                    assert sum(alpha) == n and min(alpha) >= 1 and len(alpha) <= k
 
 
 class TestFundamentalF:

@@ -10,6 +10,7 @@ from smirnov import combinat
 from smirnov import enumerators as en
 from smirnov import verify
 from smirnov.symfun import (
+    MonomialTable,
     SymFun,
     expand_in_variables,
     monomial_to_e,
@@ -170,6 +171,30 @@ class TestFExpansion:
             lhs = fe.to_table(n)
             rhs = expand_in_variables(en.closed_form(variant, n).omega(), n)
             assert lhs == rhs, (variant, n)
+
+    @pytest.mark.parametrize("variant", en.F_VARIANTS)
+    def test_m_alpha_rule_matches_fundamental_sum(self, variant):
+        # with the single-term test below, the only check of the cut
+        # orientation: cuts read from alpha's first part pass the f suite
+        for n in range(1, 7):
+            fe = en.f_expansion(variant, n)
+            by_set = {}
+            for e, S, mult in fe.terms:
+                by_set[S] = by_set.get(S, ZERO) + LaurentPoly.t_power(e, mult)
+            for k in range(1, n + 2):
+                expected = MonomialTable.zero(k)
+                for S, poly in by_set.items():
+                    expected = expected + combinat.fundamental_F(n, S, k).scale(poly)
+                assert fe.to_table(k) == expected, (variant, n, k)
+
+    def test_m_alpha_rule_on_single_terms(self):
+        # one F_{n,S} at a time, so no other term can mask a wrong coefficient
+        for n in range(1, 6):
+            for bits in range(1 << (n - 1)):
+                S = tuple(i + 1 for i in range(n - 1) if bits >> i & 1)
+                for k in range(1, n + 2):
+                    fe = en.FExpansion(n, ((0, S, 1),))
+                    assert fe.to_table(k) == combinat.fundamental_F(n, S, k), (S, k)
 
     def test_principal_numerators_are_q_eulerian(self):
         for variant, kind in (("W", "Ades"), ("Wless", "Aless"), ("Wtilde", "Atilde")):
