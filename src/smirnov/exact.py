@@ -1,10 +1,16 @@
 """Exact coefficient arithmetic.
 
 ``LaurentPoly`` is a sparse Laurent polynomial in ``t`` with arbitrary
-precision rational coefficients.  ``QtPoly`` is a polynomial in ``q`` whose
-coefficients are ``LaurentPoly`` values.  ``CycloElem`` is a residue class
-modulo a cyclotomic polynomial, which lets q-polynomials be evaluated at a
-primitive root of unity without leaving exact arithmetic.
+precision rational coefficients; it keeps its own arithmetic, as the scalar
+ring and the hot kernel.  ``Combination`` is the one arithmetic core for
+finite sums of keyed ``LaurentPoly`` coefficients: equality, sums,
+differences, scaling, coefficient maps, the bilinear product and the sum of
+coefficients are written once there.  Its subclasses say only how a key is
+checked, which attributes two values must share, and how two keys multiply:
+``QtPoly`` (a polynomial in ``q``, keyed by the q-exponent) here, and
+``SymFun`` and ``MonomialTable`` in ``symfun``.  ``CycloElem`` is a residue
+class modulo a cyclotomic polynomial, which lets q-polynomials be evaluated at
+a primitive root of unity without leaving exact arithmetic.
 
 Everything in this module is immutable after construction and every operation
 is a pure function, so values are safe to share between concurrent workers.
@@ -13,10 +19,11 @@ is a pure function, so values are safe to share between concurrent workers.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Mapping, Union
+from typing import Callable, Iterator, Mapping, Union
 
 Scalar = Union[int, Fraction]
 
@@ -33,13 +40,6 @@ def _coeff_to_json(c: Scalar):
     if isinstance(c, int):
         return c
     return f"{c.numerator}/{c.denominator}"
-
-
-def _coeff_from_json(obj) -> Scalar:
-    if isinstance(obj, str):
-        num, _, den = obj.partition("/")
-        return _clean(Fraction(int(num), int(den or "1")))
-    return int(obj)
 
 
 class LaurentPoly:
@@ -231,10 +231,6 @@ class LaurentPoly:
     def to_json_obj(self) -> dict:
         return {str(e): _coeff_to_json(self.terms[e]) for e in sorted(self.terms)}
 
-    @classmethod
-    def from_json_obj(cls, obj: Mapping) -> "LaurentPoly":
-        return cls({int(e): _coeff_from_json(c) for e, c in obj.items()})
-
     def __repr__(self) -> str:
         return f"LaurentPoly({self.pretty()})"
 
@@ -327,25 +323,146 @@ def palindrome_unimodal(p: LaurentPoly, center) -> tuple[bool, bool]:
     return pal, uni
 
 
-class QtPoly:
+class Combination:
+    """Finite sum of keyed ``LaurentPoly`` coefficients.
+
+    ``terms`` maps each key to a nonzero coefficient.  A subclass supplies
+    ``_key`` (check and normalise a key, raising ValueError), ``_shape``
+    (what two values must share to be added or compared), ``_like`` (a value
+    of the same shape with other terms), ``_mul_key`` (how two keys
+    multiply) and, where the product changes the shape, ``_product_like``.
+    Every constructor stores its terms through ``_store``, so each key is
+    checked on every construction path.
+    """
+
+    __slots__ = ("terms",)
+
+    def _store(self, terms: Mapping | None) -> None:
+        cleaned: dict = {}
+        if terms:
+            for key, c in terms.items():
+                key = self._key(key)
+                if not isinstance(c, LaurentPoly):
+                    c = LaurentPoly.const(c)
+                if c:
+                    cleaned[key] = c
+        self.terms = cleaned
+
+    def _shape(self) -> tuple:
+        return ()
+
+    def _compatible(self, other: "Combination") -> None:
+        if self._shape() != other._shape():
+            raise ValueError(f"mismatched operands {self!r} and {other!r}")
+
+    def _lift(self, other):
+        """``other`` as a value of this type, or NotImplemented."""
+        return other if isinstance(other, type(self)) else NotImplemented
+
+    def _product_like(self, other: "Combination") -> Callable[[dict], "Combination"]:
+        """Check that a product is defined; return the maker of its value."""
+        self._compatible(other)
+        return self._like
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def coeff(self, key) -> LaurentPoly:
+        return self.terms.get(key if isinstance(key, int) else tuple(key), ZERO)
+
+    def __eq__(self, other) -> bool:
+        other = self._lift(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self._shape() == other._shape() and self.terms == other.terms
+
+    __hash__ = None  # mutable mapping inside; never used as a key
+
+    def __add__(self, other):
+        other = self._lift(other)
+        if other is NotImplemented:
+            return NotImplemented
+        self._compatible(other)
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            out[key] = out.get(key, ZERO) + c
+        return self._like(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._like({key: -c for key, c in self.terms.items()})
+
+    def __sub__(self, other):
+        other = self._lift(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def scale(self, c: LaurentPoly | Scalar):
+        return self._like({key: v * c for key, v in self.terms.items()})
+
+    def map_coeffs(self, fn: Callable[[LaurentPoly], LaurentPoly]):
+        return self._like({key: fn(v) for key, v in self.terms.items()})
+
+    def __mul__(self, other):
+        """A scalar or LaurentPoly scales; two values multiply bilinearly."""
+        if isinstance(other, (LaurentPoly, int, Fraction)):
+            return self.scale(other)
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        like = self._product_like(other)
+        mul_key = self._mul_key
+        out: dict = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                key = mul_key(k1, k2)
+                out[key] = out.get(key, ZERO) + c1 * c2
+        return like(out)
+
+    __rmul__ = __mul__
+
+    def sum_coeffs(self) -> LaurentPoly:
+        """The sum of all coefficients: every key set to one."""
+        out = ZERO
+        for c in self.terms.values():
+            out = out + c
+        return out
+
+
+class QtPoly(Combination):
     """Polynomial in q with LaurentPoly (in t) coefficients.
 
     q-exponents are nonnegative; substituting q = 1 yields a LaurentPoly.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms: Mapping[int, LaurentPoly | Scalar] | None = None):
-        cleaned: dict[int, LaurentPoly] = {}
-        if terms:
-            for e, c in terms.items():
-                if not isinstance(c, LaurentPoly):
-                    c = LaurentPoly.const(c)
-                if c:
-                    if e < 0:
-                        raise ValueError("q-exponents must be nonnegative")
-                    cleaned[int(e)] = c
-        self.terms = cleaned
+        self._store(terms)
+
+    def _key(self, e) -> int:
+        if e < 0:
+            raise ValueError("q-exponents must be nonnegative")
+        return int(e)
+
+    def _like(self, terms) -> "QtPoly":
+        return QtPoly(terms)
+
+    _mul_key = staticmethod(operator.add)
+
+    def _lift(self, other):
+        if isinstance(other, (LaurentPoly, int, Fraction)):
+            return QtPoly({0: other})
+        return super()._lift(other)
+
+    # Bound here, not only inherited: tools that count calls rebind the names
+    # in vars(QtPoly), so an inherited product would go uncounted.
+    __mul__ = Combination.__mul__
+    __rmul__ = Combination.__mul__
 
     @classmethod
     def zero(cls) -> "QtPoly":
@@ -363,63 +480,8 @@ class QtPoly:
     def from_t(cls, p: LaurentPoly) -> "QtPoly":
         return cls({0: p})
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def coeff(self, e: int) -> LaurentPoly:
-        return self.terms.get(e, ZERO)
-
     def q_degree(self) -> int | None:
         return max(self.terms) if self.terms else None
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, QtPoly):
-            return self.terms == other.terms
-        if isinstance(other, (LaurentPoly, int, Fraction)):
-            return self == QtPoly({0: other})
-        return NotImplemented
-
-    __hash__ = None
-
-    def __add__(self, other) -> "QtPoly":
-        if isinstance(other, (LaurentPoly, int, Fraction)):
-            other = QtPoly({0: other})
-        if not isinstance(other, QtPoly):
-            return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, ZERO) + c
-        return QtPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "QtPoly":
-        return QtPoly({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other) -> "QtPoly":
-        if isinstance(other, (LaurentPoly, int, Fraction)):
-            other = QtPoly({0: other})
-        if not isinstance(other, QtPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "QtPoly":
-        return (-self) + other
-
-    def __mul__(self, other) -> "QtPoly":
-        if isinstance(other, (LaurentPoly, int, Fraction)):
-            return QtPoly({e: c * other for e, c in self.terms.items()})
-        if not isinstance(other, QtPoly):
-            return NotImplemented
-        out: dict[int, LaurentPoly] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                prod = c1 * c2
-                out[e] = out.get(e, ZERO) + prod
-        return QtPoly(out)
-
-    __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "QtPoly":
         if n < 0:
@@ -429,12 +491,7 @@ class QtPoly:
             out = out * self
         return out
 
-    def at_q_one(self) -> LaurentPoly:
-        """Substitute q = 1."""
-        out = ZERO
-        for c in self.terms.values():
-            out = out + c
-        return out
+    at_q_one = Combination.sum_coeffs  # substitute q = 1
 
     def pretty(self) -> str:
         if not self.terms:
@@ -453,10 +510,6 @@ class QtPoly:
 
     def to_json_obj(self) -> dict:
         return {str(e): self.terms[e].to_json_obj() for e in sorted(self.terms)}
-
-    @classmethod
-    def from_json_obj(cls, obj: Mapping) -> "QtPoly":
-        return cls({int(e): LaurentPoly.from_json_obj(c) for e, c in obj.items()})
 
     def __repr__(self) -> str:
         return f"QtPoly({self.pretty()})"

@@ -5,7 +5,12 @@ A partition is a plain tuple of weakly decreasing positive integers.  A
 elements (elementary ``e``, complete homogeneous ``h``, power sum ``p``, or
 monomial ``m``) with ``LaurentPoly`` coefficients.  A ``MonomialTable`` is the
 expansion of such a function in a fixed finite number of variables, which is
-faithful as long as the variable count is at least the degree.  A
+faithful as long as the variable count is at least the degree.  Both are
+``exact.Combination`` subclasses: the shared core does their arithmetic, and
+each says only how a key is checked (a partition of the degree; a length-k
+vector of nonnegative exponents), what two values must share (basis, zpart
+and degree; the variable count) and how two keys multiply (``merge``; vector
+addition).  A
 ``SymSeries`` is a graded sequence of ``SymFun`` values indexed by the power
 of a formal variable z; the grading and the x-degree always coincide here.
 
@@ -26,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Mapping
 
-from .exact import ONE, ZERO, LaurentPoly, Scalar
+from .exact import ONE, ZERO, Combination, LaurentPoly, Scalar
 
 Partition = tuple[int, ...]
 
@@ -98,14 +103,15 @@ def merge(lam: Partition, mu: Partition) -> Partition:
 _BASES = ("e", "h", "p", "m")
 
 
-class SymFun:
+class SymFun(Combination):
     """Homogeneous symmetric function with LaurentPoly coefficients.
 
     ``zpart`` applies to the p basis only and records that coefficients are
-    stored relative to p_lam / z_lam rather than p_lam.
+    stored relative to p_lam / z_lam rather than p_lam.  Products stay in a
+    common multiplicative basis (e, h, or plain p).
     """
 
-    __slots__ = ("basis", "degree", "terms", "zpart")
+    __slots__ = ("basis", "degree", "zpart")
 
     def __init__(
         self,
@@ -118,22 +124,31 @@ class SymFun:
             raise ValueError(f"unknown basis {basis!r}")
         if zpart and basis != "p":
             raise ValueError("zpart applies to the p basis only")
-        cleaned: dict[Partition, LaurentPoly] = {}
-        if terms:
-            for lam, c in terms.items():
-                lam = tuple(lam)
-                if not is_partition(lam):
-                    raise ValueError(f"not a partition: {lam!r}")
-                if sum(lam) != degree:
-                    raise ValueError("terms must be homogeneous of the stated degree")
-                if not isinstance(c, LaurentPoly):
-                    c = LaurentPoly.const(c)
-                if c:
-                    cleaned[lam] = c
         self.basis = basis
         self.degree = degree
-        self.terms = cleaned
         self.zpart = zpart
+        self._store(terms)
+
+    def _key(self, lam) -> Partition:
+        lam = tuple(lam)
+        if not is_partition(lam):
+            raise ValueError(f"not a partition: {lam!r}")
+        if sum(lam) != self.degree:
+            raise ValueError("terms must be homogeneous of the stated degree")
+        return lam
+
+    def _shape(self) -> tuple:
+        return (self.basis, self.zpart, self.degree)
+
+    def _like(self, terms) -> "SymFun":
+        return SymFun(self.basis, self.degree, terms, self.zpart)
+
+    _mul_key = staticmethod(merge)
+
+    def _product_like(self, other: "SymFun"):
+        if self.basis != other.basis or self.basis == "m" or self.zpart or other.zpart:
+            raise ValueError("products require a common multiplicative basis")
+        return lambda terms: SymFun(self.basis, self.degree + other.degree, terms)
 
     @classmethod
     def zero(cls, basis: str, degree: int, zpart: bool = False) -> "SymFun":
@@ -147,63 +162,6 @@ class SymFun:
     def generator(cls, basis: str, n: int, c: LaurentPoly | Scalar = 1) -> "SymFun":
         """c * e_n (or h_n, p_n); n = 0 gives the scalar c."""
         return cls(basis, n, {((n,) if n else ()): c})
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def coeff(self, lam: Partition) -> LaurentPoly:
-        return self.terms.get(tuple(lam), ZERO)
-
-    def _compatible(self, other: "SymFun") -> None:
-        if self.basis != other.basis or self.zpart != other.zpart:
-            raise ValueError("mismatched bases")
-        if self.degree != other.degree:
-            raise ValueError("mismatched degrees")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SymFun):
-            return NotImplemented
-        return (
-            self.basis == other.basis
-            and self.zpart == other.zpart
-            and self.degree == other.degree
-            and self.terms == other.terms
-        )
-
-    __hash__ = None
-
-    def __add__(self, other: "SymFun") -> "SymFun":
-        self._compatible(other)
-        out = dict(self.terms)
-        for lam, c in other.terms.items():
-            out[lam] = out.get(lam, ZERO) + c
-        return SymFun(self.basis, self.degree, out, self.zpart)
-
-    def __neg__(self) -> "SymFun":
-        return SymFun(self.basis, self.degree, {l: -c for l, c in self.terms.items()}, self.zpart)
-
-    def __sub__(self, other: "SymFun") -> "SymFun":
-        return self + (-other)
-
-    def scale(self, c: LaurentPoly | Scalar) -> "SymFun":
-        return SymFun(self.basis, self.degree, {l: v * c for l, v in self.terms.items()}, self.zpart)
-
-    def map_coeffs(self, fn: Callable[[LaurentPoly], LaurentPoly]) -> "SymFun":
-        return SymFun(self.basis, self.degree, {l: fn(v) for l, v in self.terms.items()}, self.zpart)
-
-    def __mul__(self, other: "SymFun") -> "SymFun":
-        """Product in a multiplicative basis (e, h, or plain p)."""
-        if not isinstance(other, SymFun):
-            return NotImplemented
-        if self.basis != other.basis or self.basis == "m" or self.zpart or other.zpart:
-            raise ValueError("products require a common multiplicative basis")
-        out: dict[Partition, LaurentPoly] = {}
-        for l1, c1 in self.terms.items():
-            for l2, c2 in other.terms.items():
-                lam = merge(l1, l2)
-                prod = c1 * c2
-                out[lam] = out.get(lam, ZERO) + prod
-        return SymFun(self.basis, self.degree + other.degree, out)
 
     def omega(self) -> "SymFun":
         """The involution swapping e and h; on power sums it is a sign."""
@@ -253,46 +211,36 @@ class SymFun:
             ],
         }
 
-    @classmethod
-    def from_json_obj(cls, obj: Mapping) -> "SymFun":
-        basis = obj["basis"]
-        zpart = basis.endswith("/z")
-        if zpart:
-            basis = basis[:-2]
-        return cls(
-            basis,
-            obj["degree"],
-            {
-                tuple(term["partition"]): LaurentPoly.from_json_obj(term["coeff"])
-                for term in obj["terms"]
-            },
-            zpart,
-        )
-
     def __repr__(self) -> str:
         return f"SymFun({self.basis}{'/z' if self.zpart else ''}, deg={self.degree})"
 
 
-class MonomialTable:
+class MonomialTable(Combination):
     """Map from length-k exponent vectors to LaurentPoly coefficients."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars",)
 
     def __init__(self, nvars: int, terms: Mapping[tuple, LaurentPoly | Scalar] | None = None):
         if nvars < 1:
             raise ValueError("need at least one variable")
-        cleaned: dict[tuple, LaurentPoly] = {}
-        if terms:
-            for vec, c in terms.items():
-                vec = tuple(vec)
-                if len(vec) != nvars or any(e < 0 for e in vec):
-                    raise ValueError(f"bad exponent vector {vec!r}")
-                if not isinstance(c, LaurentPoly):
-                    c = LaurentPoly.const(c)
-                if c:
-                    cleaned[vec] = c
         self.nvars = nvars
-        self.terms = cleaned
+        self._store(terms)
+
+    def _key(self, vec) -> tuple:
+        vec = tuple(vec)
+        if len(vec) != self.nvars or any(e < 0 for e in vec):
+            raise ValueError(f"bad exponent vector {vec!r}")
+        return vec
+
+    def _shape(self) -> tuple:
+        return (self.nvars,)
+
+    def _like(self, terms) -> "MonomialTable":
+        return MonomialTable(self.nvars, terms)
+
+    @staticmethod
+    def _mul_key(v1: tuple, v2: tuple) -> tuple:
+        return tuple(a + b for a, b in zip(v1, v2))
 
     @classmethod
     def zero(cls, nvars: int) -> "MonomialTable":
@@ -301,54 +249,6 @@ class MonomialTable:
     @classmethod
     def one(cls, nvars: int) -> "MonomialTable":
         return cls(nvars, {(0,) * nvars: 1})
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MonomialTable):
-            return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
-
-    __hash__ = None
-
-    def __add__(self, other: "MonomialTable") -> "MonomialTable":
-        if self.nvars != other.nvars:
-            raise ValueError("mismatched variable counts")
-        out = dict(self.terms)
-        for vec, c in other.terms.items():
-            out[vec] = out.get(vec, ZERO) + c
-        return MonomialTable(self.nvars, out)
-
-    def __neg__(self) -> "MonomialTable":
-        return MonomialTable(self.nvars, {v: -c for v, c in self.terms.items()})
-
-    def __sub__(self, other: "MonomialTable") -> "MonomialTable":
-        return self + (-other)
-
-    def scale(self, c: LaurentPoly | Scalar) -> "MonomialTable":
-        return MonomialTable(self.nvars, {v: val * c for v, val in self.terms.items()})
-
-    def map_coeffs(self, fn: Callable[[LaurentPoly], LaurentPoly]) -> "MonomialTable":
-        return MonomialTable(self.nvars, {v: fn(val) for v, val in self.terms.items()})
-
-    def __mul__(self, other: "MonomialTable") -> "MonomialTable":
-        if self.nvars != other.nvars:
-            raise ValueError("mismatched variable counts")
-        out: dict[tuple, LaurentPoly] = {}
-        for v1, c1 in self.terms.items():
-            for v2, c2 in other.terms.items():
-                vec = tuple(a + b for a, b in zip(v1, v2))
-                prod = c1 * c2
-                out[vec] = out.get(vec, ZERO) + prod
-        return MonomialTable(self.nvars, out)
-
-    def sum_coeffs(self) -> LaurentPoly:
-        """Set every variable to 1."""
-        out = ZERO
-        for c in self.terms.values():
-            out = out + c
-        return out
 
     def total_degree(self) -> int | None:
         degs = {sum(vec) for vec in self.terms}

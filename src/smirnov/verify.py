@@ -144,48 +144,22 @@ def suite_powersum(max_n: int) -> list[dict]:
                 _record("powersum-vs-brute", {"variant": variant, "n": n}, lhs == rhs, form, rhs)
             )
     for n in range(1, 9):
+        less, greater, cyclic = (
+            en.powersum_form(v, n) for v in ("Wless", "Wgreater", "Wtildeneq")
+        )
         for lam in partitions_of(n):
-            ell = len(lam)
-            prod = ONE
-            for part in lam:
-                prod = prod * t_quantum(part)
-            s = T * eulerian(ell - 1) * prod
-            c_less = s.derivative()
-            c_greater = LaurentPoly({i: (n - i) * s.coeff(n - i) for i in range(1, n)})
-            ok = c_greater == c_less.reverse(n - 1)
-            records.append(
-                _record(
-                    "powersum-reversal",
-                    {"n": n, "partition": list(lam)},
-                    ok,
-                    c_greater,
-                    c_less.reverse(n - 1),
-                )
-            )
+            params = {"n": n, "partition": list(lam)}
+            c_less, c_greater, expected = less.coeff(lam), greater.coeff(lam), cyclic.coeff(lam)
+            rev = c_less.reverse(n - 1)
+            records.append(_record("powersum-reversal", params, c_greater == rev, c_greater, rev))
             combo = T * c_less + c_greater
-            expected = (
-                n * T * eulerian(ell - 1) * prod if ell > 1 else n * T * t_quantum(n - 1)
-            )
             records.append(
-                _record(
-                    "powersum-cyclic-combination",
-                    {"n": n, "partition": list(lam)},
-                    combo == expected,
-                    combo,
-                    expected,
-                )
+                _record("powersum-cyclic-combination", params, combo == expected, combo, expected)
             )
-            if ell > 1:
+            if len(lam) > 1:  # the weight t*A_(l-1)*prod [part]_t, over n
+                s = expected / n
                 ok = all(s.coeff(i) == s.coeff(n - i) for i in range(1, n))
-                records.append(
-                    _record(
-                        "powersum-weight-palindromic",
-                        {"n": n, "partition": list(lam)},
-                        ok,
-                        s,
-                        s.reverse(n),
-                    )
-                )
+                records.append(_record("powersum-weight-palindromic", params, ok, s, s.reverse(n)))
     for variant in en.TOP_VARIANTS:
         for n in range(2, 9):
             lhs = en.powersum_top_coefficient(variant, n)
@@ -455,25 +429,22 @@ def suite_unimodal(n_max: int = 8) -> list[dict]:
 
 def suite_counting(n_max: int = 6, m_max: int = 5) -> list[dict]:
     """Alphabet-restricted descent counts against binomial sums over
-    permutations graded by the drop-gap sets of their inverses."""
+    permutations graded by the drop-gap sets of their inverses.
+
+    The word side is the word DP; the permutation side reads the walk of
+    ``en.f_expansion``, whose set S is exactly the positions where sigma^-1
+    drops by at least two, so no permutation is swept."""
     if n_max > 6 or m_max > 5:
         raise ValueError("bounds exceed the supported range")
     records = []
     for n in range(1, n_max + 1):
-        perm_data = []
-        for sigma in combinat.permutations_of(n):
-            stats = combinat.perm_stats(sigma)
-            inv_stats = combinat.perm_stats(combinat.inverse_perm(sigma))
-            perm_data.append((sigma, stats, len(inv_stats.des2_set)))
+        walks = {v: en.f_expansion(v, n).terms for v in ("W", "Wless", "Wtilde")}
         for m in range(1, m_max + 1):
             for mode, variant in (("des", "W"), ("des-first-less", "Wless"), ("cdes", "Wtilde")):
                 lhs = combinat.brute_enumerator(variant, n, m).sum_coeffs()
                 rhs = ZERO
-                for sigma, stats, size in perm_data:
-                    if mode == "des-first-less" and not sigma[0] < sigma[-1]:
-                        continue
-                    te = stats.cdes if mode == "cdes" else stats.des
-                    rhs = rhs + LaurentPoly.t_power(te, math.comb(m + size, n))
+                for e, S, mult in walks[variant]:
+                    rhs = rhs + LaurentPoly.t_power(e, mult * math.comb(m + len(S), n))
                 records.append(
                     _record(f"counting-{mode}", {"n": n, "m": m}, lhs == rhs, lhs, rhs)
                 )
@@ -533,16 +504,11 @@ def suite_series(order: int = 6) -> list[dict]:
         records.append(
             _record("h-ratio-power", {"power": power, "order": order}, ok, ok, True)
         )
-    ps_coeffs = [SymFun.scalar("p")]
-    for n in range(1, order + 1):
-        terms = {}
-        for lam in partitions_of(n):
-            c = eulerian(len(lam))
-            for part in lam:
-                c = c * t_quantum(part)
-            terms[lam] = c * Fraction(1, z_of(lam))
-        ps_coeffs.append(SymFun("p", n, terms))
-    ps_series = SymSeries("p", ps_coeffs)
+    ps_series = SymSeries(
+        "p",
+        [SymFun.scalar("p")]
+        + [en.powersum_form("W", n).from_zpart() for n in range(1, order + 1)],
+    )
     denom = Htz - H.scale(T)
     lhs = ps_series.mul(denom, order)
     rhs = H.scale(ONE - T)

@@ -1,6 +1,7 @@
 """Command-line behavior: output shapes, determinism, exit codes."""
 
 import hashlib
+import importlib.util
 import json
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from smirnov import cli, combinat, symfun
+from smirnov import cli, combinat, exact, symfun, verify
 from smirnov import enumerators as en
 from smirnov.exact import LaurentPoly, t_quantum
 from smirnov.symfun import MonomialTable, SymFun
@@ -264,6 +265,15 @@ class TestVerify:
         code, _, _ = run_cli(capsys, "verify", "--suite", "counting")
         assert code == 1
 
+    def test_counting_sweeps_no_permutation(self, monkeypatch):
+        def sweep(*args):
+            raise AssertionError("the counting suite swept permutations")
+
+        monkeypatch.setattr(combinat, "permutations_of", sweep)
+        monkeypatch.setattr(combinat, "perm_stats", sweep)
+        records = verify.suite_counting()
+        assert records and all(r["status"] == "pass" for r in records)
+
     @pytest.mark.parametrize(
         "variant, rule",
         [("Wtilde", ("all", "des", "drops")), ("Wgreater", (">", "des", "drops"))],
@@ -390,6 +400,23 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as info:
             cli.main([])
         assert info.value.code == 2
+
+
+class TestTracerNames:
+    def test_class_qualified_names_are_bound_in_their_class(self):
+        # perfbench/tracer.py rebinds a method through vars(owner); a method
+        # that is only inherited would be left unwrapped and read as zero
+        path = REFERENCE.parent / "tracer.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        names = [("exact", dotted) for dotted in tracer.OPERATORS]
+        names += [(layer, dotted) for layer, group in tracer.LAYERS.items() for dotted in group]
+        qualified = [(layer, dotted.split(".")) for layer, dotted in names if "." in dotted]
+        assert {"QtPoly.__mul__", "SymSeries.div"} <= {".".join(parts) for _, parts in qualified}
+        modules = {"exact": exact, "symfun": symfun}
+        for layer, (owner, attr) in qualified:
+            assert attr in vars(getattr(modules[layer], owner)), f"{owner}.{attr}"
 
 
 class TestEntryPoint:

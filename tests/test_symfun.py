@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from smirnov import enumerators as en
 from smirnov import symfun
-from smirnov.exact import ONE, T, ZERO, LaurentPoly, t_quantum
+from smirnov.exact import ONE, T, ZERO, Combination, LaurentPoly, QtPoly, t_quantum
 from smirnov.symfun import (
     MonomialTable,
     NotSymmetricError,
@@ -29,6 +29,61 @@ from smirnov.symfun import (
 )
 
 PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22]
+
+
+class TestCombination:
+    """The arithmetic shared by QtPoly, SymFun and MonomialTable."""
+
+    OWN = (
+        "__bool__", "coeff", "__eq__", "__add__", "__radd__", "__neg__", "__sub__", "__rsub__",
+        "scale", "map_coeffs", "sum_coeffs",
+    )
+
+    def test_subclasses_define_no_arithmetic_of_their_own(self):
+        for cls in (QtPoly, SymFun, MonomialTable):
+            assert not set(self.OWN) & set(vars(cls))
+        assert {"__mul__", "__rmul__"} & set(vars(SymFun) | vars(MonomialTable)) == set()
+        assert vars(QtPoly)["__mul__"] is vars(QtPoly)["__rmul__"] is Combination.__mul__
+
+    def test_products_multiply_keys(self):
+        assert QtPoly({1: T}) * QtPoly({2: 3}) == QtPoly({3: 3 * T})
+        e = SymFun.generator("e", 2, T) * SymFun.generator("e", 1, 2)
+        assert e == SymFun("e", 3, {(2, 1): 2 * T})
+        table = MonomialTable(2, {(1, 0): 1, (0, 1): T})
+        assert table * table == MonomialTable(2, {(2, 0): 1, (1, 1): 2 * T, (0, 2): T**2})
+
+    def test_scalars_scale(self):
+        f = SymFun("h", 2, {(1, 1): T})
+        assert 2 * f == f * 2 == f.scale(2) == f + f
+        assert T * QtPoly.q_power(1) == QtPoly.q_power(1) * T == QtPoly({1: T})
+
+    def test_keys_checked_on_every_path(self):
+        with pytest.raises(ValueError):
+            QtPoly({-1: 0})
+        with pytest.raises(ValueError):
+            SymFun("e", 3, {(1, 2): 1})
+        with pytest.raises(ValueError):
+            MonomialTable(2, {(1, 0, 0): 1})
+
+    def test_shapes_must_agree(self):
+        f = SymFun("e", 2, {(2,): 1})
+        assert f != SymFun("h", 2, {(2,): 1}) and f != SymFun("e", 3, {(3,): 1})
+        with pytest.raises(ValueError):
+            f + SymFun("h", 2, {(2,): 1})
+        with pytest.raises(ValueError):
+            f * SymFun("p", 1, {(1,): 1}, zpart=True)
+        with pytest.raises(ValueError):
+            MonomialTable.one(2) - MonomialTable.one(3)
+        with pytest.raises(TypeError):
+            f + 1
+
+    def test_qtpoly_lifts_scalars(self):
+        p = QtPoly({0: ONE, 1: T})
+        assert p - 1 == QtPoly({1: T}) and 1 + QtPoly({1: T}) == p
+        assert QtPoly.from_t(T) == T and QtPoly.one() == 1
+        assert p.at_q_one() == p.sum_coeffs() == ONE + T
+        assert p.coeff(1) == T and p.coeff(5) == ZERO
+        assert SymFun("e", 2, {(1, 1): T}).coeff([1, 1]) == T
 
 
 class TestPartitions:
@@ -353,7 +408,6 @@ class TestJson:
         assert obj["basis"] == "e" and obj["degree"] == 5
         assert obj["terms"][0] == {"partition": [4, 1], "coeff": {"0": 1}}
         assert obj["terms"][1] == {"partition": [3, 2], "coeff": {"1": 2}}
-        assert SymFun.from_json_obj(obj) == f
 
     def test_byte_determinism(self):
         f = SymFun("e", 4, {(2, 2): T, (4,): ONE + T})
@@ -363,4 +417,3 @@ class TestJson:
         f = SymFun("p", 2, {(2,): T}, zpart=True)
         obj = f.to_json_obj()
         assert obj["basis"] == "p/z"
-        assert SymFun.from_json_obj(obj) == f
