@@ -1,5 +1,11 @@
 """Command-line front end: expansion, evaluation, and verification.
 
+Each verb runs one function, chosen through ``set_defaults``; ``powersum``
+and ``fexpand`` are ``expand`` with the basis preset to p and F.  Ranges
+read their upper bound from ``enumerators.LIMITS``, and the verify flags
+and defaults come from ``verify.BOUNDS``.  Every answer is printed by
+``_emit``.
+
 Output is byte-deterministic for fixed flags: partitions are listed in a
 fixed order and JSON objects are built in insertion order.  Exit codes are 0
 for success or an all-pass verification, 1 for a failed verification, and 2
@@ -14,7 +20,7 @@ import sys
 
 from . import enumerators as en
 from . import verify
-from .symfun import MonomialTable, expand_in_variables
+from .symfun import expand_in_variables
 
 VARIANT_ALIASES = {
     "w": "W",
@@ -46,15 +52,6 @@ QEULER_ALIASES = {
 }
 
 
-# verify flag -> (run_suite bound, default).  A flag given to a single suite
-# that does not read it is a usage error rather than silently ignored.
-VERIFY_BOUNDS = {
-    "--max-n": ("max_n", 5),
-    "--vars": ("nvars", 6),
-    "--max-order": ("max_order", 8),
-}
-
-
 def _variant(parser: argparse.ArgumentParser, raw: str) -> str:
     tag = VARIANT_ALIASES.get(raw.lower())
     if tag is None:
@@ -69,19 +66,18 @@ def _qeuler_kind(parser: argparse.ArgumentParser, raw: str) -> str:
     return kind
 
 
-def _emit_json(obj) -> None:
-    print(json.dumps(obj, separators=(",", ":")))
+def _emit(args, value, obj=None) -> None:
+    """Print one answer: with --format json, ``obj`` (by default
+    ``value.to_json_obj()``) as one compact line; otherwise ``value`` as
+    text, through ``value.pretty()`` unless it is already a string."""
+    if args.format == "json":
+        print(json.dumps(value.to_json_obj() if obj is None else obj, separators=(",", ":")))
+    else:
+        print(value if isinstance(value, str) else value.pretty())
 
 
-def _table_text(table: MonomialTable) -> str:
-    if not table.terms:
-        return "0"
-    rows = []
-    for vec in sorted(table.terms, reverse=True):
-        label = "x^(" + ",".join(map(str, vec)) + ")"
-        rows.append((label, table.terms[vec].pretty()))
-    width = max(len(r[0]) for r in rows)
-    return "\n".join(f"{label.ljust(width)}  {poly}" for label, poly in rows)
+def _flag(bound: str) -> str:
+    return "--" + bound.replace("_", "-")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -91,48 +87,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def verb(name: str, run, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
+        p.add_argument("--variant", required=True)
+        p.add_argument("--n", type=int, required=True)
+        return p
+
+    # powersum and fexpand are expand with the basis preset
+    for name, basis, summary in (
+        ("expand", "e", "elementary, power sum, or fundamental expansion"),
+        ("powersum", "p", "power sum expansion coefficients"),
+        ("fexpand", "F", "fundamental quasisymmetric expansion"),
+    ):
+        p = verb(name, _cmd_expand, summary)
+        p.set_defaults(basis=basis, vars=None)
+        if name == "expand":
+            p.add_argument("--basis", choices=("e", "p", "F"), default="e")
+            p.add_argument("--vars", type=int, help="also expand into this many variables")
+
+    p = verb("qeuler", _cmd_qeuler, "q-Eulerian polynomials and evaluations")
+    p.add_argument("--q-root", type=int, help="evaluate at a primitive root of unity of this order")
+
+    p = verb("roots", _cmd_roots, "root-of-unity evaluation, both routes")
+    p.add_argument("--q-root", type=int, required=True)
+
+    p = sub.add_parser("verify", help="run verification suites")
+    p.set_defaults(run=_cmd_verify)
+    p.add_argument("--suite", choices=("all",) + verify.SUITES, default="all")
+    for bound in verify.BOUNDS:
+        p.add_argument(_flag(bound), type=int)
+
+    for p in sub.choices.values():
         p.add_argument("--format", choices=("json", "text"), default="text")
-
-    p_expand = sub.add_parser("expand", help="elementary, power sum, or fundamental expansion")
-    p_expand.add_argument("--variant", required=True)
-    p_expand.add_argument("--n", type=int, required=True)
-    p_expand.add_argument("--basis", choices=("e", "p", "F"), default="e")
-    p_expand.add_argument("--vars", type=int, help="also expand into this many variables")
-    common(p_expand)
-
-    p_power = sub.add_parser("powersum", help="power sum expansion coefficients")
-    p_power.add_argument("--variant", required=True)
-    p_power.add_argument("--n", type=int, required=True)
-    common(p_power)
-
-    p_f = sub.add_parser("fexpand", help="fundamental quasisymmetric expansion")
-    p_f.add_argument("--variant", required=True)
-    p_f.add_argument("--n", type=int, required=True)
-    common(p_f)
-
-    p_q = sub.add_parser("qeuler", help="q-Eulerian polynomials and evaluations")
-    p_q.add_argument("--variant", required=True)
-    p_q.add_argument("--n", type=int, required=True)
-    p_q.add_argument("--q-root", type=int, help="evaluate at a primitive root of unity of this order")
-    common(p_q)
-
-    p_r = sub.add_parser("roots", help="root-of-unity evaluation, both routes")
-    p_r.add_argument("--variant", required=True)
-    p_r.add_argument("--n", type=int, required=True)
-    p_r.add_argument("--q-root", type=int, required=True)
-    common(p_r)
-
-    p_v = sub.add_parser("verify", help="run verification suites")
-    p_v.add_argument("--suite", choices=("all",) + verify.SUITES, default="all")
-    for flag in VERIFY_BOUNDS:
-        p_v.add_argument(flag, type=int)
-    common(p_v)
-
     return parser
 
 
-def _check_range(parser: argparse.ArgumentParser, flag: str, value: int, lo: int, hi: int) -> None:
+def _check_range(parser: argparse.ArgumentParser, flag: str, value: int, lo: int, key: str) -> None:
+    hi = en.LIMITS[key]
     if not lo <= value <= hi:
         parser.error(f"{flag}: must be between {lo} and {hi}, got {value}")
 
@@ -141,17 +133,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.verb == "expand":
-            return _cmd_expand(parser, args)
-        if args.verb == "powersum":
-            return _cmd_powersum(parser, args)
-        if args.verb == "fexpand":
-            return _cmd_fexpand(parser, args)
-        if args.verb == "qeuler":
-            return _cmd_qeuler(parser, args)
-        if args.verb == "roots":
-            return _cmd_roots(parser, args)
-        return _cmd_verify(parser, args)
+        return args.run(parser, args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -159,80 +141,35 @@ def main(argv=None) -> int:
 
 def _cmd_expand(parser, args) -> int:
     variant = _variant(parser, args.variant)
-    _check_range(parser, "--n", args.n, 1, 8)
+    _check_range(parser, "--n", args.n, 1, "n")
     if args.vars is not None and args.basis != "e":
         parser.error(f"--vars: basis {args.basis} does not expand into variables; use --basis e")
     if args.basis == "p":
-        return _emit_powersum(parser, args, variant)
-    if args.basis == "F":
-        return _emit_fexpand(parser, args, variant)
-    f = en.closed_form(variant, args.n)
-    if args.vars is not None:
-        _check_range(parser, "--vars", args.vars, 1, 8)
-        table = expand_in_variables(f, args.vars)
-        if args.format == "json":
-            _emit_json(table.to_json_obj())
-        else:
-            print(_table_text(table))
-        return 0
-    if args.format == "json":
-        _emit_json(f.to_json_obj())
+        if variant not in en.POWERSUM_VARIANTS:
+            parser.error(f"--variant: no power sum expansion for {variant}")
+        _emit(args, en.powersum_form(variant, args.n))
+    elif args.basis == "F":
+        if variant not in en.F_VARIANTS:
+            parser.error(f"--variant: no fundamental expansion for {variant}")
+        _emit(args, en.f_expansion(variant, args.n))
+    elif args.vars is not None:
+        _check_range(parser, "--vars", args.vars, 1, "vars")
+        _emit(args, expand_in_variables(en.closed_form(variant, args.n), args.vars))
     else:
-        print(f.pretty())
+        _emit(args, en.closed_form(variant, args.n))
     return 0
-
-
-def _emit_powersum(parser, args, variant: str) -> int:
-    if variant not in en.POWERSUM_VARIANTS:
-        parser.error(f"--variant: no power sum expansion for {variant}")
-    form = en.powersum_form(variant, args.n)
-    if args.format == "json":
-        _emit_json(form.to_json_obj())
-    else:
-        print(form.pretty())
-    return 0
-
-
-def _emit_fexpand(parser, args, variant: str) -> int:
-    if variant not in en.F_VARIANTS:
-        parser.error(f"--variant: no fundamental expansion for {variant}")
-    fe = en.f_expansion(variant, args.n)
-    if args.format == "json":
-        _emit_json(fe.to_json_obj())
-    else:
-        print(fe.pretty())
-    return 0
-
-
-def _cmd_powersum(parser, args) -> int:
-    variant = _variant(parser, args.variant)
-    _check_range(parser, "--n", args.n, 1, 8)
-    return _emit_powersum(parser, args, variant)
-
-
-def _cmd_fexpand(parser, args) -> int:
-    variant = _variant(parser, args.variant)
-    _check_range(parser, "--n", args.n, 1, 8)
-    return _emit_fexpand(parser, args, variant)
 
 
 def _cmd_qeuler(parser, args) -> int:
     kind = _qeuler_kind(parser, args.variant)
-    _check_range(parser, "--n", args.n, 0, 8)
-    if args.q_root is not None:
-        if kind not in en.ROOT_FAMILIES:
-            parser.error(f"--q-root: no closed root-of-unity form for {kind}")
-        value = en.root_of_unity(kind, args.n, args.q_root)
-        if args.format == "json":
-            _emit_json({"t_polynomial": value.to_json_obj()})
-        else:
-            print(value.pretty())
+    _check_range(parser, "--n", args.n, 0, "n")
+    if args.q_root is None:
+        _emit(args, en.q_eulerian(kind, args.n))
         return 0
-    poly = en.q_eulerian(kind, args.n)
-    if args.format == "json":
-        _emit_json(poly.to_json_obj())
-    else:
-        print(poly.pretty())
+    if kind not in en.ROOT_FAMILIES:
+        parser.error(f"--q-root: no closed root-of-unity form for {kind}")
+    value = en.root_of_unity(kind, args.n, args.q_root)
+    _emit(args, value, {"t_polynomial": value.to_json_obj()})
     return 0
 
 
@@ -240,45 +177,35 @@ def _cmd_roots(parser, args) -> int:
     kind = _qeuler_kind(parser, args.variant)
     if kind not in en.ROOT_FAMILIES:
         parser.error(f"--variant: no closed root-of-unity form for {kind}")
-    _check_range(parser, "--n", args.n, 2, 8)
+    _check_range(parser, "--n", args.n, 2, "n")
     parts = en.root_of_unity_parts(kind, args.n, args.q_root)
     agree = all(v == parts["via_eval"] for v in parts.values())
-    if args.format == "json":
-        _emit_json(
-            {
-                "agree": agree,
-                **{name: poly.to_json_obj() for name, poly in parts.items()},
-            }
-        )
-    else:
-        for name, poly in parts.items():
-            print(f"{name}: {poly.pretty()}")
-        print(f"agree: {str(agree).lower()}")
+    obj = {"agree": agree, **{name: poly.to_json_obj() for name, poly in parts.items()}}
+    lines = [f"{name}: {poly.pretty()}" for name, poly in parts.items()]
+    _emit(args, "\n".join(lines + [f"agree: {str(agree).lower()}"]), obj)
     return 0 if agree else 1
 
 
 def _cmd_verify(parser, args) -> int:
+    reads = verify.BOUNDS if args.suite == "all" else verify.SUITE_BOUNDS[args.suite][1]
     bounds = {}
-    for flag, (bound, default) in VERIFY_BOUNDS.items():
-        value = getattr(args, flag[2:].replace("-", "_"))
+    for bound, (_, key) in verify.BOUNDS.items():
+        value = getattr(args, bound)
         if value is None:
-            value = default
-        elif args.suite != "all" and bound not in verify.SUITE_BOUNDS[args.suite][1]:
-            parser.error(f"{flag}: suite {args.suite} does not read this flag")
-        _check_range(parser, flag, value, 1, 8)
+            continue
+        if bound not in reads:
+            parser.error(f"{_flag(bound)}: suite {args.suite} does not read this flag")
+        _check_range(parser, _flag(bound), value, 1, key)
         bounds[bound] = value
     names = verify.SUITES if args.suite == "all" else (args.suite,)
     records = verify.run_suites(names, **bounds)
-    ok = verify.all_pass(records)
-    if args.format == "json":
-        _emit_json(records)
-    else:
-        for record in records:
-            params = " ".join(f"{k}={v}" for k, v in record["params"].items())
-            print(f"{record['status'].upper():4}  {record['check']}  {params}")
-        passed = sum(1 for r in records if r["status"] == "pass")
-        print(f"{passed}/{len(records)} checks passed")
-    return 0 if ok else 1
+    lines = [
+        f"{r['status'].upper():4}  {r['check']}  " + " ".join(f"{k}={v}" for k, v in r["params"].items())
+        for r in records
+    ]
+    passed = sum(1 for r in records if r["status"] == "pass")
+    _emit(args, "\n".join(lines + [f"{passed}/{len(records)} checks passed"]), records)
+    return 0 if verify.all_pass(records) else 1
 
 
 if __name__ == "__main__":

@@ -69,6 +69,22 @@ Q_RULES = {
 }
 Q_EULERIAN_KINDS = tuple(Q_RULES)
 
+# The largest sizes computed and checked; the CLI's ranges and verify's
+# bounds read them from here.
+LIMITS = {
+    "n": 8,  # degree of a closed form, expansion or q-Eulerian polynomial; series order
+    "vars": 8,  # variables of a monomial table
+    "counting_n": 6,  # word length of the counting suite
+    "counting_m": 5,  # alphabet size of the counting suite
+    "transfer_k": 6,  # alphabet size of the transfer-matrix determinant
+}
+
+
+def check_limit(key: str, value: int, lo: int = 1) -> None:
+    """Raise ValueError, naming the key, unless lo <= value <= LIMITS[key]."""
+    if not lo <= value <= LIMITS[key]:
+        raise ValueError(f"{value} is out of range: LIMITS[{key!r}] allows {lo} to {LIMITS[key]}")
+
 
 def abc(i: int) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
     """The three numerator weights splitting the t-analog by endpoint class.
@@ -143,11 +159,10 @@ def closed_form(variant: str, n: int) -> SymFun:
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    if n < 1:
-        raise ValueError("n must be positive")
+    check_limit("n", n)
     if variant in ("Wneq", "XC") and n < 2:
         raise ValueError(f"{variant} requires n >= 2")
-    out = closed_series(variant, max(n, 8))[n]
+    out = closed_series(variant, LIMITS["n"])[n]
     val = out.valuation()
     if val is not None and val < 0:
         raise AssertionError("negative t-valuation leaked into a closed form")
@@ -201,8 +216,7 @@ def powersum_form(variant: str, n: int) -> SymFun:
     """
     if variant not in POWERSUM_VARIANTS:
         raise ValueError(f"no power sum form for {variant!r}")
-    if n < 1:
-        raise ValueError("n must be positive")
+    check_limit("n", n)
     terms: dict[Partition, LaurentPoly] = {}
     for lam in partitions_of(n):
         ell = len(lam)
@@ -343,8 +357,7 @@ def f_expansion(variant: str, n: int) -> FExpansion:
     """
     if variant not in F_VARIANTS:
         raise ValueError(f"no fundamental expansion for {variant!r}")
-    if not 1 <= n <= 8:
-        raise ValueError("n must be between 1 and 8")
+    check_limit("n", n)
     cls, stat, gaps = F_RULES[variant]
     cols = n + 1
     top = 1 << (n - 1)
@@ -391,8 +404,7 @@ def q_eulerian(kind: str, n: int) -> QtPoly:
     """
     if kind not in Q_EULERIAN_KINDS:
         raise ValueError(f"unknown kind {kind!r}")
-    if not 0 <= n <= 8:
-        raise ValueError("n must be between 0 and 8")
+    check_limit("n", n, lo=0)
     if n == 0:
         return QtPoly.zero() if kind == "Aless" else QtPoly.one()
     cls, stat = Q_RULES[kind]
@@ -447,8 +459,7 @@ def q_exp_identity_check(kind: str, order: int) -> bool:
     """
     if kind not in QEXP_IDENTITIES:
         raise ValueError(f"unknown identity {kind!r}")
-    if order > 8:
-        raise ValueError("order must be at most 8, the largest n of q_eulerian")
+    check_limit("n", order, lo=0)
     for n in range(1, order + 1):
         acc = QtPoly.zero()
         lo = 0 if kind == "A" else 1
@@ -534,8 +545,7 @@ def transfer_matrix_check(k: int, order: int | None = None) -> bool:
     the Leibniz sum is one monomial whose z-power is its total x-degree, and
     truncating at z^order is a cut on total degree.
     """
-    if not 1 <= k <= 6:
-        raise ValueError("k must be between 1 and 6")
+    check_limit("transfer_k", k)
     if order is None:
         order = k
     if order > k:

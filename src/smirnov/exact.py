@@ -210,7 +210,7 @@ class LaurentPoly:
         """True iff all exponents are >= 0 and all coefficients are nonnegative integers."""
         return all(e >= 0 and isinstance(c, int) and c >= 0 for e, c in self.terms.items())
 
-    def pretty(self, var: str = "t") -> str:
+    def pretty(self) -> str:
         if not self.terms:
             return "0"
         parts = []
@@ -220,7 +220,7 @@ class LaurentPoly:
             if e == 0:
                 body = str(mag)
             else:
-                tpow = var if e == 1 else f"{var}^{e}"
+                tpow = "t" if e == 1 else f"t^{e}"
                 body = tpow if mag == 1 else f"{mag}*{tpow}"
             if not parts:
                 parts.append(body if c > 0 else f"-{body}")

@@ -190,15 +190,12 @@ class SymFun(Combination):
         return min(vals) if vals else None
 
     def pretty(self) -> str:
-        if not self.terms:
-            return "0"
         name = self.basis + ("/z" if self.zpart else "")
-        rows = []
-        for lam in partitions_of(self.degree):
-            if lam in self.terms:
-                rows.append((f"{name}[{','.join(map(str, lam))}]", self.terms[lam].pretty()))
-        width = max(len(r[0]) for r in rows)
-        return "\n".join(f"{label.ljust(width)}  {poly}" for label, poly in rows)
+        return _aligned(
+            (f"{name}[{','.join(map(str, lam))}]", self.terms[lam].pretty())
+            for lam in partitions_of(self.degree)
+            if lam in self.terms
+        )
 
     def to_json_obj(self) -> dict:
         return {
@@ -267,8 +264,23 @@ class MonomialTable(Combination):
             ],
         }
 
+    def pretty(self) -> str:
+        return _aligned(
+            ("x^(" + ",".join(map(str, vec)) + ")", self.terms[vec].pretty())
+            for vec in sorted(self.terms, reverse=True)
+        )
+
     def __repr__(self) -> str:
         return f"MonomialTable(vars={self.nvars}, terms={len(self.terms)})"
+
+
+def _aligned(rows) -> str:
+    """(label, coefficient) rows, one a line, labels padded; "0" if none."""
+    rows = list(rows)
+    if not rows:
+        return "0"
+    width = max(len(label) for label, _ in rows)
+    return "\n".join(f"{label.ljust(width)}  {poly}" for label, poly in rows)
 
 
 @lru_cache(maxsize=None)
@@ -375,7 +387,7 @@ def _e_in_m(lam: Partition) -> tuple[tuple[Partition, int], ...]:
     )
 
 
-def monomial_to_e(table: MonomialTable, n: int | None = None, k: int | None = None) -> SymFun:
+def monomial_to_e(table: MonomialTable, n: int | None = None) -> SymFun:
     """Invert a monomial expansion into the elementary basis.
 
     The table must be a symmetric homogeneous polynomial of degree n in
@@ -385,10 +397,7 @@ def monomial_to_e(table: MonomialTable, n: int | None = None, k: int | None = No
     lexicographic order against the m-basis coordinates of e_lam, read from
     the e-transition counts, so success certifies symmetry.
     """
-    if k is None:
-        k = table.nvars
-    elif k != table.nvars:
-        raise ValueError("k must match the table's variable count")
+    k = table.nvars
     deg = table.total_degree()
     if n is None:
         n = deg if deg is not None else 0

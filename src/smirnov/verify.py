@@ -143,7 +143,7 @@ def suite_powersum(max_n: int) -> list[dict]:
             records.append(
                 _record("powersum-vs-brute", {"variant": variant, "n": n}, lhs == rhs, form, rhs)
             )
-    for n in range(1, 9):
+    for n in range(1, en.LIMITS["n"] + 1):
         less, greater, cyclic = (
             en.powersum_form(v, n) for v in ("Wless", "Wgreater", "Wtildeneq")
         )
@@ -161,7 +161,7 @@ def suite_powersum(max_n: int) -> list[dict]:
                 ok = all(s.coeff(i) == s.coeff(n - i) for i in range(1, n))
                 records.append(_record("powersum-weight-palindromic", params, ok, s, s.reverse(n)))
     for variant in en.TOP_VARIANTS:
-        for n in range(2, 9):
+        for n in range(2, en.LIMITS["n"] + 1):
             lhs = en.powersum_top_coefficient(variant, n)
             rhs = en.closed_form(variant, n).coeff((n,))
             records.append(
@@ -288,7 +288,7 @@ def suite_qexp(max_order: int) -> list[dict]:
     return records
 
 
-def suite_roots(max_n: int = 8) -> list[dict]:
+def suite_roots(max_n: int = en.LIMITS["n"]) -> list[dict]:
     records = []
     for n in range(2, max_n + 1):
         for k in divisors(n):
@@ -316,12 +316,11 @@ def _shape_palindromic_unimodal(p: LaurentPoly) -> bool:
     return palindrome_unimodal(p, center) == (True, True)
 
 
-def suite_unimodal(n_max: int = 8) -> list[dict]:
+def suite_unimodal(n_max: int = en.LIMITS["n"]) -> list[dict]:
     """Palindromicity/unimodality assertions for every variant with a stated
     center, the even-cycle failure witness, and the special coefficient
     formulas for the cyclic enumerator."""
-    if n_max > 8:
-        raise ValueError("n_max must be at most 8")
+    en.check_limit("n", n_max)
     records = []
     for n in range(2, n_max + 1):
         for variant, center in (
@@ -427,15 +426,17 @@ def suite_unimodal(n_max: int = 8) -> list[dict]:
     return records
 
 
-def suite_counting(n_max: int = 6, m_max: int = 5) -> list[dict]:
+def suite_counting(
+    n_max: int = en.LIMITS["counting_n"], m_max: int = en.LIMITS["counting_m"]
+) -> list[dict]:
     """Alphabet-restricted descent counts against binomial sums over
     permutations graded by the drop-gap sets of their inverses.
 
     The word side is the word DP; the permutation side reads the walk of
     ``en.f_expansion``, whose set S is exactly the positions where sigma^-1
     drops by at least two, so no permutation is swept."""
-    if n_max > 6 or m_max > 5:
-        raise ValueError("bounds exceed the supported range")
+    en.check_limit("counting_n", n_max)
+    en.check_limit("counting_m", m_max)
     records = []
     for n in range(1, n_max + 1):
         walks = {v: en.f_expansion(v, n).terms for v in ("W", "Wless", "Wtilde")}
@@ -467,7 +468,7 @@ def suite_series(order: int = 6) -> list[dict]:
     inv = SymSeries.one("e", order).div(D)
     ok = D.mul(inv, order) == SymSeries.one("e", order)
     records.append(_record("series-geometric-inverse", {"order": order}, ok, ok, True))
-    for n in range(2, min(order, 8) + 1):
+    for n in range(2, order + 1):
         less = en.closed_form("Wless", n)
         greater = en.closed_form("Wgreater", n)
         equal = en.closed_form("Wequal", n)
@@ -535,9 +536,16 @@ def suite_transfer(max_k: int = 5) -> list[dict]:
     return records
 
 
+# run_suite bound -> (default, the LIMITS key of its range)
+BOUNDS = {
+    "max_n": (5, "n"),
+    "vars": (6, "vars"),
+    "max_order": (8, "n"),
+}
+
 # suite -> (suite function, the run_suite bounds it reads, in argument order)
 SUITE_BOUNDS = {
-    "oracle": (suite_oracle, ("max_n", "nvars")),
+    "oracle": (suite_oracle, ("max_n", "vars")),
     "powersum": (suite_powersum, ("max_n",)),
     "f": (suite_f, ("max_n",)),
     "qexp": (suite_qexp, ("max_order",)),
@@ -550,18 +558,23 @@ SUITE_BOUNDS = {
 SUITES = tuple(SUITE_BOUNDS)
 
 
-def run_suite(name: str, *, max_n: int = 5, nvars: int = 6, max_order: int = 8) -> list[dict]:
+def run_suite(name: str, **bounds: int) -> list[dict]:
+    """Run one suite.  Any bound of ``BOUNDS`` may be given and is checked
+    against its limit; the suite reads its own, defaulting the ones not given."""
     if name not in SUITE_BOUNDS:
         raise ValueError(f"unknown suite {name!r}")
+    for bound, value in bounds.items():
+        if bound not in BOUNDS:
+            raise ValueError(f"unknown bound {bound!r}")
+        en.check_limit(BOUNDS[bound][1], value)
     fn, reads = SUITE_BOUNDS[name]
-    bounds = {"max_n": max_n, "nvars": nvars, "max_order": max_order}
-    return fn(*(bounds[b] for b in reads))
+    return fn(*(bounds.get(b, BOUNDS[b][0]) for b in reads))
 
 
-def run_suites(names, *, max_n: int = 5, nvars: int = 6, max_order: int = 8) -> list[dict]:
+def run_suites(names, **bounds: int) -> list[dict]:
     records = []
     for name in names:
-        records.extend(run_suite(name, max_n=max_n, nvars=nvars, max_order=max_order))
+        records.extend(run_suite(name, **bounds))  # by name first: perfbench spans read it
     return records
 
 

@@ -89,6 +89,47 @@ class TestExpand:
             assert json.loads(out) == en.closed_form("Wtilde", 3).to_json_obj()
 
 
+class TestExpansionVerbs:
+    """``powersum`` and ``fexpand`` print what ``expand --basis p|F`` prints,
+    usage errors included."""
+
+    @staticmethod
+    def outcome(capsys, *argv):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        return code, capsys.readouterr().out
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("variant", en.VARIANTS)
+    @pytest.mark.parametrize("verb, basis", [("powersum", "p"), ("fexpand", "F")])
+    def test_verb_matches_expand_with_basis(self, capsys, verb, basis, variant, fmt):
+        for n in range(0, 5):
+            args = ("--variant", variant, "--n", str(n), "--format", fmt)
+            assert self.outcome(capsys, verb, *args) == self.outcome(
+                capsys, "expand", *args, "--basis", basis
+            )
+
+    def test_monomial_table_text(self, capsys):
+        code, out, _ = run_cli(capsys, "expand", "--variant", "W", "--n", "3", "--vars", "3")
+        assert code == 0
+        assert out == (
+            "x^(2,1,0)  t\n"
+            "x^(2,0,1)  t\n"
+            "x^(1,2,0)  t\n"
+            "x^(1,1,1)  1 + 4*t + t^2\n"
+            "x^(1,0,2)  t\n"
+            "x^(0,2,1)  t\n"
+            "x^(0,1,2)  t\n"
+        )
+
+    def test_fundamental_expansion_text(self, capsys):
+        code, out, _ = run_cli(capsys, "fexpand", "--variant", "Wless", "--n", "3")
+        assert code == 0
+        assert out == "F[3,{}] + 2*t*F[3,{}]\n"
+
+
 class TestQEuler:
     def test_root_evaluation_example(self, capsys):
         code, out, _ = run_cli(
@@ -402,6 +443,41 @@ class TestUsageErrors:
         assert info.value.code == 2
 
 
+class TestLimits:
+    """The library rejects the sizes the CLI rejects, naming the LIMITS key."""
+
+    @pytest.mark.parametrize(
+        "call, key, value",
+        [
+            (lambda: en.closed_form("W", 9), "n", 9),
+            (lambda: en.powersum_form("W", 9), "n", 9),
+            (lambda: verify.run_suite("series", max_order=9), "n", 9),
+            (lambda: verify.run_suite("oracle", max_n=2, vars=9), "vars", 9),
+            (lambda: verify.run_suite("f", max_n=0), "n", 0),
+        ],
+        ids=["closed-form", "powersum-form", "series-order", "oracle-vars", "f-max-n-zero"],
+    )
+    def test_library_rejects_out_of_range(self, call, key, value):
+        with pytest.raises(ValueError) as info:
+            call()
+        message = str(info.value)
+        assert f"LIMITS[{key!r}]" in message and str(value) in message
+
+    def test_unknown_bound_is_rejected(self):
+        with pytest.raises(ValueError, match="bogus"):
+            verify.run_suite("f", bogus=1)
+
+    @pytest.mark.parametrize("bound", sorted(verify.BOUNDS))
+    def test_cli_rejects_one_past_each_verify_limit(self, capsys, bound):
+        flag = "--" + bound.replace("_", "-")
+        default, key = verify.BOUNDS[bound]
+        assert 1 <= default <= en.LIMITS[key]
+        with pytest.raises(SystemExit) as info:
+            cli.main(["verify", "--suite", "all", flag, str(en.LIMITS[key] + 1)])
+        assert info.value.code == 2
+        assert flag in capsys.readouterr().err
+
+
 class TestTracerNames:
     def test_class_qualified_names_are_bound_in_their_class(self):
         # perfbench/tracer.py rebinds a method through vars(owner); a method
@@ -417,6 +493,20 @@ class TestTracerNames:
         modules = {"exact": exact, "symfun": symfun}
         for layer, (owner, attr) in qualified:
             assert attr in vars(getattr(modules[layer], owner)), f"{owner}.{attr}"
+
+    def test_run_suites_calls_the_module_global_with_the_name_first(self, monkeypatch):
+        # the tracer wraps verify.run_suite and names each span
+        # verify.suite.<name> from its first positional argument; a suite
+        # reached any other way would read as zero
+        calls = []
+
+        def recorder(*args, **kwargs):
+            calls.append(args)
+            return []
+
+        monkeypatch.setattr(verify, "run_suite", recorder)
+        assert verify.run_suites(("transfer", "roots")) == []
+        assert [args[:1] for args in calls] == [("transfer",), ("roots",)]
 
 
 class TestEntryPoint:
