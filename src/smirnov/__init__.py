@@ -9,7 +9,6 @@ combinatorial oracles in exact rational arithmetic.
 """
 
 from .exact import (
-    CycloElem,
     LaurentPoly,
     QtPoly,
     cyclotomic,

@@ -199,13 +199,13 @@ def cleared_form_check(variant: str, order: int) -> bool:
         rhs = SymSeries.from_weights(
             order, lambda i: abc(i)[1] * one_minus_t if i >= 2 else None
         )
-    return lhs.mul(denom, order) == rhs
+    return lhs.mul(denom) == rhs
 
 
 def quotient_form_check(variant: str, order: int) -> bool:
     """Numerator = denominator * series, for every variant's quotient."""
     series = closed_series(variant, order)
-    return series.mul(denominator_series(order), order) == numerator_series(variant, order)
+    return series.mul(denominator_series(order)) == numerator_series(variant, order)
 
 
 def powersum_form(variant: str, n: int) -> SymFun:
@@ -489,8 +489,7 @@ def _eulerian_at_root(n: int, k: int) -> LaurentPoly:
     makes the closed products polynomial."""
     if n == 0:
         return eulerian(0)
-    elem = eval_at_root_of_unity(q_eulerian("Ades", n), k)
-    return elem.as_t_polynomial()
+    return eval_at_root_of_unity(q_eulerian("Ades", n), k)
 
 
 def root_of_unity_parts(kind: str, n: int, k: int) -> dict:
@@ -503,8 +502,7 @@ def root_of_unity_parts(kind: str, n: int, k: int) -> dict:
     if k < 1 or n % k:
         raise ValueError("k must divide n")
     m = n // k
-    elem = eval_at_root_of_unity(q_eulerian(kind, n), k)
-    via_eval = elem.as_t_polynomial()
+    via_eval = eval_at_root_of_unity(q_eulerian(kind, n), k)
     qk = t_quantum(k)
     if kind == "Ades":
         closed = eulerian(m) * qk**m
@@ -548,8 +546,8 @@ def transfer_matrix_check(k: int, order: int | None = None) -> bool:
     check_limit("transfer_k", k)
     if order is None:
         order = k
-    if order > k:
-        raise ValueError("order cannot exceed k")
+    if not 0 <= order <= k:
+        raise ValueError(f"order must be between 0 and k = {k}, got {order}")
     det: dict[tuple[int, ...], LaurentPoly] = {}
     for sigma in permutations(range(k)):
         moved = [i for i in range(k) if sigma[i] != i]

@@ -8,9 +8,9 @@ differences, scaling, coefficient maps, the bilinear product and the sum of
 coefficients are written once there.  Its subclasses say only how a key is
 checked, which attributes two values must share, and how two keys multiply:
 ``QtPoly`` (a polynomial in ``q``, keyed by the q-exponent) here, and
-``SymFun`` and ``MonomialTable`` in ``symfun``.  ``CycloElem`` is a residue
-class modulo a cyclotomic polynomial, which lets q-polynomials be evaluated at
-a primitive root of unity without leaving exact arithmetic.
+``SymFun`` and ``MonomialTable`` in ``symfun``.  ``eval_at_root_of_unity``
+reduces a ``QtPoly`` modulo a cyclotomic polynomial, which evaluates it at a
+primitive root of unity without leaving exact arithmetic.
 
 Everything in this module is immutable after construction and every operation
 is a pure function, so values are safe to share between concurrent workers.
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterator, Mapping, Union
@@ -187,10 +186,6 @@ class LaurentPoly:
                 else:
                     rem.pop(tgt, None)
         return LaurentPoly(quo)
-
-    def shifted(self, k: int) -> "LaurentPoly":
-        """Multiply by t^k."""
-        return LaurentPoly({e + k: c for e, c in self.terms.items()})
 
     def reverse(self, n: int) -> "LaurentPoly":
         """t^n * p(1/t)."""
@@ -483,14 +478,6 @@ class QtPoly(Combination):
     def q_degree(self) -> int | None:
         return max(self.terms) if self.terms else None
 
-    def __pow__(self, n: int) -> "QtPoly":
-        if n < 0:
-            raise ValueError("negative powers are not supported")
-        out = QtPoly.one()
-        for _ in range(n):
-            out = out * self
-        return out
-
     at_q_one = Combination.sum_coeffs  # substitute q = 1
 
     def pretty(self) -> str:
@@ -579,60 +566,23 @@ def cyclotomic(k: int) -> QtPoly:
     return poly
 
 
-@dataclass(frozen=True, eq=False)
-class CycloElem:
-    """A q-polynomial reduced modulo the cyclotomic polynomial of given order.
+def eval_at_root_of_unity(f: QtPoly, k: int) -> LaurentPoly:
+    """The value of f at a primitive k-th root of unity, a polynomial in t.
 
-    Represents the exact value of the polynomial at a primitive root of unity
-    of that order.
-    """
+    f is reduced modulo the k-th cyclotomic polynomial.  The powers of the
+    root below that polynomial's degree are linearly independent over the
+    rationals, so the value is free of the root exactly when the remainder
+    is; ValueError is raised otherwise.
 
-    order: int
-    residue: tuple  # LaurentPoly coefficients of q^0 .. q^(deg-1)
-
-    def to_qt(self) -> QtPoly:
-        return QtPoly(dict(enumerate(self.residue)))
-
-    def is_t_polynomial(self) -> bool:
-        """True iff the value is independent of q."""
-        return all(not c for c in self.residue[1:])
-
-    def as_t_polynomial(self) -> LaurentPoly:
-        if not self.is_t_polynomial():
-            raise ValueError("residue has q-degree > 0")
-        return self.residue[0] if self.residue else ZERO
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, CycloElem):
-            return self.order == other.order and self.to_qt() == other.to_qt()
-        return NotImplemented
-
-    def __add__(self, other: "CycloElem") -> "CycloElem":
-        if self.order != other.order:
-            raise ValueError("mismatched orders")
-        return eval_at_root_of_unity(self.to_qt() + other.to_qt(), self.order)
-
-    def __mul__(self, other: "CycloElem") -> "CycloElem":
-        if self.order != other.order:
-            raise ValueError("mismatched orders")
-        return eval_at_root_of_unity(self.to_qt() * other.to_qt(), self.order)
-
-    def __repr__(self) -> str:
-        return f"CycloElem(order={self.order}, value={self.to_qt().pretty()})"
-
-
-def eval_at_root_of_unity(f: QtPoly, k: int) -> CycloElem:
-    """Reduce f modulo the k-th cyclotomic polynomial.
-
-    >>> eval_at_root_of_unity(QtPoly({0: 1, 1: 1, 2: 1}), 3).is_t_polynomial()
-    True
-    >>> eval_at_root_of_unity(QtPoly({2: 1}), 2).as_t_polynomial().pretty()
+    >>> eval_at_root_of_unity(QtPoly({0: 1, 1: 1, 2: 1}), 3).pretty()
+    '0'
+    >>> eval_at_root_of_unity(QtPoly({2: 1}), 2).pretty()
     '1'
     """
-    phi = cyclotomic(k)
-    deg = phi.q_degree()
-    _, rem = qt_divmod(f, phi)
-    return CycloElem(k, tuple(rem.coeff(i) for i in range(deg)))
+    _, rem = qt_divmod(f, cyclotomic(k))
+    if rem.q_degree():
+        raise ValueError(f"the value at a primitive {k}-th root of unity depends on q")
+    return rem.coeff(0)
 
 
 def divisors(n: int) -> Iterator[int]:

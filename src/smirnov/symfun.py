@@ -151,12 +151,13 @@ class SymFun(Combination):
         return lambda terms: SymFun(self.basis, self.degree + other.degree, terms)
 
     @classmethod
-    def zero(cls, basis: str, degree: int, zpart: bool = False) -> "SymFun":
-        return cls(basis, degree, None, zpart)
+    def zero(cls, basis: str, degree: int) -> "SymFun":
+        return cls(basis, degree)
 
     @classmethod
-    def scalar(cls, basis: str, c: LaurentPoly | Scalar = 1) -> "SymFun":
-        return cls(basis, 0, {(): c})
+    def scalar(cls, basis: str) -> "SymFun":
+        """The constant 1."""
+        return cls(basis, 0, {(): 1})
 
     @classmethod
     def generator(cls, basis: str, n: int, c: LaurentPoly | Scalar = 1) -> "SymFun":
@@ -532,34 +533,31 @@ class SymSeries:
         coeffs = [a.omega() for a in self.coeffs]
         return SymSeries(coeffs[0].basis, coeffs)
 
-    def mul(self, other: "SymSeries", order: int | None = None) -> "SymSeries":
+    def mul(self, other: "SymSeries") -> "SymSeries":
+        """Graded product, to the smaller of the two orders."""
         if self.basis != other.basis:
             raise ValueError("mismatched bases")
-        if order is None:
-            order = min(self.order, other.order)
         coeffs = []
-        for n in range(order + 1):
+        for n in range(min(self.order, other.order) + 1):
             acc = SymFun.zero(self.basis, n)
             for j in range(n + 1):
-                if j <= self.order and n - j <= other.order:
-                    if self.coeffs[j] and other.coeffs[n - j]:
-                        acc = acc + self.coeffs[j] * other.coeffs[n - j]
+                if self.coeffs[j] and other.coeffs[n - j]:
+                    acc = acc + self.coeffs[j] * other.coeffs[n - j]
             coeffs.append(acc)
         return SymSeries(self.basis, coeffs)
 
-    def div(self, other: "SymSeries", order: int | None = None) -> "SymSeries":
-        """Graded division; the divisor must have constant term 1."""
+    def div(self, other: "SymSeries") -> "SymSeries":
+        """Graded division, to the smaller of the two orders; the divisor
+        must have constant term 1."""
         if self.basis != other.basis:
             raise ValueError("mismatched bases")
         if other.coeffs[0] != SymFun.scalar(self.basis):
             raise ValueError("divisor must have constant term 1")
-        if order is None:
-            order = min(self.order, other.order)
         coeffs: list[SymFun] = []
-        for n in range(order + 1):
-            acc = self.coeffs[n] if n <= self.order else SymFun.zero(self.basis, n)
+        for n in range(min(self.order, other.order) + 1):
+            acc = self.coeffs[n]
             for j in range(1, n + 1):
-                if j <= other.order and other.coeffs[j] and coeffs[n - j]:
+                if other.coeffs[j] and coeffs[n - j]:
                     acc = acc - other.coeffs[j] * coeffs[n - j]
             coeffs.append(acc)
         return SymSeries(self.basis, coeffs)

@@ -288,9 +288,9 @@ def suite_qexp(max_order: int) -> list[dict]:
     return records
 
 
-def suite_roots(max_n: int = en.LIMITS["n"]) -> list[dict]:
+def suite_roots() -> list[dict]:
     records = []
-    for n in range(2, max_n + 1):
+    for n in range(2, en.LIMITS["n"] + 1):
         for k in divisors(n):
             for kind in en.ROOT_FAMILIES:
                 parts = en.root_of_unity_parts(kind, n, k)
@@ -452,7 +452,7 @@ def suite_counting(
     return records
 
 
-def suite_series(order: int = 6) -> list[dict]:
+def suite_series(order: int) -> list[dict]:
     records = []
     for variant in en.VARIANTS:
         ok = en.quotient_form_check(variant, order)
@@ -466,7 +466,7 @@ def suite_series(order: int = 6) -> list[dict]:
         )
     D = en.denominator_series(order)
     inv = SymSeries.one("e", order).div(D)
-    ok = D.mul(inv, order) == SymSeries.one("e", order)
+    ok = D.mul(inv) == SymSeries.one("e", order)
     records.append(_record("series-geometric-inverse", {"order": order}, ok, ok, True))
     for n in range(2, order + 1):
         less = en.closed_form("Wless", n)
@@ -483,11 +483,10 @@ def suite_series(order: int = 6) -> list[dict]:
             records.append(_record(name, {"n": n}, lhs == rhs, lhs, rhs))
     H = SymSeries.h_series_p(order)
     Htz = H.grade_scale_t()
+    ratio = H.div(Htz)
+    lhs = SymSeries.one("p", order)
     for power in range(1, 4):
-        ratio = H.div(Htz)
-        lhs = SymSeries.one("p", order)
-        for _ in range(power):
-            lhs = lhs.mul(ratio, order)
+        lhs = lhs.mul(ratio)
         coeffs = []
         for n in range(order + 1):
             terms = {}
@@ -497,11 +496,7 @@ def suite_series(order: int = 6) -> list[dict]:
                     c = c * (ONE - LaurentPoly.t_power(part))
                 terms[lam] = c * Fraction(1, z_of(lam))
             coeffs.append(SymFun("p", n, terms))
-        rhs = SymSeries("p", coeffs)
-        ok = lhs == rhs
-        for n in range(min(order, 6) + 1):
-            if n >= 1:
-                ok = ok and expand_in_variables(lhs[n], n) == expand_in_variables(rhs[n], n)
+        ok = lhs == SymSeries("p", coeffs)
         records.append(
             _record("h-ratio-power", {"power": power, "order": order}, ok, ok, True)
         )
@@ -511,7 +506,7 @@ def suite_series(order: int = 6) -> list[dict]:
         + [en.powersum_form("W", n).from_zpart() for n in range(1, order + 1)],
     )
     denom = Htz - H.scale(T)
-    lhs = ps_series.mul(denom, order)
+    lhs = ps_series.mul(denom)
     rhs = H.scale(ONE - T)
     records.append(
         _record("eulerian-powersum-series", {"order": order}, lhs == rhs, lhs == rhs, True)
@@ -522,9 +517,9 @@ def suite_series(order: int = 6) -> list[dict]:
     return records
 
 
-def suite_transfer(max_k: int = 5) -> list[dict]:
+def suite_transfer() -> list[dict]:
     records = []
-    for k in range(2, max_k + 1):
+    for k in range(2, 6):
         ok = en.transfer_matrix_check(k)
         records.append(_record("transfer-determinant", {"k": k}, ok, ok, True))
     for k in range(1, 7):

@@ -12,7 +12,7 @@ import pytest
 from smirnov import cli, combinat, exact, symfun, verify
 from smirnov import enumerators as en
 from smirnov.exact import LaurentPoly, t_quantum
-from smirnov.symfun import MonomialTable, SymFun
+from smirnov.symfun import MonomialTable, SymFun, SymSeries
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 REFERENCE_RUNS = json.loads(REFERENCE.read_text())
@@ -284,6 +284,26 @@ class TestVerify:
         monkeypatch.setattr(en, "t_quantum", lambda n: t_quantum(n + 1))
         code, _, _ = run_cli(capsys, "verify", "--suite", "transfer")
         assert code == 1
+
+    def test_shifted_root_value_fails_roots(self, capsys, monkeypatch):
+        original = en.eval_at_root_of_unity
+        monkeypatch.setattr(en, "eval_at_root_of_unity", lambda f, k: original(f, k) + exact.ONE)
+        code, _, _ = run_cli(capsys, "verify", "--suite", "roots")
+        assert code == 1
+
+    def test_perturbed_h_series_fails_series(self, capsys, monkeypatch):
+        original = SymSeries.h_series_p
+
+        def h_series_p(order):
+            coeffs = original(order).coeffs
+            coeffs[2] = coeffs[2] + SymFun.generator("p", 2)
+            return SymSeries("p", coeffs)
+
+        monkeypatch.setattr(SymSeries, "h_series_p", staticmethod(h_series_p))
+        code, out, _ = run_cli(capsys, "verify", "--suite", "series", "--format", "json")
+        assert code == 1
+        failed = {r["check"] for r in json.loads(out) if r["status"] == "fail"}
+        assert failed == {"h-ratio-power", "eulerian-powersum-series"}
 
     def test_perturbed_cyclic_form_fails_unimodal(self, capsys, monkeypatch):
         original = en.closed_form

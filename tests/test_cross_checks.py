@@ -93,7 +93,7 @@ class TestEvaluationEqualsRectangleCoefficient:
             for k in range(1, n + 1):
                 if n % k:
                     continue
-                value = eval_at_root_of_unity(en.q_eulerian(kind, n), k).as_t_polynomial()
+                value = eval_at_root_of_unity(en.q_eulerian(kind, n), k)
                 rectangle = (k,) * (n // k)
                 assert value == en.powersum_form(variant, n).coeff(rectangle), (kind, n, k)
 

@@ -365,7 +365,7 @@ class TestTransferMatrix:
             for order in range(1, k + 1):
                 assert en.transfer_matrix_check(k, order), (k, order)
 
-    @pytest.mark.parametrize("k, order", [(0, None), (7, None), (3, 4)])
+    @pytest.mark.parametrize("k, order", [(0, None), (7, None), (3, 4), (3, -1)])
     def test_out_of_range_is_rejected(self, k, order):
         with pytest.raises(ValueError):
             en.transfer_matrix_check(k, order)

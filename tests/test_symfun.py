@@ -355,6 +355,19 @@ class TestSeries:
         D = SymSeries.from_weights(5, lambda i: ONE if i == 0 else (T if i >= 2 else None))
         assert A.div(D).mul(D) == A
 
+    def test_unequal_orders_work_to_the_smaller(self):
+        def weight(i):
+            return ONE if i == 0 else (T if i >= 2 else None)
+
+        def truncated(series, order):
+            return SymSeries(series.basis, series.coeffs[: order + 1])
+
+        A, A_short = SymSeries.generating("e", 6), SymSeries.generating("e", 4)
+        D, D_short = SymSeries.from_weights(6, weight), SymSeries.from_weights(4, weight)
+        for a, d in ((A_short, D), (A, D_short)):
+            assert a.mul(d) == d.mul(a) == truncated(A.mul(D), 4)
+            assert a.div(d) == truncated(A.div(D), 4)
+
     def test_grade_scale_and_dt(self):
         E = SymSeries.generating("e", 4)
         Etz = E.grade_scale_t()
