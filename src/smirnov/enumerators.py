@@ -499,8 +499,10 @@ def root_of_unity_parts(kind: str, n: int, k: int) -> dict:
         raise ValueError(f"unknown family {kind!r}")
     if n < 2:
         raise ValueError("n must be at least 2")
-    if k < 1 or n % k:
-        raise ValueError("k must divide n")
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    if n % k:
+        raise ValueError(f"k must divide n, got k = {k} and n = {n}")
     m = n // k
     via_eval = eval_at_root_of_unity(q_eulerian(kind, n), k)
     qk = t_quantum(k)

@@ -276,10 +276,14 @@ def eulerian(n: int) -> LaurentPoly:
     return LaurentPoly(dict(enumerate(row)))
 
 
-def euler_series_check(m: int, order: int = 12) -> bool:
+EULER_SERIES_ORDER = 12  # the truncation order of euler_series_check
+
+
+def euler_series_check(m: int) -> bool:
     """Truncated power-series identity t*A(m-1)/(1-t)^m = sum_k k^(m-1) t^k, m >= 2."""
     if m < 2:
         raise ValueError("m must be at least 2")
+    order = EULER_SERIES_ORDER
     inv = LaurentPoly({j: math.comb(j + m - 1, m - 1) for j in range(order + 1)})
     lhs = ((T * eulerian(m - 1)) * inv).truncated(order)
     rhs = LaurentPoly({k: k ** (m - 1) for k in range(1, order + 1)})

@@ -415,6 +415,39 @@ class TestVerify:
         assert info.value.code == 2
 
 
+class TestRecords:
+    """A record passes exactly when its shown sides are equal; only the
+    checks whose condition is wider than those sides say otherwise."""
+
+    WIDER = {
+        "powersum-vs-brute",
+        "f-vs-closed",
+        "powersum-weight-palindromic",
+        "root-of-unity",
+        "cycle-even-corrected",
+        "cyclic-coefficient-smallest-part-one",
+        "cyclic-coefficient-rectangle",
+    }
+
+    def test_status_is_the_comparison_of_the_shown_sides(self):
+        records = json.loads(json.dumps(verify.run_suites(verify.SUITES)))
+        assert self.WIDER <= {r["check"] for r in records}
+        narrow = [r for r in records if r["check"] not in self.WIDER]
+        assert narrow
+        for r in narrow:
+            assert (r["status"] == "pass") == (r["lhs"] == r["rhs"]), r
+
+    def test_record_compares_its_sides_and_shares_equal_tables(self):
+        closed = symfun.expand_in_variables(en.closed_form("W", 3), 3)
+        oracle = combinat.brute_enumerator("W", 3, 3)
+        same = verify._record("oracle", {}, closed, oracle)
+        assert same["status"] == "pass" and same["lhs"] is same["rhs"]
+        differ = verify._record("oracle", {}, closed, oracle.scale(exact.T))
+        assert differ["status"] == "fail" and differ["lhs"] != differ["rhs"]
+        assert verify._record("wider", {}, 1, 2, ok=True)["status"] == "pass"
+        assert verify._record("wider", {}, 1, 1, ok=False)["status"] == "fail"
+
+
 class TestReferenceOutputs:
     """Every single-answer command that perfbench/reference.json records, at
     n = 8, run in-process: exit code and stdout digest must match."""
@@ -456,6 +489,20 @@ class TestUsageErrors:
             cli.main(["verify", "--suite", "qexp", "--max-order", "9"])
         assert info.value.code == 2
         assert "--max-order" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["roots", "qeuler"])
+    @pytest.mark.parametrize(
+        "k, message",
+        [
+            ("0", "k must be positive, got 0"),
+            ("-1", "k must be positive, got -1"),
+            ("3", "k must divide n, got k = 3 and n = 8"),
+        ],
+    )
+    def test_bad_root_order(self, capsys, verb, k, message):
+        code = cli.main([verb, "--variant", "Ades", "--n", "8", "--q-root", k])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_missing_verb(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -126,7 +126,7 @@ class TestEulerian:
 
     @pytest.mark.parametrize("m", range(2, 6))
     def test_geometric_series_identity(self, m):
-        assert euler_series_check(m, 12)
+        assert euler_series_check(m)
 
 
 class TestQBinomial:
