@@ -36,15 +36,12 @@ from .symfun import (
 from .combinat import (
     Digraph,
     PermStats,
-    WordStats,
     F_ones_specialization,
     F_principal_series,
     brute_enumerator,
     chromatic_qsym,
     fundamental_F,
     perm_stats,
-    smirnov_words,
-    word_stats,
 )
 from .enumerators import (
     FExpansion,

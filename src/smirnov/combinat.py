@@ -13,28 +13,26 @@ seven variants (``_word_ends``), and ``_fill`` writes it at every placement
 into k variables.  ``chromatic_qsym`` is a frontier DP over the vertices, and
 ``perm_walk`` a prefix DP over permutations that ``enumerators.f_expansion``
 and ``enumerators.q_eulerian`` run with their own step rules.  Everything
-else here enumerates objects one at a time, ``smirnov_words``,
-``word_stats``, ``permutations_of``, ``perm_stats``, ``inverse_perm`` and
-``fundamental_F`` included.  The trust chain is closed form <-> DP or
-M_alpha rule (``enumerators.FExpansion.to_table``), checked by ``verify``
-and the acceptance tests, and DP or M_alpha rule <-> per-object enumeration,
-checked by the unit tests at small n.
+else here enumerates objects one at a time, ``permutations_of``,
+``perm_stats``, ``inverse_perm`` and ``fundamental_F`` included; the word
+by word enumeration is a reference module of the tests.  The trust chain is
+closed form <-> DP or M_alpha rule (``enumerators.FExpansion.to_table``),
+checked by ``verify`` and the acceptance tests, and DP or M_alpha rule <->
+per-object enumeration, checked by the unit tests at small n.  The tables
+the DPs write take ``MonomialTable``'s trusted path, since their keys are
+exponent vectors of length k by construction.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations, permutations
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .exact import LaurentPoly, QtPoly
 from .symfun import MonomialTable
-
-Word = tuple[int, ...]
-
-WORD_CLASSES = ("all", "<", ">", "=", "!=")
 
 
 def _endpoint_class(first: int, last: int) -> str:
@@ -65,7 +63,7 @@ def _packed_table(k: int, base: int, width: int, packed: dict[int, int]) -> Mono
             code, e = divmod(code, base)
             vec.append(e)
         terms[tuple(vec)] = LaurentPoly(packed_coeffs(poly, width))
-    return MonomialTable(k, terms)
+    return MonomialTable.zero(k)._like(terms)
 
 
 def packed_coeffs(poly: int, width: int) -> dict[int, int]:
@@ -80,56 +78,6 @@ def packed_coeffs(poly: int, width: int) -> dict[int, int]:
         poly >>= width
         slot += 1
     return coeffs
-
-
-def smirnov_words(n: int, k: int, class_filter: str = "all") -> Iterator[Word]:
-    """Stream the Smirnov words of length n over the alphabet 1..k whose
-    first/last letters satisfy the class filter."""
-    if n < 1 or k < 1:
-        raise ValueError("n and k must be positive")
-    if class_filter not in WORD_CLASSES:
-        raise ValueError(f"unknown class filter {class_filter!r}")
-    word = [0] * n
-
-    def extend(i: int) -> Iterator[Word]:
-        for c in range(1, k + 1):
-            if i and c == word[i - 1]:
-                continue
-            word[i] = c
-            if i == n - 1:
-                if _passes(class_filter, _endpoint_class(word[0], c)):
-                    yield tuple(word)
-            else:
-                yield from extend(i + 1)
-
-    return extend(0)
-
-
-@dataclass(frozen=True)
-class WordStats:
-    des: int
-    asc: int
-    cdes: int
-    endpoint: str  # '<', '>', or '='
-
-
-def word_stats(w: Sequence[int]) -> WordStats:
-    """Descent, ascent, and cyclic descent counts of a word.
-
-    The cyclic descent count adds the wraparound comparison of the last
-    letter against the first.
-
-    >>> word_stats((1, 2, 1))
-    WordStats(des=1, asc=1, cdes=1, endpoint='=')
-    >>> word_stats((1, 2))
-    WordStats(des=0, asc=1, cdes=1, endpoint='<')
-    """
-    if not w:
-        raise ValueError("word must be nonempty")
-    des = sum(1 for i in range(len(w) - 1) if w[i] > w[i + 1])
-    asc = sum(1 for i in range(len(w) - 1) if w[i] < w[i + 1])
-    cdes = des + (1 if w[-1] > w[0] else 0)
-    return WordStats(des, asc, cdes, _endpoint_class(w[0], w[-1]))
 
 
 # variant tag -> (endpoint class filter, statistic)
@@ -204,7 +152,7 @@ def _fill(k: int, coeffs: dict[tuple[int, ...], LaurentPoly]) -> MonomialTable:
             for slot, part in zip(slots, alpha):
                 vec[slot] = part
             terms[tuple(vec)] = c
-    return MonomialTable(k, terms)
+    return MonomialTable.zero(k)._like(terms)
 
 
 def brute_enumerator(variant: str, n: int, k: int) -> MonomialTable:
@@ -234,27 +182,26 @@ def brute_enumerator(variant: str, n: int, k: int) -> MonomialTable:
     return _fill(k, coeffs)
 
 
-@dataclass(frozen=True)
-class Digraph:
+class Digraph(namedtuple("Digraph", ("n", "edges", "directed"))):
     """A loopless digraph on vertices 1..n, edges with multiplicity.
 
     In labeled (undirected) mode edges are stored oriented from the smaller
     vertex to the larger one, which makes the descent count of a coloring the
-    same expression in both modes.
+    same expression in both modes.  Immutable and hashable, with equality by
+    its fields.
     """
 
-    n: int
-    edges: tuple[tuple[int, int], ...]
-    directed: bool = True
+    __slots__ = ()
 
-    def __post_init__(self):
-        for i, j in self.edges:
+    def __new__(cls, n: int, edges: tuple[tuple[int, int], ...], directed: bool = True):
+        for i, j in edges:
             if i == j:
                 raise ValueError("self-loops are not allowed")
-            if not (1 <= i <= self.n and 1 <= j <= self.n):
+            if not (1 <= i <= n and 1 <= j <= n):
                 raise ValueError("edge endpoint out of range")
-            if not self.directed and i > j:
+            if not directed and i > j:
                 raise ValueError("labeled edges must be stored small to large")
+        return super().__new__(cls, n, edges, directed)
 
     @staticmethod
     def path(n: int) -> "Digraph":
@@ -330,8 +277,7 @@ def chromatic_qsym(g: Digraph, k: int) -> MonomialTable:
 Perm = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class PermStats:
+class PermStats(NamedTuple):
     des: int
     cdes: int
     exc: int

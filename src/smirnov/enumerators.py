@@ -17,10 +17,9 @@ check each walk against a sweep over every permutation, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, combinations, permutations
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .exact import (
     ONE,
@@ -282,8 +281,7 @@ def _subset_sums(values: list[int]) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class FExpansion:
+class FExpansion(NamedTuple):
     """A sum of t^e F_{n,S} terms with positive integer multiplicities."""
 
     degree: int

@@ -2,10 +2,15 @@
 
 ``LaurentPoly`` is a sparse Laurent polynomial in ``t`` with arbitrary
 precision rational coefficients; it keeps its own arithmetic, as the scalar
-ring and the hot kernel.  ``Combination`` is the one arithmetic core for
-finite sums of keyed ``LaurentPoly`` coefficients: equality, sums,
-differences, scaling, coefficient maps, the bilinear product and the sum of
-coefficients are written once there.  Its subclasses say only how a key is
+ring and the hot kernel.  The kernel is int-first: a coefficient is a plain
+``int`` wherever it is integral, a quotient is a ``Fraction`` only when it
+is not, and dispatch tests exact types before any ``isinstance`` against
+``Fraction``, whose ABC check runs in Python.  Results of arithmetic are
+built by ``_canonical`` or ``_trusted``, not by the validating constructor.
+``Combination`` is the one arithmetic core for finite sums of keyed
+``LaurentPoly`` coefficients: equality, sums, differences, scaling,
+coefficient maps, the bilinear product and the sum of coefficients are
+written once there.  Its subclasses say only how a key is
 checked, which attributes two values must share, and how two keys multiply:
 ``QtPoly`` (a polynomial in ``q``, keyed by the q-exponent) here, and
 ``SymFun`` and ``MonomialTable`` in ``symfun``.  ``eval_at_root_of_unity``
@@ -19,7 +24,6 @@ is a pure function, so values are safe to share between concurrent workers.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterator, Mapping, Union
@@ -29,9 +33,35 @@ Scalar = Union[int, Fraction]
 
 def _clean(c: Scalar) -> Scalar:
     """Collapse integral fractions to plain ints."""
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
+    if type(c) is Fraction and c.denominator == 1:
+        return c.numerator
     return c
+
+
+def _quotient(a: Scalar, b: Scalar) -> Scalar:
+    """a / b exactly: an int when both are ints and b divides a."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return _clean(Fraction(a, b))
+
+
+def _canonical(terms: dict) -> "LaurentPoly":
+    """A LaurentPoly from int exponents and coefficients that arithmetic
+    produced: zeros are dropped and integral fractions collapsed, nothing
+    else is checked."""
+    p = object.__new__(LaurentPoly)
+    p.terms = {e: c if type(c) is int else _clean(c) for e, c in terms.items() if c}
+    return p
+
+
+def _trusted(terms: dict) -> "LaurentPoly":
+    """A LaurentPoly from terms already canonical: int exponents, nonzero
+    coefficients, no integral fraction."""
+    p = object.__new__(LaurentPoly)
+    p.terms = terms
+    return p
 
 
 def _coeff_to_json(c: Scalar):
@@ -59,7 +89,8 @@ class LaurentPoly:
         cleaned: dict[int, Scalar] = {}
         if terms:
             for e, c in terms.items():
-                c = _clean(c)
+                if type(c) is not int:
+                    c = _clean(c)
                 if c:
                     cleaned[int(e)] = c
         self.terms = cleaned
@@ -103,42 +134,56 @@ class LaurentPoly:
 
     __hash__ = None  # mutable mapping inside; never used as a key
 
-    def __add__(self, other) -> "LaurentPoly":
+    def _operand(self, other):
+        """A non-LaurentPoly operand as a LaurentPoly, or NotImplemented."""
         if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
+            return LaurentPoly.const(other)
+        return other if isinstance(other, LaurentPoly) else NotImplemented
+
+    def __add__(self, other) -> "LaurentPoly":
+        if type(other) is not LaurentPoly:
+            other = self._operand(other)
+            if other is NotImplemented:
+                return NotImplemented
         out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly(out)
+        get = out.get
+        for e, c in other.terms.items():  # only these terms can leave canonical form
+            c = get(e, 0) + c
+            if not c:
+                del out[e]
+            else:
+                out[e] = c if type(c) is int else _clean(c)
+        return _trusted(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self.terms.items()})
+        return _trusted({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "LaurentPoly":
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
+        if type(other) is not LaurentPoly:
+            other = self._operand(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other) -> "LaurentPoly":
         return (-self) + other
 
     def __mul__(self, other) -> "LaurentPoly":
-        if isinstance(other, (int, Fraction)):
-            return LaurentPoly({e: c * other for e, c in self.terms.items()})
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
+        if type(other) is not LaurentPoly:
+            if isinstance(other, (int, Fraction)):
+                return _canonical({e: c * other for e, c in self.terms.items()})
+            if not isinstance(other, LaurentPoly):
+                return NotImplemented
         out: dict[int, Scalar] = {}
+        get = out.get
+        other_terms = other.terms.items()
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+            for e2, c2 in other_terms:
                 e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPoly(out)
+                out[e] = get(e, 0) + c1 * c2
+        return _canonical(out)
 
     __rmul__ = __mul__
 
@@ -156,12 +201,13 @@ class LaurentPoly:
 
     def __truediv__(self, other) -> "LaurentPoly":
         """Exact division; raises ValueError when the quotient is not Laurent."""
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError("division by zero")
-            return self * Fraction(1, other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
+        if type(other) is not LaurentPoly:
+            if isinstance(other, (int, Fraction)):
+                if other == 0:
+                    raise ZeroDivisionError("division by zero")
+                return _trusted({e: _quotient(c, other) for e, c in self.terms.items()})
+            if not isinstance(other, LaurentPoly):
+                return NotImplemented
         if not other:
             raise ZeroDivisionError("division by the zero polynomial")
         if not self:
@@ -176,7 +222,7 @@ class LaurentPoly:
             shift = rdeg - gdeg
             if shift < min_shift:
                 raise ValueError("not divisible")
-            c = _clean(Fraction(rem[rdeg], glc))
+            c = _quotient(rem[rdeg], glc)
             quo[shift] = c
             for e, gc in other.terms.items():
                 tgt = e + shift
@@ -185,17 +231,17 @@ class LaurentPoly:
                     rem[tgt] = nc
                 else:
                     rem.pop(tgt, None)
-        return LaurentPoly(quo)
+        return _trusted(quo)
 
     def reverse(self, n: int) -> "LaurentPoly":
         """t^n * p(1/t)."""
-        return LaurentPoly({n - e: c for e, c in self.terms.items()})
+        return _trusted({n - e: c for e, c in self.terms.items()})
 
     def derivative(self) -> "LaurentPoly":
-        return LaurentPoly({e - 1: e * c for e, c in self.terms.items() if e})
+        return _canonical({e - 1: e * c for e, c in self.terms.items() if e})
 
     def truncated(self, max_exp: int) -> "LaurentPoly":
-        return LaurentPoly({e: c for e, c in self.terms.items() if e <= max_exp})
+        return _trusted({e: c for e, c in self.terms.items() if e <= max_exp})
 
     def at_one(self) -> Scalar:
         """Evaluate at t = 1."""
@@ -327,11 +373,14 @@ class Combination:
 
     ``terms`` maps each key to a nonzero coefficient.  A subclass supplies
     ``_key`` (check and normalise a key, raising ValueError), ``_shape``
-    (what two values must share to be added or compared), ``_like`` (a value
-    of the same shape with other terms), ``_mul_key`` (how two keys
-    multiply) and, where the product changes the shape, ``_product_like``.
-    Every constructor stores its terms through ``_store``, so each key is
-    checked on every construction path.
+    (what two values must share to be added or compared), ``_copy_shape``
+    (set those attributes on a new value), ``_mul_key`` (how two keys
+    multiply: the product key and an int structure constant) and, where the
+    product changes the shape, ``_product_shape``.  Public constructors
+    store their terms through ``_store``, which checks every key; values
+    derived from checked keys (sums, negation, scaling, coefficient maps and
+    products) take the trusted path ``_like``, which only drops zero
+    coefficients.
     """
 
     __slots__ = ("terms",)
@@ -350,6 +399,17 @@ class Combination:
     def _shape(self) -> tuple:
         return ()
 
+    def _copy_shape(self, out: "Combination") -> None:
+        pass
+
+    def _like(self, terms: dict):
+        """A value of this shape whose keys are already checked and whose
+        coefficients are LaurentPoly values; zero coefficients are dropped."""
+        out = object.__new__(type(self))
+        self._copy_shape(out)
+        out.terms = {key: c for key, c in terms.items() if c}
+        return out
+
     def _compatible(self, other: "Combination") -> None:
         if self._shape() != other._shape():
             raise ValueError(f"mismatched operands {self!r} and {other!r}")
@@ -358,10 +418,10 @@ class Combination:
         """``other`` as a value of this type, or NotImplemented."""
         return other if isinstance(other, type(self)) else NotImplemented
 
-    def _product_like(self, other: "Combination") -> Callable[[dict], "Combination"]:
-        """Check that a product is defined; return the maker of its value."""
+    def _product_shape(self, other: "Combination") -> "Combination":
+        """Check that a product is defined; return a value of its shape."""
         self._compatible(other)
-        return self._like
+        return self
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -409,18 +469,19 @@ class Combination:
 
     def __mul__(self, other):
         """A scalar or LaurentPoly scales; two values multiply bilinearly."""
-        if isinstance(other, (LaurentPoly, int, Fraction)):
-            return self.scale(other)
         if not isinstance(other, type(self)):
+            if isinstance(other, (LaurentPoly, int, Fraction)):
+                return self.scale(other)
             return NotImplemented
-        like = self._product_like(other)
+        shape = self._product_shape(other)
         mul_key = self._mul_key
         out: dict = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
-                key = mul_key(k1, k2)
-                out[key] = out.get(key, ZERO) + c1 * c2
-        return like(out)
+                key, mult = mul_key(k1, k2)
+                c = c1 * c2
+                out[key] = out.get(key, ZERO) + (c if mult == 1 else c * mult)
+        return shape._like(out)
 
     __rmul__ = __mul__
 
@@ -448,15 +509,16 @@ class QtPoly(Combination):
             raise ValueError("q-exponents must be nonnegative")
         return int(e)
 
-    def _like(self, terms) -> "QtPoly":
-        return QtPoly(terms)
-
-    _mul_key = staticmethod(operator.add)
+    @staticmethod
+    def _mul_key(e1: int, e2: int) -> tuple[int, int]:
+        return e1 + e2, 1
 
     def _lift(self, other):
+        if isinstance(other, QtPoly):
+            return other
         if isinstance(other, (LaurentPoly, int, Fraction)):
             return QtPoly({0: other})
-        return super()._lift(other)
+        return NotImplemented
 
     # Bound here, not only inherited: tools that count calls rebind the names
     # in vars(QtPoly), so an inherited product would go uncounted.
@@ -529,7 +591,7 @@ def qt_divmod(f: QtPoly, g: QtPoly) -> tuple[QtPoly, QtPoly]:
                 rem[tgt] = nc
             else:
                 rem.pop(tgt, None)
-    return QtPoly(quo), QtPoly(rem)
+    return f._like(quo), f._like(rem)
 
 
 @lru_cache(maxsize=None)

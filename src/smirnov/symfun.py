@@ -14,6 +14,18 @@ addition).  A
 ``SymSeries`` is a graded sequence of ``SymFun`` values indexed by the power
 of a formal variable z; the grading and the x-degree always coincide here.
 
+Power sums are kept in ``zpart`` form, against p_lam / z_lam, where products
+have integer structure constants (Macdonald I.2): with m_i(lam) the number of
+parts i of lam,
+
+    (p_lam / z_lam)(p_mu / z_mu) = prod_i C(m_i(lam) + m_i(mu), m_i(lam))
+                                   * p_(lam u mu) / z_(lam u mu).
+
+So the complete homogeneous series is sum_lam p_lam / z_lam with every
+coefficient 1, and the power sum identities run in integers.  ``Fraction``
+coefficients appear only at the output edge: ``from_zpart`` (plain p
+coefficients), and expansions whose values are not integral.
+
 Both directions between a ``SymFun`` and a ``MonomialTable`` go through the
 monomial basis.  The coefficient of m_mu in e_lam, h_lam or p_lam is an
 integer count of matrices with row sums lam and column sums mu (0-1 rows,
@@ -27,7 +39,6 @@ symmetry certificate for tables produced by brute-force enumeration.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Mapping
 
@@ -100,6 +111,23 @@ def merge(lam: Partition, mu: Partition) -> Partition:
     return tuple(sorted(lam + mu, reverse=True))
 
 
+@lru_cache(maxsize=None)
+def _product_key(lam: Partition, mu: Partition, zpart: bool) -> tuple[Partition, int]:
+    """The partition of b_lam * b_mu and its integer structure constant: 1 in
+    a multiplicative basis, and prod_i C(m_i(lam) + m_i(mu), m_i(mu)) against
+    p / z, which is z_(lam u mu) / (z_lam * z_mu).
+
+    >>> _product_key((2, 1), (1,), True)
+    ((2, 1, 1), 2)
+    """
+    mult = 1
+    if zpart:
+        for part in set(mu):
+            m = mu.count(part)
+            mult *= math.comb(lam.count(part) + m, m)
+    return merge(lam, mu), mult
+
+
 _BASES = ("e", "h", "p", "m")
 
 
@@ -108,7 +136,8 @@ class SymFun(Combination):
 
     ``zpart`` applies to the p basis only and records that coefficients are
     stored relative to p_lam / z_lam rather than p_lam.  Products stay in a
-    common multiplicative basis (e, h, or plain p).
+    common multiplicative basis (e, h, plain p, or p / z with its binomial
+    structure constants).
     """
 
     __slots__ = ("basis", "degree", "zpart")
@@ -140,24 +169,25 @@ class SymFun(Combination):
     def _shape(self) -> tuple:
         return (self.basis, self.zpart, self.degree)
 
-    def _like(self, terms) -> "SymFun":
-        return SymFun(self.basis, self.degree, terms, self.zpart)
+    def _copy_shape(self, out: "SymFun") -> None:
+        out.basis, out.degree, out.zpart = self.basis, self.degree, self.zpart
 
-    _mul_key = staticmethod(merge)
+    def _mul_key(self, lam: Partition, mu: Partition) -> tuple[Partition, int]:
+        return _product_key(lam, mu, self.zpart)
 
-    def _product_like(self, other: "SymFun"):
-        if self.basis != other.basis or self.basis == "m" or self.zpart or other.zpart:
+    def _product_shape(self, other: "SymFun") -> "SymFun":
+        if self.basis != other.basis or self.basis == "m" or self.zpart != other.zpart:
             raise ValueError("products require a common multiplicative basis")
-        return lambda terms: SymFun(self.basis, self.degree + other.degree, terms)
+        return SymFun(self.basis, self.degree + other.degree, zpart=self.zpart)
 
     @classmethod
-    def zero(cls, basis: str, degree: int) -> "SymFun":
-        return cls(basis, degree)
+    def zero(cls, basis: str, degree: int, zpart: bool = False) -> "SymFun":
+        return cls(basis, degree, zpart=zpart)
 
     @classmethod
-    def scalar(cls, basis: str) -> "SymFun":
+    def scalar(cls, basis: str, zpart: bool = False) -> "SymFun":
         """The constant 1."""
-        return cls(basis, 0, {(): 1})
+        return cls(basis, 0, {(): 1}, zpart)
 
     @classmethod
     def generator(cls, basis: str, n: int, c: LaurentPoly | Scalar = 1) -> "SymFun":
@@ -183,7 +213,7 @@ class SymFun(Combination):
         if not self.zpart:
             raise ValueError("from_zpart requires zpart coefficients")
         return SymFun(
-            "p", self.degree, {l: c * Fraction(1, z_of(l)) for l, c in self.terms.items()}
+            "p", self.degree, {l: c / z_of(l) for l, c in self.terms.items()}
         )
 
     def valuation(self) -> int | None:
@@ -233,12 +263,12 @@ class MonomialTable(Combination):
     def _shape(self) -> tuple:
         return (self.nvars,)
 
-    def _like(self, terms) -> "MonomialTable":
-        return MonomialTable(self.nvars, terms)
+    def _copy_shape(self, out: "MonomialTable") -> None:
+        out.nvars = self.nvars
 
     @staticmethod
-    def _mul_key(v1: tuple, v2: tuple) -> tuple:
-        return tuple(a + b for a, b in zip(v1, v2))
+    def _mul_key(v1: tuple, v2: tuple) -> tuple[tuple, int]:
+        return tuple(a + b for a, b in zip(v1, v2)), 1
 
     @classmethod
     def zero(cls, nvars: int) -> "MonomialTable":
@@ -349,13 +379,15 @@ def expand_in_variables(f: SymFun, k: int) -> MonomialTable:
     The coefficient of m_mu is the sum of c_lam times the integer count
     ``_m_coeff(basis, lam, mu)`` (over z_lam for ``zpart``); it is written
     at every rearrangement of mu padded to length k, for each mu with at
-    most k parts.  No k-variable table is multiplied.
+    most k parts.  No k-variable table is multiplied.  Each z_lam divides
+    n!, so a ``zpart`` sum is taken in integers over n! and divided once.
 
     >>> expand_in_variables(SymFun.generator("e", 2), 2).terms
     {(1, 1): LaurentPoly(1)}
     """
     if k < 1:
         raise ValueError("need at least one variable")
+    denom = math.factorial(f.degree)
     terms: dict[tuple, LaurentPoly] = {}
     for mu in partitions_of(f.degree):
         if len(mu) > k:
@@ -364,11 +396,13 @@ def expand_in_variables(f: SymFun, k: int) -> MonomialTable:
         for lam, coeff in f.terms.items():
             mult = _m_coeff(f.basis, lam, mu)
             if mult:
-                c = c + coeff * (Fraction(mult, z_of(lam)) if f.zpart else mult)
+                c = c + coeff * (mult * denom // z_of(lam) if f.zpart else mult)
         if c:
+            if f.zpart:
+                c = c / denom
             for vec in _orbit(mu, k):
                 terms[vec] = c
-    return MonomialTable(k, terms)
+    return MonomialTable.zero(k)._like(terms)
 
 
 def _orbit_size(mu: Partition, k: int) -> int:
@@ -446,22 +480,25 @@ def monomial_to_e(table: MonomialTable, n: int | None = None) -> SymFun:
 
 
 class SymSeries:
-    """Graded z-series whose coefficient at z^n is homogeneous of degree n."""
+    """Graded z-series whose coefficient at z^n is homogeneous of degree n,
+    all in one basis (``zpart`` as for ``SymFun``)."""
 
-    __slots__ = ("basis", "order", "coeffs")
+    __slots__ = ("basis", "zpart", "order", "coeffs")
 
-    def __init__(self, basis: str, coeffs: list[SymFun]):
+    def __init__(self, basis: str, coeffs: list[SymFun], zpart: bool = False):
         for n, f in enumerate(coeffs):
-            if f.basis != basis or f.degree != n or f.zpart:
+            if f.basis != basis or f.degree != n or f.zpart != zpart:
                 raise ValueError("coefficient grading mismatch")
         self.basis = basis
+        self.zpart = zpart
         self.order = len(coeffs) - 1
         self.coeffs = list(coeffs)
 
     @classmethod
-    def one(cls, basis: str, order: int) -> "SymSeries":
-        coeffs = [SymFun.scalar(basis)] + [SymFun.zero(basis, n) for n in range(1, order + 1)]
-        return cls(basis, coeffs)
+    def one(cls, basis: str, order: int, zpart: bool = False) -> "SymSeries":
+        coeffs = [SymFun.scalar(basis, zpart)]
+        coeffs += [SymFun.zero(basis, n, zpart) for n in range(1, order + 1)]
+        return cls(basis, coeffs, zpart)
 
     @classmethod
     def from_weights(
@@ -484,12 +521,13 @@ class SymSeries:
 
     @classmethod
     def h_series_p(cls, order: int) -> "SymSeries":
-        """The complete homogeneous series written in the power sum basis."""
+        """The complete homogeneous series against p / z: h_n is the sum of
+        p_lam / z_lam over the partitions of n, every coefficient 1."""
         coeffs = [
-            SymFun("p", n, {lam: Fraction(1, z_of(lam)) for lam in partitions_of(n)})
+            SymFun("p", n, {lam: ONE for lam in partitions_of(n)}, zpart=True)
             for n in range(order + 1)
         ]
-        return cls("p", coeffs)
+        return cls("p", coeffs, zpart=True)
 
     def __getitem__(self, n: int) -> SymFun:
         return self.coeffs[n]
@@ -499,59 +537,64 @@ class SymSeries:
             return NotImplemented
         return (
             self.basis == other.basis
+            and self.zpart == other.zpart
             and self.order == other.order
             and self.coeffs == other.coeffs
         )
 
     __hash__ = None
 
+    def _check_basis(self, other: "SymSeries") -> None:
+        if (self.basis, self.zpart) != (other.basis, other.zpart):
+            raise ValueError("mismatched bases")
+
+    def _like(self, coeffs: list[SymFun]) -> "SymSeries":
+        return SymSeries(self.basis, coeffs, self.zpart)
+
     def __add__(self, other: "SymSeries") -> "SymSeries":
-        if self.basis != other.basis or self.order != other.order:
+        self._check_basis(other)
+        if self.order != other.order:
             raise ValueError("mismatched series")
-        return SymSeries(self.basis, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return self._like([a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __neg__(self) -> "SymSeries":
-        return SymSeries(self.basis, [-a for a in self.coeffs])
+        return self._like([-a for a in self.coeffs])
 
     def __sub__(self, other: "SymSeries") -> "SymSeries":
         return self + (-other)
 
     def scale(self, c: LaurentPoly | Scalar) -> "SymSeries":
-        return SymSeries(self.basis, [a.scale(c) for a in self.coeffs])
+        return self._like([a.scale(c) for a in self.coeffs])
 
     def grade_scale_t(self) -> "SymSeries":
         """z -> tz: the coefficient of z^n is multiplied by t^n."""
-        return SymSeries(
-            self.basis, [a.scale(LaurentPoly.t_power(n)) for n, a in enumerate(self.coeffs)]
-        )
+        return self._like([a.scale(LaurentPoly.t_power(n)) for n, a in enumerate(self.coeffs)])
 
     def dt(self) -> "SymSeries":
         """Coefficientwise d/dt."""
-        return SymSeries(self.basis, [a.map_coeffs(lambda p: p.derivative()) for a in self.coeffs])
+        return self._like([a.map_coeffs(lambda p: p.derivative()) for a in self.coeffs])
 
     def omega(self) -> "SymSeries":
         coeffs = [a.omega() for a in self.coeffs]
-        return SymSeries(coeffs[0].basis, coeffs)
+        return SymSeries(coeffs[0].basis, coeffs, self.zpart)
 
     def mul(self, other: "SymSeries") -> "SymSeries":
         """Graded product, to the smaller of the two orders."""
-        if self.basis != other.basis:
-            raise ValueError("mismatched bases")
+        self._check_basis(other)
         coeffs = []
         for n in range(min(self.order, other.order) + 1):
-            acc = SymFun.zero(self.basis, n)
+            acc = SymFun.zero(self.basis, n, self.zpart)
             for j in range(n + 1):
                 if self.coeffs[j] and other.coeffs[n - j]:
                     acc = acc + self.coeffs[j] * other.coeffs[n - j]
             coeffs.append(acc)
-        return SymSeries(self.basis, coeffs)
+        return self._like(coeffs)
 
     def div(self, other: "SymSeries") -> "SymSeries":
         """Graded division, to the smaller of the two orders; the divisor
         must have constant term 1."""
-        if self.basis != other.basis:
-            raise ValueError("mismatched bases")
-        if other.coeffs[0] != SymFun.scalar(self.basis):
+        self._check_basis(other)
+        if other.coeffs[0] != SymFun.scalar(self.basis, self.zpart):
             raise ValueError("divisor must have constant term 1")
         coeffs: list[SymFun] = []
         for n in range(min(self.order, other.order) + 1):
@@ -560,7 +603,7 @@ class SymSeries:
                 if other.coeffs[j] and coeffs[n - j]:
                     acc = acc - other.coeffs[j] * coeffs[n - j]
             coeffs.append(acc)
-        return SymSeries(self.basis, coeffs)
+        return self._like(coeffs)
 
 
 def e_positivity_report(f: SymFun) -> tuple[bool, list[tuple[Partition, LaurentPoly, bool]]]:

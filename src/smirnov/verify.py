@@ -46,7 +46,6 @@ from .symfun import (
     expand_in_variables,
     monomial_to_e,
     partitions_of,
-    z_of,
 )
 
 
@@ -171,19 +170,20 @@ def suite_powersum(max_n: int) -> list[dict]:
 
 def _powersum_extraction(n: int) -> SymFun:
     """Solve the cross-multiplied homogeneous-series identity for the power
-    sum coefficients degree by degree; each step divides exactly by 1 - t."""
+    sum coefficients degree by degree, against p / z; each step divides
+    exactly by 1 - t.  The result is shown in plain p."""
     H = SymSeries.h_series_p(n)
     one_minus_t = ONE - T
     denom = [None] + [
         H[j].scale(LaurentPoly.t_power(j) - T) for j in range(1, n + 1)
     ]
-    series: list[SymFun] = [SymFun.scalar("p")]
+    series: list[SymFun] = [SymFun.scalar("p", zpart=True)]
     for m in range(1, n + 1):
         acc = H[m].scale(one_minus_t)
         for j in range(1, m + 1):
             acc = acc - denom[j] * series[m - j]
         series.append(acc.map_coeffs(lambda p: p / one_minus_t))
-    return series[n]
+    return series[n].from_zpart()
 
 
 def suite_f(max_n: int) -> list[dict]:
@@ -413,7 +413,7 @@ def suite_series(order: int) -> list[dict]:
     H = SymSeries.h_series_p(order)
     Htz = H.grade_scale_t()
     ratio = H.div(Htz)
-    lhs = SymSeries.one("p", order)
+    lhs = SymSeries.one("p", order, zpart=True)
     for power in range(1, 4):
         lhs = lhs.mul(ratio)
         coeffs = []
@@ -423,14 +423,14 @@ def suite_series(order: int) -> list[dict]:
                 c = LaurentPoly.const(power ** len(lam))
                 for part in lam:
                     c = c * (ONE - LaurentPoly.t_power(part))
-                terms[lam] = c * Fraction(1, z_of(lam))
-            coeffs.append(SymFun("p", n, terms))
-        ok = lhs == SymSeries("p", coeffs)
+                terms[lam] = c
+            coeffs.append(SymFun("p", n, terms, zpart=True))
+        ok = lhs == SymSeries("p", coeffs, zpart=True)
         records.append(_record("h-ratio-power", {"power": power, "order": order}, ok, True))
     ps_series = SymSeries(
         "p",
-        [SymFun.scalar("p")]
-        + [en.powersum_form("W", n).from_zpart() for n in range(1, order + 1)],
+        [SymFun.scalar("p", zpart=True)] + [en.powersum_form("W", n) for n in range(1, order + 1)],
+        zpart=True,
     )
     denom = Htz - H.scale(T)
     ok = ps_series.mul(denom) == H.scale(ONE - T)

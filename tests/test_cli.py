@@ -296,10 +296,22 @@ class TestVerify:
 
         def h_series_p(order):
             coeffs = original(order).coeffs
-            coeffs[2] = coeffs[2] + SymFun.generator("p", 2)
-            return SymSeries("p", coeffs)
+            coeffs[2] = coeffs[2] + SymFun("p", 2, {(2,): 1}, zpart=True)
+            return SymSeries("p", coeffs, zpart=True)
 
         monkeypatch.setattr(SymSeries, "h_series_p", staticmethod(h_series_p))
+        code, out, _ = run_cli(capsys, "verify", "--suite", "series", "--format", "json")
+        assert code == 1
+        failed = {r["check"] for r in json.loads(out) if r["status"] == "fail"}
+        assert failed == {"h-ratio-power", "eulerian-powersum-series"}
+
+    def test_dropped_binomial_factor_fails_series(self, capsys, monkeypatch):
+        # products against p / z carry the structure constant
+        # prod_i C(m_i(lam) + m_i(mu), m_i(lam)); a product without it must
+        # fail the power sum series checks
+        monkeypatch.setattr(
+            symfun, "_product_key", lambda lam, mu, zpart: (symfun.merge(lam, mu), 1)
+        )
         code, out, _ = run_cli(capsys, "verify", "--suite", "series", "--format", "json")
         assert code == 1
         failed = {r["check"] for r in json.loads(out) if r["status"] == "fail"}
@@ -586,3 +598,21 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "3*t^2"
+
+    def test_cold_start_loads_no_dataclasses(self):
+        # dataclasses imports inspect, about 10 ms of every process start;
+        # the command line must not load either unless a bare interpreter
+        # already has
+        def imported(*args):
+            proc = subprocess.run(
+                [sys.executable, "-X", "importtime", *args], capture_output=True, text=True
+            )
+            assert proc.returncode == 0, proc.stderr
+            lines = [line for line in proc.stderr.splitlines() if line.startswith("import time:")]
+            return {line.rsplit("|", 1)[1].strip() for line in lines}
+
+        bare = imported("-c", "pass")
+        cli = imported("-m", "smirnov", "qeuler", "--variant", "Ades", "--n", "0")
+        assert "smirnov.cli" in cli
+        for module in ("dataclasses", "inspect"):
+            assert module not in cli or module in bare, module

@@ -23,10 +23,9 @@ from smirnov.combinat import (
     perm_stats,
     perm_walk,
     permutations_of,
-    smirnov_words,
-    word_stats,
 )
 from smirnov.symfun import MonomialTable, SymFun, expand_in_variables, monomial_to_e
+from word_reference import smirnov_words, word_stats
 
 
 class TestSmirnovWords:

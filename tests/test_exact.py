@@ -93,6 +93,31 @@ class TestLaurentPoly:
         if b:
             assert (a * b) / b == a
 
+    def test_integral_results_are_ints(self):
+        half = LaurentPoly({0: Fraction(1, 2), 1: Fraction(3, 2)})
+        for p in (half + half, half * 2, half - (-half), (2 * T) * half, half.derivative() * 2):
+            assert all(type(c) is int for c in p.terms.values()), p.terms
+        assert (LaurentPoly({0: 6, 1: 4}) / 2).terms == {0: 3, 1: 2}
+        assert (LaurentPoly({0: 3}) / 2).terms == {0: Fraction(3, 2)}
+
+    @given(laurents, laurents, coeffs)
+    @settings(max_examples=60, deadline=None)
+    def test_arithmetic_stores_canonical_terms(self, a, b, c):
+        # results of arithmetic skip the constructor; each must hold int
+        # exponents and nonzero coefficients, never a Fraction with
+        # denominator 1, and equal its rebuilding through the constructor
+        results = [a + b, a - b, a * b, -a, a * c, c * a, a + c, c - a]
+        results += [a.derivative(), a.reverse(3), a.truncated(2), a**2]
+        if c:
+            results.append(a / c)
+        if b:
+            results.append((a * b) / b)
+        for p in results:
+            for e, v in p.terms.items():
+                assert type(e) is int and v
+                assert type(v) is int or (type(v) is Fraction and v.denominator != 1)
+            assert LaurentPoly(p.terms).terms == p.terms
+
 
 class TestTQuantum:
     def test_reference_values(self):

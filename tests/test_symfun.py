@@ -9,6 +9,7 @@ from itertools import combinations, combinations_with_replacement, permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from smirnov import combinat
 from smirnov import enumerators as en
 from smirnov import symfun
 from smirnov.exact import ONE, T, ZERO, Combination, LaurentPoly, QtPoly, t_quantum
@@ -76,6 +77,39 @@ class TestCombination:
             MonomialTable.one(2) - MonomialTable.one(3)
         with pytest.raises(TypeError):
             f + 1
+
+    def test_trusted_results_equal_validated_construction(self):
+        # sums, negation, scaling, coefficient maps and products store their
+        # terms without checking the keys, and so do the tables the DPs
+        # write; the public constructors, which check every key, must accept
+        # each result and give the same value
+        def rebuilt(v):
+            if isinstance(v, QtPoly):
+                return QtPoly(v.terms)
+            if isinstance(v, SymFun):
+                return SymFun(v.basis, v.degree, v.terms, v.zpart)
+            return MonomialTable(v.nvars, v.terms)
+
+        values = [
+            (QtPoly({0: ONE, 2: T}), QtPoly({1: 2 - T, 3: ONE})),
+            (en.closed_form("Wtilde", 4), en.closed_form("Wless", 4)),
+            (en.powersum_form("W", 3), en.powersum_form("Wless", 3)),
+            (en.closed_form("W", 2), en.closed_form("Wneq", 3)),
+            (expand_in_variables(en.closed_form("W", 2), 3), MonomialTable(3, {(1, 1, 0): T})),
+        ]
+        results = [combinat.brute_enumerator("Wtilde", 4, 3)]
+        results.append(combinat.chromatic_qsym(combinat.Digraph.cycle(4), 3))
+        results.append(en.f_expansion("Wless", 4).to_table(3))
+        results.append(expand_in_variables(en.powersum_form("Wtilde", 4).omega(), 4))
+        for a, b in values:
+            results += [a + a, a - a, -a, a.scale(T), a.scale(0), a * b, a * a]
+            results.append(a.map_coeffs(lambda p: p.reverse(2)))
+            if a._shape() == b._shape():
+                results += [a + b, a - b]
+        for v in results:
+            assert all(v.terms.values())
+            again = rebuilt(v)
+            assert again == v and again.terms == v.terms and again._shape() == v._shape()
 
     def test_qtpoly_lifts_scalars(self):
         p = QtPoly({0: ONE, 1: T})
@@ -373,6 +407,53 @@ class TestSeries:
         Etz = E.grade_scale_t()
         assert Etz[3] == SymFun.generator("e", 3, LaurentPoly.t_power(3))
         assert Etz.dt()[3] == SymFun.generator("e", 3, LaurentPoly.t_power(2, 3))
+
+
+class TestPowerSumsOverZ:
+    """Products against p_lam / z_lam, with the integer structure constants
+    prod_i C(m_i(lam) + m_i(mu), m_i(lam))."""
+
+    def test_products_agree_with_the_plain_power_sum_basis(self):
+        for a in range(9):
+            for b in range(9 - a):
+                f_all = SymFun("p", a, {lam: i + T for i, lam in enumerate(partitions_of(a))}, True)
+                g_all = SymFun("p", b, {mu: 1 - i * T for i, mu in enumerate(partitions_of(b))}, True)
+                pairs = [(f_all, g_all)]
+                pairs += [
+                    (SymFun("p", a, {lam: ONE}, True), SymFun("p", b, {mu: ONE}, True))
+                    for lam in partitions_of(a)
+                    for mu in partitions_of(b)
+                ]
+                for f, g in pairs:
+                    product = f * g
+                    assert product.zpart and product.degree == a + b
+                    assert product.from_zpart() == f.from_zpart() * g.from_zpart(), (f, g)
+
+    def test_structure_constants_are_integers(self):
+        f = SymFun("p", 2, {(1, 1): ONE}, True)
+        assert (f * f).terms == {(1, 1, 1, 1): LaurentPoly.const(6)}
+        assert (f * SymFun("p", 1, {(1,): ONE}, True)).terms == {(1, 1, 1): LaurentPoly.const(3)}
+
+    def test_mixed_forms_do_not_multiply(self):
+        with pytest.raises(ValueError):
+            SymFun("p", 1, {(1,): 1}, zpart=True) * SymFun("p", 1, {(1,): 1})
+        with pytest.raises(ValueError):
+            SymSeries.h_series_p(3).mul(SymSeries.one("p", 3))
+
+    def test_h_series_is_all_ones(self):
+        H = SymSeries.h_series_p(8)
+        assert H.zpart and H.order == 8
+        for n, f in enumerate(H.coeffs):
+            assert f.zpart and set(f.terms) == set(partitions_of(n))
+            assert all(c == ONE for c in f.terms.values())
+        for n in range(1, 7):
+            assert expand_in_variables(H[n], n) == expand_in_variables(SymFun.generator("h", n), n)
+
+    def test_series_identities_run_in_integers(self):
+        H = SymSeries.h_series_p(8)
+        ratio = H.div(H.grade_scale_t())
+        for f in ratio.mul(ratio).coeffs:
+            assert all(type(c) is int for p in f.terms.values() for c in p.terms.values())
 
 
 class TestReports:

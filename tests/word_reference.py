@@ -1,0 +1,63 @@
+"""Word-by-word reference enumeration of Smirnov words, for the tests.
+
+The library reads every word enumerator from the composition-indexed prefix
+DP ``smirnov.combinat._word_ends``; these per-word routines are the
+independent oracle the unit tests check it against at small n.
+"""
+
+from typing import Iterator, NamedTuple, Sequence
+
+from smirnov.combinat import _endpoint_class, _passes
+
+Word = tuple[int, ...]
+
+WORD_CLASSES = ("all", "<", ">", "=", "!=")
+
+
+def smirnov_words(n: int, k: int, class_filter: str = "all") -> Iterator[Word]:
+    """Stream the Smirnov words of length n over the alphabet 1..k whose
+    first/last letters satisfy the class filter."""
+    if n < 1 or k < 1:
+        raise ValueError("n and k must be positive")
+    if class_filter not in WORD_CLASSES:
+        raise ValueError(f"unknown class filter {class_filter!r}")
+    word = [0] * n
+
+    def extend(i: int) -> Iterator[Word]:
+        for c in range(1, k + 1):
+            if i and c == word[i - 1]:
+                continue
+            word[i] = c
+            if i == n - 1:
+                if _passes(class_filter, _endpoint_class(word[0], c)):
+                    yield tuple(word)
+            else:
+                yield from extend(i + 1)
+
+    return extend(0)
+
+
+class WordStats(NamedTuple):
+    des: int
+    asc: int
+    cdes: int
+    endpoint: str  # '<', '>', or '='
+
+
+def word_stats(w: Sequence[int]) -> WordStats:
+    """Descent, ascent, and cyclic descent counts of a word.
+
+    The cyclic descent count adds the wraparound comparison of the last
+    letter against the first.
+
+    >>> word_stats((1, 2, 1))
+    WordStats(des=1, asc=1, cdes=1, endpoint='=')
+    >>> word_stats((1, 2))
+    WordStats(des=0, asc=1, cdes=1, endpoint='<')
+    """
+    if not w:
+        raise ValueError("word must be nonempty")
+    des = sum(1 for i in range(len(w) - 1) if w[i] > w[i + 1])
+    asc = sum(1 for i in range(len(w) - 1) if w[i] < w[i + 1])
+    cdes = des + (1 if w[-1] > w[0] else 0)
+    return WordStats(des, asc, cdes, _endpoint_class(w[0], w[-1]))
