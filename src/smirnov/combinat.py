@@ -6,21 +6,21 @@ quasisymmetric functions in the weakly-decreasing convention, and their two
 specializations.  The closed forms elsewhere are verified against these
 tables.
 
-The DPs here are the transfer-matrix method (Stanley, EC1 4.7).  Every word
-enumerator is quasisymmetric, so ``brute_enumerator`` reads the coefficient
-of each composition of n from one prefix DP per alphabet size shared by all
-seven variants (``_word_ends``), and ``_fill`` writes it at every placement
-into k variables.  ``chromatic_qsym`` is a frontier DP over the vertices, and
-``perm_walk`` a prefix DP over permutations that ``enumerators.f_expansion``
-and ``enumerators.q_eulerian`` run with their own step rules.  Everything
-else here enumerates objects one at a time, ``permutations_of``,
-``perm_stats``, ``inverse_perm`` and ``fundamental_F`` included; the word
-by word enumeration is a reference module of the tests.  The trust chain is
-closed form <-> DP or M_alpha rule (``enumerators.FExpansion.to_table``),
-checked by ``verify`` and the acceptance tests, and DP or M_alpha rule <->
-per-object enumeration, checked by the unit tests at small n.  The tables
-the DPs write take ``MonomialTable``'s trusted path, since their keys are
-exponent vectors of length k by construction.
+The DPs here are the transfer-matrix method (Stanley, EC1 4.7).  The word
+and coloring enumerators are quasisymmetric, so each is a ``QsymTable``:
+``brute_enumerator`` reads the coefficient of each composition of n from one
+prefix DP per alphabet size shared by all seven variants (``_word_ends``),
+and ``chromatic_qsym`` from a frontier DP over the vertices with the colors
+standardised to ranks.  ``perm_walk`` is a prefix DP over permutations that
+``enumerators.f_expansion`` and ``enumerators.q_eulerian`` run with their
+own step rules.  Everything else here enumerates objects one at a time,
+``permutations_of``, ``perm_stats``, ``inverse_perm`` and ``fundamental_F``
+included; the word by word enumeration and the content-vector coloring DP
+are reference modules of the tests.  The trust chain is closed form <-> DP
+or M_alpha rule (``enumerators.FExpansion.to_table``), compared at the
+compositions by ``verify`` and the acceptance tests, and DP or M_alpha rule
+<-> per-object enumeration or content-vector DP, compared as k-variable
+tables by the unit tests at small n.
 """
 
 from __future__ import annotations
@@ -28,11 +28,11 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import permutations
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .exact import LaurentPoly, QtPoly
-from .symfun import MonomialTable
+from .symfun import MonomialTable, QsymTable
 
 
 def _endpoint_class(first: int, last: int) -> str:
@@ -47,28 +47,10 @@ def _passes(class_filter: str, cls: str) -> bool:
     return class_filter == "all" or class_filter == cls or (class_filter == "!=" and cls != "=")
 
 
-def _packed_table(k: int, base: int, width: int, packed: dict[int, int]) -> MonomialTable:
-    """Unpack a DP result into a monomial table.
-
-    Keys are contents packed in base ``base`` (x_1 in the lowest digit);
-    values are polynomials in t with nonnegative coefficients packed
-    ``width`` bits per power of t (t^0 in the lowest bits).  Adding two
-    packed polynomials is int addition and multiplying by t^d is a left
-    shift by d * width, exact as long as no coefficient reaches 2^width.
-    """
-    terms = {}
-    for code, poly in packed.items():
-        vec = []
-        for _ in range(k):
-            code, e = divmod(code, base)
-            vec.append(e)
-        terms[tuple(vec)] = LaurentPoly(packed_coeffs(poly, width))
-    return MonomialTable.zero(k)._like(terms)
-
-
 def packed_coeffs(poly: int, width: int) -> dict[int, int]:
     """The nonzero coefficients of a polynomial packed ``width`` bits per
-    slot, keyed by slot (slot 0 in the lowest bits)."""
+    slot, keyed by slot (slot 0 in the lowest bits).  The DPs here add such
+    polynomials as ints and multiply one by t^d as a shift by d * width."""
     mask = (1 << width) - 1
     coeffs = {}
     slot = 0
@@ -141,29 +123,14 @@ def _word_ends(n: int, k: int) -> tuple[int, dict[tuple[int, ...], dict[str, int
     return width, ends
 
 
-def _fill(k: int, coeffs: dict[tuple[int, ...], LaurentPoly]) -> MonomialTable:
-    """The quasisymmetric table over k variables whose coefficient at each
-    composition alpha is ``coeffs[alpha]``: it is written at every placement
-    of alpha's parts into k slots, in order, with zeros elsewhere."""
-    terms = {}
-    for alpha, c in coeffs.items():
-        for slots in combinations(range(k), len(alpha)):
-            vec = [0] * k
-            for slot, part in zip(slots, alpha):
-                vec[slot] = part
-            terms[tuple(vec)] = c
-    return MonomialTable.zero(k)._like(terms)
-
-
-def brute_enumerator(variant: str, n: int, k: int) -> MonomialTable:
-    """Sum of t^stat(w) x_w over the filtered Smirnov words, as a monomial
-    table over k variables.
+def brute_enumerator(variant: str, n: int, k: int) -> QsymTable:
+    """Sum of t^stat(w) x_w over the filtered Smirnov words over k letters.
 
     Relabelling letters in increasing order keeps adjacency, descents, the
-    endpoint class and the wrap descent, so the table is quasisymmetric:
-    ``_fill`` writes it from the coefficients at the compositions of n.
-    Each is read from ``_word_ends`` by the endpoint filter, with a t for
-    the cyclic wrap descent last > first (endpoint class '<').
+    endpoint class and the wrap descent, so the enumerator is
+    quasisymmetric, and its coefficient at each composition of n with at
+    most k parts is read from ``_word_ends`` by the endpoint filter, with a
+    t for the cyclic wrap descent last > first (endpoint class '<').
     """
     if variant not in VARIANT_RULES:
         raise ValueError(f"unknown variant {variant!r}")
@@ -179,7 +146,7 @@ def brute_enumerator(variant: str, n: int, k: int) -> MonomialTable:
                 total += poly << width if stat == "cdes" and cls == "<" else poly
         if total:
             coeffs[alpha] = LaurentPoly(packed_coeffs(total, width))
-    return _fill(k, coeffs)
+    return QsymTable.zero(k)._like(coeffs)
 
 
 class Digraph(namedtuple("Digraph", ("n", "edges", "directed"))):
@@ -222,23 +189,26 @@ class Digraph(namedtuple("Digraph", ("n", "edges", "directed"))):
         return Digraph(n, tuple((i, i + 1) for i in range(1, n)) + ((n, 1),), directed=True)
 
 
-def chromatic_qsym(g: Digraph, k: int) -> MonomialTable:
+def chromatic_qsym(g: Digraph, k: int) -> QsymTable:
     """Proper-coloring enumerator weighted by t^des over colors 1..k.
 
     des counts the stored edges (i, j) with kappa(i) > kappa(j), which in
     labeled mode means pairs {i, j} with i < j and kappa(i) > kappa(j).
+    Both see only the relative order of the colors, so the enumerator is
+    quasisymmetric (Shareshian-Wachs 2016; Ellzey 2017).
 
-    A frontier DP that colors vertices 1..n in order.  A state is the content
-    so far plus the colors of the frontier: the colored vertices that still
-    have an uncolored neighbour.  Each edge is checked, and its descent
+    A frontier DP that colors vertices 1..n in order, the colors so far
+    standardised to ranks.  A state is the content by rank plus the ranks of
+    the frontier: the colored vertices that still have an uncolored
+    neighbour.  A vertex takes a rank, or a new color in one of the l + 1
+    gaps around the l ranks, which lifts the ranks above it; states with
+    more than k ranks are dropped.  Each edge is checked, and its descent
     counted, when its later endpoint gets a color.
     """
     if k < 1:
         raise ValueError("need at least one color")
     n = g.n
-    base = n + 1
-    unit = [base**c for c in range(k)]
-    width = (k**n).bit_length()  # no coefficient exceeds k^n, the number of colorings
+    width = math.factorial(n).bit_length()  # no coefficient exceeds n!
     back: list[list[tuple[int, bool]]] = [[] for _ in range(n + 1)]
     reach = list(range(n + 1))  # largest neighbour of each vertex, or itself
     for i, j in g.edges:
@@ -246,32 +216,40 @@ def chromatic_qsym(g: Digraph, k: int) -> MonomialTable:
         back[b].append((a, i == a))  # the edge descends when kappa(i) > kappa(j)
         reach[a] = max(reach[a], b)
     frontier: list[int] = []
-    layer = {(0, ()): 1}
+    layer: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {((), ()): 1}
     for v in range(1, n + 1):
         checks = [(frontier.index(a), a_first) for a, a_first in back[v]]
         grown = frontier + [v]
         kept = [i for i, u in enumerate(grown) if reach[u] > v]
-        moves: dict[tuple[int, ...], list[tuple[int, int, tuple[int, ...]]]] = {}
-        nxt: dict[tuple[int, tuple[int, ...]], int] = {}
-        for (code, colors), poly in layer.items():
-            if colors not in moves:
+        moves: dict[tuple[int, tuple[int, ...]], list[tuple[int, int, tuple[int, ...]]]] = {}
+        nxt: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+        for (content, ranks), poly in layer.items():
+            ell = len(content)
+            if (ell, ranks) not in moves:
+                # slot s is rank s // 2 if s is odd, a new color in gap s // 2
+                # if even; with k ranks in use, only the odd slots are left
                 options = []
-                for c in range(k):
+                for s in range(2 * ell + 1) if ell < k else range(1, 2 * ell, 2):
                     des = 0
                     for pos, a_first in checks:
-                        if colors[pos] == c:
+                        slot = 2 * ranks[pos] + 1
+                        if slot == s:
                             break
-                        des += colors[pos] > c if a_first else c > colors[pos]
+                        des += slot > s if a_first else s > slot
                     else:
-                        ext = colors + (c,)
-                        options.append((unit[c], des * width, tuple(ext[i] for i in kept)))
-                moves[colors] = options
-            for step, shift, after in moves[colors]:
-                key = (code + step, after)
+                        r = s // 2
+                        ext = tuple(q + (q >= r and s % 2 == 0) for q in ranks) + (r,)
+                        options.append((s, des * width, tuple(ext[i] for i in kept)))
+                moves[ell, ranks] = options
+            for s, shift, after in moves[ell, ranks]:
+                r, old = s // 2, s % 2
+                key = (content[:r] + (content[r] + 1 if old else 1,) + content[r + old :], after)
                 nxt[key] = nxt.get(key, 0) + (poly << shift)
         layer = nxt
         frontier = [grown[i] for i in kept]
-    return _packed_table(k, base, width, {code: poly for (code, _), poly in layer.items()})
+    # the frontier ends empty, so each content is one state
+    coeffs = {alpha: LaurentPoly(packed_coeffs(p, width)) for (alpha, _), p in layer.items()}
+    return QsymTable.zero(k)._like(coeffs)
 
 
 Perm = tuple[int, ...]
@@ -337,7 +315,7 @@ def perm_walk(
 
     A state is (the values used so far, value v at bit v - 1; the last
     value; the first value, or 0 unless ``keep_first``) and carries one
-    polynomial packed ``width`` bits per slot, as in ``_packed_table``.
+    polynomial packed ``width`` bits per slot (``packed_coeffs``).
     ``step(p, used, last, v)`` decides everything about appending v at
     position p from that state (``last`` is 0 when p = 1): it returns how
     many slots the append moves a polynomial up, or None to forbid it.  The

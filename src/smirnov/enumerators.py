@@ -36,6 +36,7 @@ from . import combinat
 from .symfun import (
     MonomialTable,
     Partition,
+    QsymTable,
     SymFun,
     SymSeries,
     expand_in_variables,
@@ -294,13 +295,12 @@ class FExpansion(NamedTuple):
         )
         return cls(n, items)
 
-    def to_table(self, k: int) -> MonomialTable:
+    def to_table(self, k: int) -> QsymTable:
         """The expansion over k variables, by the M_alpha rule (Gessel 1984;
         Stanley, EC2 7.19): in the weakly decreasing convention, F_{n,S} has
         coefficient [S within the cuts of alpha] at a composition alpha, the
         cuts being the partial sums of alpha read from its last part.  So the
-        coefficient at alpha is a subset sum at its cut set, and
-        ``combinat._fill`` writes the table from the compositions."""
+        coefficient at alpha is a subset sum at its cut set."""
         n = self.degree
         width = sum(mult for _, _, mult in self.terms).bit_length()
         by_set = [0] * (1 << (n - 1))
@@ -312,7 +312,7 @@ class FExpansion(NamedTuple):
             packed = below[sum(1 << (c - 1) for c in accumulate(reversed(alpha[1:])))]
             if packed:
                 coeffs[alpha] = LaurentPoly(combinat.packed_coeffs(packed, width))
-        return combinat._fill(k, coeffs)
+        return QsymTable.zero(k)._like(coeffs)
 
     def principal_numerator(self) -> QtPoly:
         """Stable principal specialization numerator over the implicit

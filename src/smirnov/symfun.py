@@ -5,14 +5,16 @@ A partition is a plain tuple of weakly decreasing positive integers.  A
 elements (elementary ``e``, complete homogeneous ``h``, power sum ``p``, or
 monomial ``m``) with ``LaurentPoly`` coefficients.  A ``MonomialTable`` is the
 expansion of such a function in a fixed finite number of variables, which is
-faithful as long as the variable count is at least the degree.  Both are
+faithful as long as the variable count is at least the degree; a
+``QsymTable`` holds a quasisymmetric one, such as an oracle's, by its
+coefficients at the compositions with at most k parts.  All three are
 ``exact.Combination`` subclasses: the shared core does their arithmetic, and
 each says only how a key is checked (a partition of the degree; a length-k
-vector of nonnegative exponents), what two values must share (basis, zpart
-and degree; the variable count) and how two keys multiply (``merge``; vector
-addition).  A
-``SymSeries`` is a graded sequence of ``SymFun`` values indexed by the power
-of a formal variable z; the grading and the x-degree always coincide here.
+vector of nonnegative exponents; a composition), what two values must share
+(basis, zpart and degree; the variable count) and how two keys multiply
+(``merge``; vector addition).  A ``SymSeries`` is a graded sequence of
+``SymFun`` values indexed by the power of a formal variable z; the grading
+and the x-degree always coincide here.
 
 Power sums are kept in ``zpart`` form, against p_lam / z_lam, where products
 have integer structure constants (Macdonald I.2): with m_i(lam) the number of
@@ -31,15 +33,16 @@ monomial basis.  The coefficient of m_mu in e_lam, h_lam or p_lam is an
 integer count of matrices with row sums lam and column sums mu (0-1 rows,
 nonnegative rows, single-entry rows; Macdonald I.6), computed by one cached
 DP over the parts of lam without building any k-variable table.  Expansion
-sums these counts per mu and writes each m_mu coefficient over its orbit;
+sums these counts per mu and writes each over its orbit or its compositions;
 conversion back is a triangular solve against the e counts, and doubles as a
-symmetry certificate for tables produced by brute-force enumeration.
+symmetry certificate for the oracles' tables.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import combinations
 from typing import Callable, Mapping
 
 from .exact import ONE, ZERO, Combination, LaurentPoly, Scalar
@@ -243,8 +246,8 @@ class SymFun(Combination):
         return f"SymFun({self.basis}{'/z' if self.zpart else ''}, deg={self.degree})"
 
 
-class MonomialTable(Combination):
-    """Map from length-k exponent vectors to LaurentPoly coefficients."""
+class _Table(Combination):
+    """The variable count and degree of the two tables over k variables."""
 
     __slots__ = ("nvars",)
 
@@ -254,46 +257,56 @@ class MonomialTable(Combination):
         self.nvars = nvars
         self._store(terms)
 
-    def _key(self, vec) -> tuple:
-        vec = tuple(vec)
-        if len(vec) != self.nvars or any(e < 0 for e in vec):
-            raise ValueError(f"bad exponent vector {vec!r}")
-        return vec
-
     def _shape(self) -> tuple:
         return (self.nvars,)
 
-    def _copy_shape(self, out: "MonomialTable") -> None:
+    def _copy_shape(self, out: "_Table") -> None:
         out.nvars = self.nvars
 
-    @staticmethod
-    def _mul_key(v1: tuple, v2: tuple) -> tuple[tuple, int]:
-        return tuple(a + b for a, b in zip(v1, v2)), 1
-
     @classmethod
-    def zero(cls, nvars: int) -> "MonomialTable":
+    def zero(cls, nvars: int):
         return cls(nvars)
 
-    @classmethod
-    def one(cls, nvars: int) -> "MonomialTable":
-        return cls(nvars, {(0,) * nvars: 1})
-
     def total_degree(self) -> int | None:
-        degs = {sum(vec) for vec in self.terms}
+        degs = {sum(key) for key in self.terms}
         if not degs:
             return None
         if len(degs) > 1:
             raise ValueError("table is not homogeneous")
         return degs.pop()
 
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(vars={self.nvars}, terms={len(self.terms)})"
+
+
+class MonomialTable(_Table):
+    """Map from length-k exponent vectors to LaurentPoly coefficients."""
+
+    __slots__ = ()
+
+    def _key(self, vec) -> tuple:
+        vec = tuple(vec)
+        if len(vec) != self.nvars or any(e < 0 for e in vec):
+            raise ValueError(f"bad exponent vector {vec!r}")
+        return vec
+
+    @staticmethod
+    def _mul_key(v1: tuple, v2: tuple) -> tuple[tuple, int]:
+        return tuple(a + b for a, b in zip(v1, v2)), 1
+
+    @classmethod
+    def one(cls, nvars: int) -> "MonomialTable":
+        return cls(nvars, {(0,) * nvars: 1})
+
     def to_json_obj(self) -> dict:
-        return {
-            "vars": self.nvars,
-            "terms": [
-                {"exponents": list(vec), "coeff": self.terms[vec].to_json_obj()}
-                for vec in sorted(self.terms, reverse=True)
-            ],
-        }
+        encoded: dict[int, dict] = {}  # a table written from compositions shares its coefficients
+        terms = []
+        for vec in sorted(self.terms, reverse=True):
+            c = self.terms[vec]
+            if id(c) not in encoded:
+                encoded[id(c)] = c.to_json_obj()
+            terms.append({"exponents": list(vec), "coeff": encoded[id(c)]})
+        return {"vars": self.nvars, "terms": terms}
 
     def pretty(self) -> str:
         return _aligned(
@@ -301,8 +314,43 @@ class MonomialTable(Combination):
             for vec in sorted(self.terms, reverse=True)
         )
 
-    def __repr__(self) -> str:
-        return f"MonomialTable(vars={self.nvars}, terms={len(self.terms)})"
+
+class QsymTable(_Table):
+    """A quasisymmetric polynomial in k variables by its coefficients at the
+    compositions with at most k parts, each that of every monomial whose
+    nonzero exponents read it in order; equal to its ``MonomialTable``."""
+
+    __slots__ = ()
+
+    def _key(self, alpha) -> tuple:
+        alpha = tuple(alpha)
+        if len(alpha) > self.nvars or not all(isinstance(a, int) and a > 0 for a in alpha):
+            raise ValueError(f"bad composition {alpha!r}")
+        return alpha
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, MonomialTable):
+            return self.monomial_table() == other
+        return super().__eq__(other)
+
+    def sum_coeffs(self) -> LaurentPoly:
+        """The value at all ones: alpha has C(k, l(alpha)) placements."""
+        return sum((c * math.comb(self.nvars, len(a)) for a, c in self.terms.items()), ZERO)
+
+    def monomial_table(self) -> MonomialTable:
+        """The coefficient at alpha written at every placement of its parts
+        into k slots, in order."""
+        terms = {}
+        for alpha, c in self.terms.items():
+            for slots in combinations(range(self.nvars), len(alpha)):
+                vec = [0] * self.nvars
+                for slot, part in zip(slots, alpha):
+                    vec[slot] = part
+                terms[tuple(vec)] = c
+        return MonomialTable.zero(self.nvars)._like(terms)
+
+    def to_json_obj(self) -> dict:
+        return self.monomial_table().to_json_obj()
 
 
 def _aligned(rows) -> str:
@@ -373,22 +421,15 @@ def _orbit(mu: Partition, k: int) -> list[tuple[int, ...]]:
     return out
 
 
-def expand_in_variables(f: SymFun, k: int) -> MonomialTable:
-    """Set all variables beyond the first k to zero.
-
-    The coefficient of m_mu is the sum of c_lam times the integer count
-    ``_m_coeff(basis, lam, mu)`` (over z_lam for ``zpart``); it is written
-    at every rearrangement of mu padded to length k, for each mu with at
-    most k parts.  No k-variable table is multiplied.  Each z_lam divides
-    n!, so a ``zpart`` sum is taken in integers over n! and divided once.
-
-    >>> expand_in_variables(SymFun.generator("e", 2), 2).terms
-    {(1, 1): LaurentPoly(1)}
-    """
+def _m_sums(f: SymFun, k: int) -> dict[Partition, LaurentPoly]:
+    """The nonzero coefficients of m_mu in f for the partitions mu with at
+    most k parts: the sum of c_lam times ``_m_coeff(basis, lam, mu)`` (over
+    z_lam for ``zpart``; each z_lam divides n!, so such a sum is taken in
+    integers over n! and divided once)."""
     if k < 1:
         raise ValueError("need at least one variable")
     denom = math.factorial(f.degree)
-    terms: dict[tuple, LaurentPoly] = {}
+    out: dict[Partition, LaurentPoly] = {}
     for mu in partitions_of(f.degree):
         if len(mu) > k:
             continue
@@ -398,11 +439,27 @@ def expand_in_variables(f: SymFun, k: int) -> MonomialTable:
             if mult:
                 c = c + coeff * (mult * denom // z_of(lam) if f.zpart else mult)
         if c:
-            if f.zpart:
-                c = c / denom
-            for vec in _orbit(mu, k):
-                terms[vec] = c
+            out[mu] = c / denom if f.zpart else c
+    return out
+
+
+def expand_in_variables(f: SymFun, k: int) -> MonomialTable:
+    """Set all variables beyond the first k to zero: each m_mu coefficient
+    (``_m_sums``) is written at every rearrangement of mu padded to length
+    k.  No k-variable table is multiplied.
+
+    >>> expand_in_variables(SymFun.generator("e", 2), 2).terms
+    {(1, 1): LaurentPoly(1)}
+    """
+    terms = {vec: c for mu, c in _m_sums(f, k).items() for vec in _orbit(mu, k)}
     return MonomialTable.zero(k)._like(terms)
+
+
+def expand_at_compositions(f: SymFun, k: int) -> QsymTable:
+    """``expand_in_variables`` as a ``QsymTable``: each m_mu coefficient is
+    written at every rearrangement of mu."""
+    terms = {alpha: c for mu, c in _m_sums(f, k).items() for alpha in _orbit(mu, len(mu))}
+    return QsymTable.zero(k)._like(terms)
 
 
 def _orbit_size(mu: Partition, k: int) -> int:
@@ -422,13 +479,14 @@ def _e_in_m(lam: Partition) -> tuple[tuple[Partition, int], ...]:
     )
 
 
-def monomial_to_e(table: MonomialTable, n: int | None = None) -> SymFun:
+def monomial_to_e(table: MonomialTable | QsymTable, n: int | None = None) -> SymFun:
     """Invert a monomial expansion into the elementary basis.
 
     The table must be a symmetric homogeneous polynomial of degree n in
     k >= n variables; otherwise ``NotSymmetricError`` (or ValueError for
     malformed input) is raised.  Every orbit must be complete with one
-    coefficient, which gives the m-basis coordinates; these are peeled in
+    coefficient (for a ``QsymTable``, every alpha has the one at sorted
+    alpha), which gives the m-basis coordinates; these are peeled in
     lexicographic order against the m-basis coordinates of e_lam, read from
     the e-transition counts, so success certifies symmetry.
     """
@@ -454,7 +512,7 @@ def monomial_to_e(table: MonomialTable, n: int | None = None) -> SymFun:
             raise NotSymmetricError(f"orbit of {mu} has unequal coefficients")
         orbit_count[mu] = orbit_count.get(mu, 0) + 1
     for mu, count in orbit_count.items():
-        if count != _orbit_size(mu, k):
+        if count != _orbit_size(mu, len(mu) if isinstance(table, QsymTable) else k):
             raise NotSymmetricError(f"orbit of {mu} is incomplete")
 
     residual = dict(orbit_coeff)

@@ -5,13 +5,16 @@ Each yields a list of records ``{check, params, status, lhs, rhs}``, all
 built by ``_record``, with the compared values rendered through the
 symmetric-function JSON encoding wherever they are symmetric.  The CLI
 serializes these records directly, so the layout here is a stable machine
-contract.
+contract.  Every oracle is quasisymmetric, so sides over k variables are
+compared as ``QsymTable`` values, at the compositions with at most k parts,
+and shown in the e basis, which certifies symmetry, when k is at least the
+degree, or else as k-variable tables.
 
 A record passes exactly when its two shown sides are equal as values.  Six
 checks have a condition wider than the sides they show, and pass it as
 ``ok``: ``powersum-vs-brute`` and ``f-vs-closed`` show the expansion but
-compare its table, ``powersum-weight-palindromic`` compares the weight's
-interior coefficients only, ``root-of-unity`` also needs the recursion
+compare its values at compositions, ``powersum-weight-palindromic`` compares
+the weight's interior coefficients only, ``root-of-unity`` also needs the recursion
 route to agree, ``cycle-even-corrected`` adds the direct chain test, and
 ``cyclic-coefficient-*`` adds the shape's own palindromic-unimodal test.
 """
@@ -37,20 +40,20 @@ from .exact import (
     t_quantum,
 )
 from .symfun import (
-    MonomialTable,
+    QsymTable,
     SymFun,
     SymSeries,
     e_positivity_report,
     e_unimodal_direct,
     e_unimodal_palindromic,
-    expand_in_variables,
+    expand_at_compositions,
     monomial_to_e,
     partitions_of,
 )
 
 
 def _present(x):
-    if isinstance(x, MonomialTable):
+    if isinstance(x, QsymTable):
         try:
             return monomial_to_e(x).to_json_obj()
         except ValueError:  # NotSymmetricError among them
@@ -76,9 +79,9 @@ def _record(check: str, params: dict, lhs, rhs, ok: bool | None = None) -> dict:
 
 def suite_oracle(max_n: int, nvars: int) -> list[dict]:
     records = []
-    tables: dict[tuple[str, int], MonomialTable] = {}
+    tables: dict[tuple[str, int], QsymTable] = {}
 
-    def table(variant: str, n: int) -> MonomialTable:
+    def table(variant: str, n: int) -> QsymTable:
         """Each oracle table once per call, looked up at call time: the word
         table of a word variant, the labeled cycle's coloring table for XC."""
         if (variant, n) not in tables:
@@ -91,7 +94,7 @@ def suite_oracle(max_n: int, nvars: int) -> list[dict]:
     for variant in en.VARIANTS:
         start = 2 if variant in ("Wneq", "XC") else 1
         for n in range(start, max_n + 1):
-            lhs = expand_in_variables(en.closed_form(variant, n), nvars)
+            lhs = expand_at_compositions(en.closed_form(variant, n), nvars)
             rhs = table(variant, n)
             params = {"variant": variant, "n": n, "vars": nvars}
             records.append(_record("oracle", params, lhs, rhs))
@@ -129,7 +132,7 @@ def suite_powersum(max_n: int) -> list[dict]:
         for n in range(1, max_n + 1):
             form = en.powersum_form(variant, n)
             rhs = combinat.brute_enumerator(variant, n, n)
-            ok = expand_in_variables(form.omega(), n) == rhs
+            ok = expand_at_compositions(form.omega(), n) == rhs
             params = {"variant": variant, "n": n}
             records.append(_record("powersum-vs-brute", params, form, rhs, ok))
     for n in range(1, en.LIMITS["n"] + 1):
@@ -192,7 +195,7 @@ def suite_f(max_n: int) -> list[dict]:
     for variant in en.F_VARIANTS:
         for n in range(1, max_n + 1):
             fe = en.f_expansion(variant, n)
-            rhs = expand_in_variables(en.closed_form(variant, n).omega(), n)
+            rhs = expand_at_compositions(en.closed_form(variant, n).omega(), n)
             params = {"variant": variant, "n": n}
             records.append(_record("f-vs-closed", params, fe, rhs, fe.to_table(n) == rhs))
             if variant in kind_of:

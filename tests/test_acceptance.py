@@ -16,6 +16,7 @@ from smirnov.symfun import (
     e_positivity_report,
     e_unimodal_direct,
     e_unimodal_palindromic,
+    expand_at_compositions,
     expand_in_variables,
     partitions_of,
 )
@@ -44,19 +45,21 @@ def test_criterion_01_exact_degree_five_reproduction():
 
 
 def test_criterion_02_oracle_equivalence():
+    def oracle(variant, n, k):
+        if variant == "XC":
+            return combinat.chromatic_qsym(combinat.Digraph.cycle(n), k)
+        return combinat.brute_enumerator(variant, n, k)
+
     start = time.perf_counter()
     ok = True
     for variant in en.VARIANTS:
         lo = 2 if variant in ("Wneq", "XC") else 1
+        # full 6-variable tables at n <= 7; at the caps n = k = 8, compositions
         for n in range(lo, 8):
-            lhs = expand_in_variables(en.closed_form(variant, n), 6)
-            if variant == "XC":
-                rhs = combinat.chromatic_qsym(combinat.Digraph.cycle(n), 6)
-            else:
-                rhs = combinat.brute_enumerator(variant, n, 6)
-            ok = ok and lhs == rhs
+            ok = ok and expand_in_variables(en.closed_form(variant, n), 6) == oracle(variant, n, 6)
+        ok = ok and expand_at_compositions(en.closed_form(variant, 8), 8) == oracle(variant, 8, 8)
     elapsed = time.perf_counter() - start
-    _report(2, "oracle equivalence n<=7 k=6", ok and elapsed < 60.0)
+    _report(2, "oracle equivalence n<=7 k=6 and n=k=8", ok and elapsed < 60.0)
 
 
 def test_criterion_03_e_positivity():

@@ -1,10 +1,13 @@
 """Command-line behavior: output shapes, determinism, exit codes."""
 
+import __future__
 import hashlib
 import importlib.util
+import inspect
 import json
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -12,10 +15,22 @@ import pytest
 from smirnov import cli, combinat, exact, symfun, verify
 from smirnov import enumerators as en
 from smirnov.exact import LaurentPoly, t_quantum
-from smirnov.symfun import MonomialTable, SymFun, SymSeries
+from smirnov.symfun import QsymTable, SymFun, SymSeries
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 REFERENCE_RUNS = json.loads(REFERENCE.read_text())
+
+
+def recompiled(fn, old, new):
+    """``fn`` compiled again from its source with ``old`` replaced by ``new``
+    (once), in a copy of its module's namespace: a mutant of one line."""
+    source = textwrap.dedent(inspect.getsource(fn))
+    assert source.count(old) == 1
+    namespace = dict(vars(inspect.getmodule(fn)))
+    flags = __future__.annotations.compiler_flag
+    code = compile(source.replace(old, new), inspect.getsourcefile(fn), "exec", flags=flags)
+    exec(code, namespace)
+    return namespace[fn.__name__]
 
 
 def run_cli(capsys, *argv):
@@ -240,17 +255,57 @@ class TestVerify:
             graphs |= {(combinat.Digraph.cycle(n), 4), (combinat.Digraph.directed_cycle(n), 4)}
         assert len(calls) == len(set(calls)) and set(calls) == graphs
 
-    def test_fill_at_leading_placement_only_flips_exit_code(self, capsys, monkeypatch):
-        # every coefficient of a word table is written from its composition;
-        # a table that keeps only the placement in the first slots must fail
-        monkeypatch.setattr(
-            combinat,
-            "_fill",
-            lambda k, coeffs: MonomialTable(
-                k, {alpha + (0,) * (k - len(alpha)): c for alpha, c in coeffs.items()}
-            ),
+    @pytest.mark.parametrize("nvars", ["4", "2"], ids=["vars-at-least-n", "vars-below-n"])
+    def test_word_value_at_partitions_only_flips_exit_code(self, capsys, monkeypatch, nvars):
+        # a word value is compared at every composition, whether its record
+        # shows the e basis (vars >= n) or the k-variable table (vars < n);
+        # one that keeps only its coefficients at partitions must fail
+        original = combinat.brute_enumerator
+
+        def at_partitions(variant, n, k):
+            terms = original(variant, n, k).terms
+            return QsymTable(k, {a: c for a, c in terms.items() if list(a) == sorted(a)[::-1]})
+
+        monkeypatch.setattr(combinat, "brute_enumerator", at_partitions)
+        code, out, _ = run_cli(
+            capsys,
+            "verify", "--suite", "oracle", "--max-n", "4", "--vars", nvars, "--format", "json",
         )
+        failed = [r["params"] for r in json.loads(out) if r["status"] == "fail"]
+        assert code == 1 and failed
+        assert all((p["n"] > p["vars"]) == (nvars == "2") for p in failed)
+
+    def test_gap_off_by_one_in_rank_dp_flips_exit_code(self, capsys, monkeypatch):
+        # a new color in gap r lifts the ranks from r up; lifting only those
+        # above r files the new color one gap too high
+        mutated = recompiled(combinat.chromatic_qsym, "q >= r", "q > r")
+        triangle = combinat.Digraph.cycle(3)
+        assert mutated(triangle, 3) != combinat.chromatic_qsym(triangle, 3)
+        monkeypatch.setattr(combinat, "chromatic_qsym", mutated)
         assert self.oracle_suite_exit_code(capsys) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--suite", "oracle", "--max-n", "4", "--vars", "4"],
+            ["--suite", "oracle", "--max-n", "4", "--vars", "2"],
+            ["--suite", "f", "--max-n", "4"],
+            ["--suite", "powersum", "--max-n", "4"],
+        ],
+        ids=["oracle", "oracle-vars-below-n", "f", "powersum"],
+    )
+    def test_closed_form_spread_to_partitions_only_flips_exit_code(
+        self, capsys, monkeypatch, argv
+    ):
+        # each m_mu coefficient of a closed form belongs at every composition
+        # that sorts to mu; writing it at mu alone must fail
+        monkeypatch.setattr(
+            verify,
+            "expand_at_compositions",
+            lambda f, k: QsymTable(k, symfun._m_sums(f, k)),
+        )
+        code, _, _ = run_cli(capsys, "verify", *argv)
+        assert code == 1
 
     @pytest.mark.parametrize(
         "basis, argv",
@@ -450,7 +505,7 @@ class TestRecords:
             assert (r["status"] == "pass") == (r["lhs"] == r["rhs"]), r
 
     def test_record_compares_its_sides_and_shares_equal_tables(self):
-        closed = symfun.expand_in_variables(en.closed_form("W", 3), 3)
+        closed = symfun.expand_at_compositions(en.closed_form("W", 3), 3)
         oracle = combinat.brute_enumerator("W", 3, 3)
         same = verify._record("oracle", {}, closed, oracle)
         assert same["status"] == "pass" and same["lhs"] is same["rhs"]

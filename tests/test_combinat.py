@@ -25,6 +25,7 @@ from smirnov.combinat import (
     permutations_of,
 )
 from smirnov.symfun import MonomialTable, SymFun, expand_in_variables, monomial_to_e
+from coloring_reference import colorings_by_content
 from word_reference import smirnov_words, word_stats
 
 
@@ -208,20 +209,31 @@ def digraphs(draw):
     return Digraph(n, tuple(edges), directed)
 
 
+@st.composite
+def colored_digraphs(draw):
+    """A digraph and a color count up to n + 2, so colors can go unused."""
+    g = draw(digraphs())
+    return g, draw(st.integers(1, g.n + 2))
+
+
 class TestChromatic:
     @pytest.mark.parametrize(
         "family,lo", [(Digraph.path, 1), (Digraph.cycle, 2), (Digraph.directed_cycle, 2)]
     )
     def test_dp_matches_coloring_enumeration(self, family, lo):
-        for n in range(lo, 7):
+        for n in range(lo, 8):
             g = family(n)
-            for k in range(1, 5):
-                assert chromatic_qsym(g, k) == colorings_by_enumeration(g, k)
+            for k in range(1, 7):
+                table = chromatic_qsym(g, k)
+                assert table == colorings_by_content(g, k)
+                assert table == colorings_by_enumeration(g, k)
 
-    @given(digraphs(), st.integers(1, 4))
+    @given(colored_digraphs())
     @settings(max_examples=80, deadline=None)
-    def test_dp_matches_enumeration_on_any_digraph(self, g, k):
-        assert chromatic_qsym(g, k) == colorings_by_enumeration(g, k)
+    def test_dp_matches_enumeration_on_any_digraph(self, case):
+        g, k = case
+        table = chromatic_qsym(g, k)
+        assert table == colorings_by_content(g, k) == colorings_by_enumeration(g, k)
 
     def test_rejects_zero_colors(self):
         with pytest.raises(ValueError):

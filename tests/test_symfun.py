@@ -16,12 +16,14 @@ from smirnov.exact import ONE, T, ZERO, Combination, LaurentPoly, QtPoly, t_quan
 from smirnov.symfun import (
     MonomialTable,
     NotSymmetricError,
+    QsymTable,
     SymFun,
     SymSeries,
     conjugate,
     e_positivity_report,
     e_unimodal_direct,
     e_unimodal_palindromic,
+    expand_at_compositions,
     expand_in_variables,
     monomial_to_e,
     omega_sign,
@@ -45,6 +47,8 @@ class TestCombination:
             assert not set(self.OWN) & set(vars(cls))
         assert {"__mul__", "__rmul__"} & set(vars(SymFun) | vars(MonomialTable)) == set()
         assert vars(QtPoly)["__mul__"] is vars(QtPoly)["__rmul__"] is Combination.__mul__
+        # a QsymTable compares with a MonomialTable and sums at all ones
+        assert set(self.OWN) & set(vars(QsymTable)) == {"__eq__", "sum_coeffs"}
 
     def test_products_multiply_keys(self):
         assert QtPoly({1: T}) * QtPoly({2: 3}) == QtPoly({3: 3 * T})
@@ -88,7 +92,7 @@ class TestCombination:
                 return QtPoly(v.terms)
             if isinstance(v, SymFun):
                 return SymFun(v.basis, v.degree, v.terms, v.zpart)
-            return MonomialTable(v.nvars, v.terms)
+            return type(v)(v.nvars, v.terms)
 
         values = [
             (QtPoly({0: ONE, 2: T}), QtPoly({1: 2 - T, 3: ONE})),
@@ -101,6 +105,8 @@ class TestCombination:
         results.append(combinat.chromatic_qsym(combinat.Digraph.cycle(4), 3))
         results.append(en.f_expansion("Wless", 4).to_table(3))
         results.append(expand_in_variables(en.powersum_form("Wtilde", 4).omega(), 4))
+        results.append(expand_at_compositions(en.powersum_form("Wtilde", 4).omega(), 3))
+        results.append(results[0].monomial_table())
         for a, b in values:
             results += [a + a, a - a, -a, a.scale(T), a.scale(0), a * b, a * a]
             results.append(a.map_coeffs(lambda p: p.reverse(2)))
@@ -337,6 +343,54 @@ class TestMonomialToE:
         table = MonomialTable(2, {(1, 0): 1, (1, 1): 1})
         with pytest.raises(ValueError):
             table.total_degree()
+
+    @given(e_symfuns())
+    @settings(max_examples=40, deadline=None)
+    def test_round_trip_at_compositions(self, f):
+        k = max(f.degree, 1)
+        table = expand_at_compositions(f, k)
+        assert table == expand_in_variables(f, k)
+        assert monomial_to_e(table, f.degree) == f
+
+    def test_compositions_must_agree_with_their_partition(self):
+        # the e-basis presentation of a QsymTable certifies Q[alpha] = Q[sorted alpha]
+        full = {(2, 1): 1, (1, 2): 1, (1, 1, 1): T}
+        assert monomial_to_e(QsymTable(3, full)) == SymFun("e", 3, {(2, 1): 1, (3,): T - 3})
+        for broken in ({**full, (1, 2): 2}, {(2, 1): 1, (1, 1, 1): T}, {(1, 2): 1, (1, 1, 1): T}):
+            with pytest.raises(NotSymmetricError):
+                monomial_to_e(QsymTable(3, broken))
+
+
+class TestQsymTable:
+    def test_keys_are_compositions_with_at_most_k_parts(self):
+        for bad in ((1, 0, 1), (1, 1, 1), (2, -1)):
+            with pytest.raises(ValueError):
+                QsymTable(2, {bad: 1})
+        with pytest.raises(ValueError):
+            QsymTable(0)
+
+    def test_monomial_table_writes_every_placement(self):
+        table = QsymTable(3, {(2, 1): T, (3,): 1})
+        assert table.monomial_table() == MonomialTable(3, {
+            (2, 1, 0): T, (2, 0, 1): T, (0, 2, 1): T, (3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1,
+        })
+        assert table == table.monomial_table() and table.monomial_table() == table
+        assert table != MonomialTable(3, {(2, 1, 0): T}) and table != QsymTable(2, table.terms)
+
+    def test_sum_coeffs_is_the_value_at_all_ones(self):
+        fundamental = en.FExpansion(3, ((1, (1,), 2),))  # 2t F_{3,{1}}, not symmetric
+        for k in range(1, 6):
+            tables = [expand_at_compositions(en.closed_form("Wtilde", 4), k)]
+            tables += [expand_at_compositions(en.closed_form("XC", 3), k), fundamental.to_table(k)]
+            for table in tables:
+                assert table.sum_coeffs() == table.monomial_table().sum_coeffs()
+
+    def test_json_encodes_a_shared_coefficient_once(self):
+        table = QsymTable(4, {(1, 2): ONE + T})
+        obj = table.to_json_obj()
+        assert obj == table.monomial_table().to_json_obj() and len(obj["terms"]) == 6
+        assert all(t["coeff"] is obj["terms"][0]["coeff"] for t in obj["terms"])
+        assert json.loads(json.dumps(obj)) == obj
 
 
 class TestOmega:
