@@ -4,7 +4,8 @@ Each verb runs one function, chosen through ``set_defaults``; ``powersum``
 and ``fexpand`` are ``expand`` with the basis preset to p and F.  Ranges
 read their upper bound from ``enumerators.LIMITS``, and the verify flags
 and defaults come from ``verify.BOUNDS``.  Every answer is printed by
-``_emit``.
+``_emit``; the JSON line of a verify run is written by
+``verify.records_json``, which owns the record layout.
 
 Output is byte-deterministic for fixed flags: partitions are listed in a
 fixed order and JSON objects are built in insertion order.  Exit codes are 0
@@ -68,10 +69,13 @@ def _qeuler_kind(parser: argparse.ArgumentParser, raw: str) -> str:
 
 def _emit(args, value, obj=None) -> None:
     """Print one answer: with --format json, ``obj`` (by default
-    ``value.to_json_obj()``) as one compact line; otherwise ``value`` as
-    text, through ``value.pretty()`` unless it is already a string."""
+    ``value.to_json_obj()``) as one compact line, or ``obj`` as it is when it
+    is that line already; otherwise ``value`` as text, through
+    ``value.pretty()`` unless it is already a string."""
     if args.format == "json":
-        print(json.dumps(value.to_json_obj() if obj is None else obj, separators=(",", ":")))
+        if obj is None:
+            obj = value.to_json_obj()
+        print(obj if isinstance(obj, str) else json.dumps(obj, separators=(",", ":")))
     else:
         print(value if isinstance(value, str) else value.pretty())
 
@@ -199,12 +203,15 @@ def _cmd_verify(parser, args) -> int:
         bounds[bound] = value
     names = verify.SUITES if args.suite == "all" else (args.suite,)
     records = verify.run_suites(names, **bounds)
-    lines = [
-        f"{r['status'].upper():4}  {r['check']}  " + " ".join(f"{k}={v}" for k, v in r["params"].items())
-        for r in records
-    ]
-    passed = sum(1 for r in records if r["status"] == "pass")
-    _emit(args, "\n".join(lines + [f"{passed}/{len(records)} checks passed"]), records)
+    if args.format == "json":
+        _emit(args, None, verify.records_json(records))
+    else:
+        lines = [
+            f"{r['status'].upper():4}  {r['check']}  " + " ".join(f"{k}={v}" for k, v in r["params"].items())
+            for r in records
+        ]
+        passed = sum(1 for r in records if r["status"] == "pass")
+        _emit(args, "\n".join(lines + [f"{passed}/{len(records)} checks passed"]))
     return 0 if verify.all_pass(records) else 1
 
 

@@ -43,6 +43,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import combinations
+from operator import itemgetter
 from typing import Callable, Mapping
 
 from .exact import ONE, ZERO, Combination, LaurentPoly, Scalar
@@ -299,14 +300,14 @@ class MonomialTable(_Table):
         return cls(nvars, {(0,) * nvars: 1})
 
     def to_json_obj(self) -> dict:
-        encoded: dict[int, dict] = {}  # a table written from compositions shares its coefficients
-        terms = []
-        for vec in sorted(self.terms, reverse=True):
-            c = self.terms[vec]
+        # expand_in_variables writes one coefficient object at every vector of an orbit
+        encoded: dict[int, dict] = {}
+        rows = {}
+        for vec, c in self.terms.items():
             if id(c) not in encoded:
                 encoded[id(c)] = c.to_json_obj()
-            terms.append({"exponents": list(vec), "coeff": encoded[id(c)]})
-        return {"vars": self.nvars, "terms": terms}
+            rows[vec] = encoded[id(c)]
+        return _table_json(self.nvars, rows)
 
     def pretty(self) -> str:
         return _aligned(
@@ -337,20 +338,49 @@ class QsymTable(_Table):
         """The value at all ones: alpha has C(k, l(alpha)) placements."""
         return sum((c * math.comb(self.nvars, len(a)) for a, c in self.terms.items()), ZERO)
 
+    def _placements(self, alpha: tuple) -> list[tuple]:
+        """The exponent vectors that read alpha: its parts placed into k
+        slots, in order, with zeros elsewhere."""
+        padded = (0,) + alpha
+        return [read(padded) for read in _slot_readers(self.nvars, len(alpha))]
+
     def monomial_table(self) -> MonomialTable:
-        """The coefficient at alpha written at every placement of its parts
-        into k slots, in order."""
-        terms = {}
-        for alpha, c in self.terms.items():
-            for slots in combinations(range(self.nvars), len(alpha)):
-                vec = [0] * self.nvars
-                for slot, part in zip(slots, alpha):
-                    vec[slot] = part
-                terms[tuple(vec)] = c
+        """The coefficient at alpha written at every placement of alpha."""
+        terms = {vec: c for alpha, c in self.terms.items() for vec in self._placements(alpha)}
         return MonomialTable.zero(self.nvars)._like(terms)
 
     def to_json_obj(self) -> dict:
-        return self.monomial_table().to_json_obj()
+        """The layout of ``monomial_table().to_json_obj()``, written from the
+        compositions: each coefficient is encoded once, and every row of its
+        composition shares that object."""
+        rows: dict[tuple, dict] = {}
+        for alpha, c in self.terms.items():
+            rows.update(dict.fromkeys(self._placements(alpha), c.to_json_obj()))
+        return _table_json(self.nvars, rows)
+
+
+@lru_cache(maxsize=None)
+def _slot_readers(k: int, parts: int) -> tuple[Callable[[tuple], tuple], ...]:
+    """One reader per choice of ``parts`` of k slots, in lexicographic order:
+    it takes (0, *alpha) to the length-k vector with alpha's parts in those
+    slots and zeros elsewhere."""
+    readers = []
+    for slots in combinations(range(k), parts):
+        index = [0] * k
+        for j, slot in enumerate(slots, 1):
+            index[slot] = j
+        read = itemgetter(*index)
+        readers.append(read if k > 1 else lambda padded, read=read: (read(padded),))
+    return tuple(readers)
+
+
+def _table_json(nvars: int, rows: dict[tuple, dict]) -> dict:
+    """The k-variable table layout: exponent vectors mapped to encoded
+    coefficients, listed in descending lexicographic order."""
+    return {
+        "vars": nvars,
+        "terms": [{"exponents": list(vec), "coeff": rows[vec]} for vec in sorted(rows, reverse=True)],
+    }
 
 
 def _aligned(rows) -> str:

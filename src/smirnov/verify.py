@@ -3,12 +3,12 @@
 Every suite lives here, the unimodality and counting reports included.
 Each yields a list of records ``{check, params, status, lhs, rhs}``, all
 built by ``_record``, with the compared values rendered through the
-symmetric-function JSON encoding wherever they are symmetric.  The CLI
-serializes these records directly, so the layout here is a stable machine
-contract.  Every oracle is quasisymmetric, so sides over k variables are
-compared as ``QsymTable`` values, at the compositions with at most k parts,
-and shown in the e basis, which certifies symmetry, when k is at least the
-degree, or else as k-variable tables.
+symmetric-function JSON encoding wherever they are symmetric.
+``records_json`` writes them as the CLI's JSON line, so the layout here is
+a stable machine contract.  Every oracle is quasisymmetric, so sides over k
+variables are compared as ``QsymTable`` values, at the compositions with at
+most k parts, and shown in the e basis, which certifies symmetry, when k is
+at least the degree, or else as k-variable tables.
 
 A record passes exactly when its two shown sides are equal as values.  Six
 checks have a condition wider than the sides they show, and pass it as
@@ -21,6 +21,7 @@ route to agree, ``cycle-even-corrected`` adds the direct chain test, and
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 
@@ -75,6 +76,21 @@ def _record(check: str, params: dict, lhs, rhs, ok: bool | None = None) -> dict:
         "lhs": shown,
         "rhs": shown if same else _present(rhs),  # equal values present identically
     }
+
+
+def records_json(records: list[dict]) -> str:
+    """The records as one compact JSON line, byte for byte
+    ``json.dumps(records, separators=(",", ":"))``.  The sides of a record
+    that ``_record`` built from equal values are one object (``rhs is
+    lhs``), and that side is encoded once and written in both places."""
+    dumps = json.JSONEncoder(separators=(",", ":")).encode
+    out = []
+    for r in records:
+        head = dumps({"check": r["check"], "params": r["params"], "status": r["status"]})
+        lhs = dumps(r["lhs"])
+        rhs = lhs if r["rhs"] is r["lhs"] else dumps(r["rhs"])
+        out.append(f'{head[:-1]},"lhs":{lhs},"rhs":{rhs}}}')
+    return "[" + ",".join(out) + "]"
 
 
 def suite_oracle(max_n: int, nvars: int) -> list[dict]:

@@ -5,6 +5,7 @@ import hashlib
 import importlib.util
 import inspect
 import json
+import os
 import subprocess
 import sys
 import textwrap
@@ -513,6 +514,36 @@ class TestRecords:
         assert differ["status"] == "fail" and differ["lhs"] != differ["rhs"]
         assert verify._record("wider", {}, 1, 2, ok=True)["status"] == "pass"
         assert verify._record("wider", {}, 1, 1, ok=False)["status"] == "fail"
+
+    @staticmethod
+    def assert_encoded_as_json_dumps(records):
+        line = verify.records_json(records)
+        expected = json.dumps(records, separators=(",", ":"))
+        if line != expected:  # name the first differing byte, not a diff of a megabyte
+            at = len(os.path.commonprefix([line, expected]))
+            pytest.fail(f"records_json differs from json.dumps at byte {at}: {line[max(at - 40, 0):at + 40]!r}")
+        assert json.loads(line) == json.loads(json.dumps(records))
+
+    def test_records_json_is_json_dumps_on_every_suite(self):
+        for records in (verify.run_suites(verify.SUITES), verify.suite_oracle(7, 6)):
+            assert any(r["rhs"] is r["lhs"] for r in records)
+            self.assert_encoded_as_json_dumps(records)
+
+    def test_records_json_is_json_dumps_on_other_sides(self):
+        closed = symfun.expand_at_compositions(en.closed_form("W", 3), 2)
+        failing = verify._record("oracle", {"n": 3, "vars": 2}, closed, closed.scale(exact.T))
+        assert failing["status"] == "fail" and failing["rhs"] is not failing["lhs"]
+        empty = QsymTable(2).to_json_obj()
+        records = [
+            failing,
+            verify._record("flag", {"n": 1}, True, True),
+            verify._record("flags", {}, [True, False], [True, True]),
+            verify._record("mapping", {"set": [1, 2]}, {"a": {"1": "1/2"}}, {"a": {"1": "1/2"}}),
+            verify._record("empty-e", {}, QsymTable(3), QsymTable(3)),
+            {"check": "empty-table", "params": {}, "status": "pass", "lhs": empty, "rhs": empty},
+        ]
+        self.assert_encoded_as_json_dumps(records)
+        assert verify.records_json([]) == "[]"
 
 
 class TestReferenceOutputs:

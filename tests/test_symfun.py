@@ -7,7 +7,7 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from smirnov import combinat
 from smirnov import enumerators as en
@@ -361,6 +361,22 @@ class TestMonomialToE:
                 monomial_to_e(QsymTable(3, broken))
 
 
+qsym_coeffs = st.dictionaries(
+    st.integers(-3, 3),
+    st.one_of(st.integers(-4, 4), st.fractions(min_value=-3, max_value=3, max_denominator=4)),
+    max_size=3,
+).map(LaurentPoly)
+
+
+@st.composite
+def qsym_tables(draw):
+    """A table in 1 to 6 variables at random compositions with at most that
+    many parts, with rational coefficients and negative t-exponents."""
+    k = draw(st.integers(1, 6))
+    alphas = st.lists(st.integers(1, 4), max_size=k).map(tuple)
+    return QsymTable(k, draw(st.dictionaries(alphas, qsym_coeffs, max_size=8)))
+
+
 class TestQsymTable:
     def test_keys_are_compositions_with_at_most_k_parts(self):
         for bad in ((1, 0, 1), (1, 1, 1), (2, -1)):
@@ -385,12 +401,30 @@ class TestQsymTable:
             for table in tables:
                 assert table.sum_coeffs() == table.monomial_table().sum_coeffs()
 
-    def test_json_encodes_a_shared_coefficient_once(self):
-        table = QsymTable(4, {(1, 2): ONE + T})
+    @given(qsym_tables())
+    @example(QsymTable(1))
+    @example(QsymTable(6))
+    @example(QsymTable(4, {(1, 2): ONE + T}))
+    @settings(max_examples=80, deadline=None)
+    def test_json_encodes_a_shared_coefficient_once(self, table):
         obj = table.to_json_obj()
-        assert obj == table.monomial_table().to_json_obj() and len(obj["terms"]) == 6
-        assert all(t["coeff"] is obj["terms"][0]["coeff"] for t in obj["terms"])
+        assert obj == table.monomial_table().to_json_obj()
         assert json.loads(json.dumps(obj)) == obj
+        rows = [tuple(row["exponents"]) for row in obj["terms"]]
+        assert rows == sorted(rows, reverse=True)
+        placed = set()
+        for alpha in table.terms:
+            for slots in combinations(range(table.nvars), len(alpha)):
+                vec = [0] * table.nvars
+                for slot, part in zip(slots, alpha):
+                    vec[slot] = part
+                placed.add(tuple(vec))
+        assert set(rows) == placed and len(rows) == len(placed)
+        shared = {}
+        for vec, row in zip(rows, obj["terms"]):
+            alpha = tuple(e for e in vec if e)
+            assert row["coeff"] == table.terms[alpha].to_json_obj()
+            assert row["coeff"] is shared.setdefault(alpha, row["coeff"])
 
 
 class TestOmega:
