@@ -4,8 +4,9 @@ Each verb runs one function, chosen through ``set_defaults``; ``powersum``
 and ``fexpand`` are ``expand`` with the basis preset to p and F.  Ranges
 read their upper bound from ``enumerators.LIMITS``, and the verify flags
 and defaults come from ``verify.BOUNDS``.  Every answer is printed by
-``_emit``; the JSON line of a verify run is written by
-``verify.records_json``, which owns the record layout.
+``_emit``, with JSON through the one encoder ``verify.dumps``; the JSON
+line of a verify run is written by ``verify.records_json``, which owns the
+record layout.
 
 Output is byte-deterministic for fixed flags: partitions are listed in a
 fixed order and JSON objects are built in insertion order.  Exit codes are 0
@@ -16,7 +17,6 @@ for usage errors.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import enumerators as en
@@ -75,7 +75,7 @@ def _emit(args, value, obj=None) -> None:
     if args.format == "json":
         if obj is None:
             obj = value.to_json_obj()
-        print(obj if isinstance(obj, str) else json.dumps(obj, separators=(",", ":")))
+        print(obj if isinstance(obj, str) else verify.dumps(obj))
     else:
         print(value if isinstance(value, str) else value.pretty())
 

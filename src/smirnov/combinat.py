@@ -314,27 +314,43 @@ def perm_walk(
     """Prefix DP over the permutations of 1..n in one-line notation.
 
     A state is (the values used so far, value v at bit v - 1; the last
-    value; the first value, or 0 unless ``keep_first``) and carries one
-    polynomial packed ``width`` bits per slot (``packed_coeffs``).
-    ``step(p, used, last, v)`` decides everything about appending v at
-    position p from that state (``last`` is 0 when p = 1): it returns how
-    many slots the append moves a polynomial up, or None to forbid it.  The
-    result maps (first, last) of the complete permutations to their sum.
+    value) and carries one polynomial packed ``width`` bits per slot
+    (``packed_coeffs``), or with ``keep_first`` one per first value, as a
+    dict first -> polynomial.  ``step(p, used, last, v)`` decides everything
+    about appending v at position p from that state (``last`` is 0 when
+    p = 1): it returns how many slots the append moves a polynomial up, or
+    None to forbid it.  It does not see the first value, so it is called
+    once per state and v, and its shift applies to all of the state's
+    polynomials.  The result maps (first, last) of the complete
+    permutations to their sum, first being 0 unless ``keep_first``.
     """
-    layer = {(0, 0, 0): 1}
+    layer: dict = {(0, 0): {0: 1} if keep_first else 1}
     for p in range(1, n + 1):
-        nxt: dict[tuple[int, int, int], int] = {}
-        for (used, last, first), poly in layer.items():
+        nxt: dict = {}
+        for (used, last), poly in layer.items():
             for v in range(1, n + 1):
-                if used >> (v - 1) & 1:
+                bit = 1 << (v - 1)
+                if used & bit:
                     continue
                 slots = step(p, used, last, v)
                 if slots is None:
                     continue
-                key = (used | 1 << (v - 1), v, v if p == 1 and keep_first else first)
-                nxt[key] = nxt.get(key, 0) + (poly << slots * width)
+                key = (used | bit, v)
+                shift = slots * width
+                if not keep_first:
+                    nxt[key] = nxt.get(key, 0) + (poly << shift)
+                elif p == 1:  # the first value is the one value placed
+                    nxt[key] = {v: poly[0] << shift}
+                elif key not in nxt:
+                    nxt[key] = {first: c << shift for first, c in poly.items()}
+                else:
+                    by_first = nxt[key]
+                    for first, c in poly.items():
+                        by_first[first] = by_first.get(first, 0) + (c << shift)
         layer = nxt
-    return {(first, last): poly for (_, last, first), poly in layer.items()}
+    if keep_first:
+        return {(first, last): c for (_, last), by in layer.items() for first, c in by.items()}
+    return {(0, last): poly for (_, last), poly in layer.items()}
 
 
 def fundamental_F(n: int, S: Iterable[int], k: int) -> MonomialTable:

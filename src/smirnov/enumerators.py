@@ -9,9 +9,13 @@ and root-of-unity evaluations, and the weighted-walk determinant identity.
 ``f_expansion`` and ``q_eulerian`` run the permutation prefix DP
 ``combinat.perm_walk`` with their own step rules (``F_RULES``, ``Q_RULES``):
 the first over sigma^-1, the second over sigma, so ``verify``'s
-f-principal-numerator check compares two independent walks.  The unit tests
+f-principal-numerator check compares two independent walks.  The q walks
+are cached by step rule and whether they keep the first value
+(``_q_walk``), so Aless and Atilde share one walk per n.  The unit tests
 check each walk against a sweep over every permutation, and
 ``FExpansion.to_table`` (the M_alpha rule) against ``combinat.fundamental_F``.
+``q_exp_identity_check`` compares each degree of an identity at one integer
+point (``exact.sums_equal_at_point``) instead of multiplying q-polynomials.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from .exact import (
     eulerian,
     eval_at_root_of_unity,
     q_binomial,
+    sums_equal_at_point,
     t_quantum,
 )
 from . import combinat
@@ -383,6 +388,25 @@ def f_expansion(variant: str, n: int) -> FExpansion:
 
 
 @lru_cache(maxsize=None)
+def _q_walk(n: int, rule: str, keep_first: bool) -> tuple[int, dict[tuple[int, int], int]]:
+    """(width, ``combinat.perm_walk`` over sigma packed ``width`` bits per
+    slot) with q_eulerian's step rule for ``rule``: "majexc" (slot
+    maj * (n + 1) + exc) or "des" (slot q-weight * (n + 1) + des).  Cached,
+    so Aless and Atilde, whose rule is "des" and which both keep the first
+    value, share one walk per n."""
+    cols = n + 1
+    width = math.factorial(n).bit_length()  # no coefficient exceeds n!
+
+    def step(p: int, used: int, last: int, v: int) -> int:
+        if rule == "majexc":
+            return (p - 1) * cols * (last > v) + (v > p)
+        q = v if used >> v & 1 and last != v + 1 else 0
+        return q * cols + (last > v)
+
+    return width, combinat.perm_walk(n, width, step, keep_first)
+
+
+@lru_cache(maxsize=None)
 def q_eulerian(kind: str, n: int) -> QtPoly:
     """The q-Eulerian polynomials and their endpoint/cyclic variations.
 
@@ -392,13 +416,13 @@ def q_eulerian(kind: str, n: int) -> QtPoly:
     is the one compatible with the principal specialization (the rising-gap
     reading is kept available through q_statistic_diagnostic).
 
-    A walk over sigma itself (``combinat.perm_walk``), independent of the
-    walk over sigma^-1 in ``f_expansion``.  Appending v at position p after
-    ``last`` is a descent when last > v, adds v to the q-weight when v + 1
-    is already placed but not just before v, and for Amajexc adds p - 1 to
-    maj on a descent and 1 to exc when v > p.  The endpoint filter and the
-    wrap descent sigma(n) > sigma(1) are applied to the complete
-    permutations.
+    A walk over sigma itself (``_q_walk``), independent of the walk over
+    sigma^-1 in ``f_expansion``.  Appending v at position p after ``last``
+    is a descent when last > v, adds v to the q-weight when v + 1 is
+    already placed but not just before v, and for Amajexc adds p - 1 to maj
+    on a descent and 1 to exc when v > p.  The endpoint filter and the wrap
+    descent sigma(n) > sigma(1) are applied to the complete permutations,
+    so Aless and Atilde read one walk that keeps the first value.
     """
     if kind not in Q_EULERIAN_KINDS:
         raise ValueError(f"unknown kind {kind!r}")
@@ -406,16 +430,9 @@ def q_eulerian(kind: str, n: int) -> QtPoly:
     if n == 0:
         return QtPoly.zero() if kind == "Aless" else QtPoly.one()
     cls, stat = Q_RULES[kind]
+    rule = "majexc" if stat == "majexc" else "des"
+    width, walk = _q_walk(n, rule, cls != "all" or stat == "cdes")
     cols = n + 1
-
-    def step(p: int, used: int, last: int, v: int) -> int:
-        if stat == "majexc":  # slot maj * cols + exc
-            return (p - 1) * cols * (last > v) + (v > p)
-        q = v if used >> v & 1 and last != v + 1 else 0
-        return q * cols + (last > v)  # slot q-weight * cols + des
-
-    width = math.factorial(n).bit_length()  # no coefficient exceeds n!
-    walk = combinat.perm_walk(n, width, step, keep_first=cls != "all" or stat == "cdes")
     total = 0
     for (first, last), poly in walk.items():
         if combinat._passes(cls, combinat._endpoint_class(first, last)):
@@ -453,32 +470,32 @@ def q_exp_identity_check(kind: str, order: int) -> bool:
 
     Multiplying the generating function by exp_q(tz) - t exp_q(z) and
     comparing q-binomial convolutions coefficientwise avoids dividing by the
-    non-unit constant term 1 - t.
+    non-unit constant term 1 - t.  Each degree's convolution is compared
+    with its right-hand side at one integer point
+    (``exact.sums_equal_at_point``), which is exact.
     """
     if kind not in QEXP_IDENTITIES:
         raise ValueError(f"unknown identity {kind!r}")
     check_limit("n", order, lo=0)
+    lo = 0 if kind == "A" else 1
+    terms = [
+        q_eulerian("Ades" if kind == "A" else kind, j) if j else QtPoly.one()
+        for j in range(lo, order + 1)
+    ]
+    identities = []
     for n in range(1, order + 1):
-        acc = QtPoly.zero()
-        lo = 0 if kind == "A" else 1
-        for j in range(lo, n + 1):
-            if kind == "A":
-                term = q_eulerian("Ades", j) if j else QtPoly.one()
-            elif kind == "Aless":
-                term = q_eulerian("Aless", j)
-            else:
-                term = q_eulerian("Atilde", j)
-            factor = LaurentPoly.t_power(n - j) - T
-            acc = acc + q_binomial(n, j) * term * factor
+        products = [
+            (q_binomial(n, j), terms[j - lo], QtPoly.from_t(LaurentPoly.t_power(n - j) - T))
+            for j in range(lo, n + 1)
+        ]
         if kind == "A":
             rhs = QtPoly.from_t(ONE - T)
         elif kind == "Aless":
             rhs = QtPoly.from_t((ONE - T) * t_quantum(n).derivative()) if n >= 2 else QtPoly.zero()
         else:
             rhs = QtPoly.from_t((ONE - T) * LaurentPoly.t_power(n - 1, n))
-        if acc != rhs:
-            return False
-    return True
+        identities.append((products, rhs))
+    return sums_equal_at_point(identities)
 
 
 def _eulerian_at_root(n: int, k: int) -> LaurentPoly:

@@ -16,6 +16,8 @@ checked, which attributes two values must share, and how two keys multiply:
 ``SymFun`` and ``MonomialTable`` in ``symfun``.  ``eval_at_root_of_unity``
 reduces a ``QtPoly`` modulo a cyclotomic polynomial, which evaluates it at a
 primitive root of unity without leaving exact arithmetic.
+``sums_equal_at_point`` compares sums of ``QtPoly`` products at one integer
+point, exactly, without forming the products.
 
 Everything in this module is immutable after construction and every operation
 is a pure function, so values are safe to share between concurrent workers.
@@ -26,7 +28,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -594,6 +596,81 @@ def qt_divmod(f: QtPoly, g: QtPoly) -> tuple[QtPoly, QtPoly]:
     return f._like(quo), f._like(rem)
 
 
+def sums_equal_at_point(identities: Iterable[tuple[Sequence[Sequence[QtPoly]], QtPoly]]) -> bool:
+    """Whether each identity holds, a sum of products of QtPoly factors
+    equal to a right-hand side, compared at one integer point.
+
+    Kronecker substitution.  Each factor is taken times the power of t that
+    makes its lowest t-exponent 0, each product and right-hand side then
+    times the power that brings it to its identity's lowest t-exponent, and
+    all are evaluated at t = 2^w and q = 2^(w s).  s exceeds every t-degree
+    of the shifted sides, so distinct monomials q^a t^b land on distinct
+    powers 2^(w (s a + b)).  w is chosen from the l1 norms so that every
+    coefficient of the difference of two sides is below 2^(w - 1) in
+    absolute value.  Digits in balanced base 2^w are unique, so a difference
+    is zero at the point exactly when it is zero as a polynomial.  Only
+    integer coefficients are compared: a Fraction anywhere gives False.
+
+    >>> f = QtPoly({0: LaurentPoly({-1: 1}), 2: T})
+    >>> sums_equal_at_point([([(f, f), (f,)], f * f + f)])
+    True
+    >>> sums_equal_at_point([([(f, f)], f * f + QtPoly.q_power(5))])
+    False
+    """
+    # id -> (low t, high t, l1, the value itself, which keeps its id taken)
+    shapes: dict[int, tuple[int, int, int, QtPoly]] = {}
+    sides = []  # per identity: (factors, low t) per product, right side, low t
+    span = bound = 0
+    for products, rhs in identities:
+        for f in (rhs, *(f for factors in products for f in factors)):
+            if id(f) not in shapes:
+                exps, l1 = [], 0
+                for c in f.terms.values():
+                    for b, x in c.terms.items():
+                        if type(x) is not int:
+                            return False
+                        exps.append(b)
+                        l1 += abs(x)
+                shapes[id(f)] = (min(exps, default=0), max(exps, default=0), l1, f)
+        low, high, total, _ = shapes[id(rhs)]
+        lows = []
+        for factors in products:
+            lo = hi = 0
+            l1 = 1
+            for f in factors:
+                flo, fhi, fl1, _ = shapes[id(f)]
+                lo, hi, l1 = lo + flo, hi + fhi, l1 * fl1
+            lows.append(lo)
+            low, high, total = min(low, lo), max(high, hi), total + l1
+        span = max(span, high - low)
+        bound = max(bound, total)
+        sides.append((list(zip(products, lows)), rhs, low))
+    s = span + 1
+    w = bound.bit_length() + 1  # 2^(w - 1) > bound
+    values: dict[int, int] = {}
+
+    def value(f: QtPoly) -> int:
+        """f times t^-(its low t) at the point."""
+        if id(f) not in values:
+            lo, v = shapes[id(f)][0], 0
+            for a, c in f.terms.items():
+                for b, x in c.terms.items():
+                    v += x << w * (s * a + b - lo)
+            values[id(f)] = v
+        return values[id(f)]
+
+    for shifted, rhs, low in sides:
+        lhs = 0
+        for factors, lo in shifted:
+            prod = 1
+            for f in factors:
+                prod *= value(f)
+            lhs += prod << w * (lo - low)
+        if lhs != value(rhs) << w * (shapes[id(rhs)][0] - low):
+            return False
+    return True
+
+
 @lru_cache(maxsize=None)
 def q_binomial(n: int, k: int) -> QtPoly:
     """Gaussian binomial coefficient as a q-polynomial.
@@ -635,17 +712,23 @@ def cyclotomic(k: int) -> QtPoly:
 def eval_at_root_of_unity(f: QtPoly, k: int) -> LaurentPoly:
     """The value of f at a primitive k-th root of unity, a polynomial in t.
 
-    f is reduced modulo the k-th cyclotomic polynomial.  The powers of the
-    root below that polynomial's degree are linearly independent over the
-    rationals, so the value is free of the root exactly when the remainder
-    is; ValueError is raised otherwise.
+    f is reduced modulo the k-th cyclotomic polynomial, after its
+    q-exponents are folded mod k: that polynomial divides q^k - 1, so the
+    fold leaves the remainder as it is.  The powers of the root below that
+    polynomial's degree are linearly independent over the rationals, so the
+    value is free of the root exactly when the remainder is; ValueError is
+    raised otherwise.
 
     >>> eval_at_root_of_unity(QtPoly({0: 1, 1: 1, 2: 1}), 3).pretty()
     '0'
     >>> eval_at_root_of_unity(QtPoly({2: 1}), 2).pretty()
     '1'
     """
-    _, rem = qt_divmod(f, cyclotomic(k))
+    folded: dict[int, LaurentPoly] = {}
+    for e, c in f.terms.items():
+        r = e % k
+        folded[r] = folded[r] + c if r in folded else c
+    _, rem = qt_divmod(f._like(folded), cyclotomic(k))
     if rem.q_degree():
         raise ValueError(f"the value at a primitive {k}-th root of unity depends on q")
     return rem.coeff(0)

@@ -78,18 +78,26 @@ def _record(check: str, params: dict, lhs, rhs, ok: bool | None = None) -> dict:
     }
 
 
+# The compact JSON encoder of every answer the command line prints.  What it
+# encodes is built by ``to_json_obj`` and ``_record`` and has no cycles, so
+# it keeps no markers against them.
+dumps = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
+
+
 def records_json(records: list[dict]) -> str:
     """The records as one compact JSON line, byte for byte
     ``json.dumps(records, separators=(",", ":"))``.  The sides of a record
     that ``_record`` built from equal values are one object (``rhs is
-    lhs``), and that side is encoded once and written in both places."""
-    dumps = json.JSONEncoder(separators=(",", ":")).encode
+    lhs``), and that side is encoded once and written in both places; any
+    other record is encoded in one call."""
     out = []
     for r in records:
-        head = dumps({"check": r["check"], "params": r["params"], "status": r["status"]})
-        lhs = dumps(r["lhs"])
-        rhs = lhs if r["rhs"] is r["lhs"] else dumps(r["rhs"])
-        out.append(f'{head[:-1]},"lhs":{lhs},"rhs":{rhs}}}')
+        if r["rhs"] is r["lhs"]:
+            head = dumps({"check": r["check"], "params": r["params"], "status": r["status"]})
+            lhs = dumps(r["lhs"])
+            out.append(f'{head[:-1]},"lhs":{lhs},"rhs":{lhs}}}')
+        else:
+            out.append(dumps(r))
     return "[" + ",".join(out) + "]"
 
 

@@ -15,7 +15,7 @@ import pytest
 
 from smirnov import cli, combinat, exact, symfun, verify
 from smirnov import enumerators as en
-from smirnov.exact import LaurentPoly, t_quantum
+from smirnov.exact import LaurentPoly, QtPoly, t_quantum
 from smirnov.symfun import QsymTable, SymFun, SymSeries
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
@@ -422,14 +422,63 @@ class TestVerify:
         code, _, _ = run_cli(capsys, "verify", "--suite", "f", "--max-n", "4")
         assert code == 1
 
+    @staticmethod
+    def clear_q_caches():
+        en.q_eulerian.cache_clear()
+        en._q_walk.cache_clear()
+
     def test_dropped_cyclic_wrap_fails_qexp(self, capsys, monkeypatch):
         monkeypatch.setitem(en.Q_RULES, "Atilde", ("all", "des"))
-        en.q_eulerian.cache_clear()
+        self.clear_q_caches()
         try:
             code, _, _ = run_cli(capsys, "verify", "--suite", "qexp")
         finally:
-            en.q_eulerian.cache_clear()
+            self.clear_q_caches()
         assert code == 1
+
+    def test_moved_q_weight_fails_qexp(self, capsys, monkeypatch):
+        # one unit of q-weight moves up in Aless at n = 5, so the value at
+        # q = 1 stays: only the identities, compared at one integer point
+        # where q is a power of t, can see it
+        original = en.q_eulerian
+
+        def moved(kind, n):
+            value = original(kind, n)
+            if (kind, n) != ("Aless", 5):
+                return value
+            a = min(value.terms)
+            b = min(value.coeff(a).terms)
+            unit = LaurentPoly.t_power(b)
+            return value + QtPoly.q_power(a + 1, unit) - QtPoly.q_power(a, unit)
+
+        assert moved("Aless", 5).at_q_one() == original("Aless", 5).at_q_one()
+        monkeypatch.setattr(en, "q_eulerian", moved)
+        code, out, _ = run_cli(capsys, "verify", "--suite", "qexp", "--format", "json")
+        assert code == 1
+        status = {(r["check"], json.dumps(r["params"])): r["status"] for r in json.loads(out)}
+        assert status["endpoint-at-one", '{"n": 5}'] == "pass"
+        assert status["qexp-identity", '{"kind": "Aless", "order": 8}'] == "fail"
+        assert [key for key, value in status.items() if value == "fail"] == [
+            ("qexp-identity", '{"kind": "Aless", "order": 8}')
+        ]
+
+    def test_qexp_walks_once_per_n_for_aless_and_atilde(self, capsys, monkeypatch):
+        walks = []
+        original = combinat.perm_walk
+
+        def counted(n, width, step, keep_first=False):
+            walks.append((n, keep_first))
+            return original(n, width, step, keep_first)
+
+        monkeypatch.setattr(combinat, "perm_walk", counted)
+        self.clear_q_caches()
+        try:
+            code, _, _ = run_cli(capsys, "verify", "--suite", "qexp")
+        finally:
+            self.clear_q_caches()
+        assert code == 0
+        kept = sorted(n for n, keep_first in walks if keep_first)
+        assert kept == list(range(1, 9))  # one for both kinds at each n
 
     def test_all_suites_json_matches_reference_digest(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--format", "json")

@@ -329,6 +329,31 @@ class TestPermWalk:
         )
         assert walk == dict(expected)
 
+    @given(st.integers(0, 2**32), st.integers(1, 6), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_random_step_rule_matches_a_permutation_sweep(self, seed, n, keep_first):
+        # a step rule that depends on everything it sees, forbidding about a
+        # fifth of the appends
+        def step(p, used, last, v):
+            h = seed ^ (p * 0x9E3779B1 + used * 0x85EBCA77 + last * 0xC2B2AE3D + v * 0x27D4EB2F)
+            h = h * 0x165667B1 % 2**32
+            return None if h % 5 == 0 else h >> 8 & 3
+
+        width = 10  # no coefficient exceeds 6! = 720 < 2^10
+        expected: dict = {}
+        for sigma in permutations_of(n):
+            used = last = slots = 0
+            for p, v in enumerate(sigma, start=1):
+                moved = step(p, used, last, v)
+                if moved is None:
+                    break
+                slots += moved
+                used, last = used | 1 << (v - 1), v
+            else:
+                key = (sigma[0] if keep_first else 0, last)
+                expected[key] = expected.get(key, 0) + (1 << slots * width)
+        assert perm_walk(n, width, step, keep_first) == expected
+
     def test_first_is_zero_unless_kept(self):
         assert perm_walk(3, 3, lambda p, used, last, v: 0) == {(0, 1): 2, (0, 2): 2, (0, 3): 2}
 

@@ -20,6 +20,7 @@ from smirnov.exact import (
     palindrome_unimodal,
     q_binomial,
     qt_divmod,
+    sums_equal_at_point,
     t_quantum,
 )
 
@@ -224,6 +225,101 @@ class TestRootOfUnity:
 
         assert reduce(f + g) == reduce(f) + reduce(g)
         assert reduce(f * g) == reduce(reduce(f) * reduce(g))
+
+
+    @given(
+        st.dictionaries(st.integers(0, 40), laurents, max_size=6).map(QtPoly),
+        st.dictionaries(st.integers(0, 28), laurents, max_size=4).map(QtPoly),
+        laurents,
+        st.integers(1, 12),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_folded_value_is_the_direct_remainder(self, f, h, p, k):
+        # f is mostly not free of the root; h * cyclotomic(k) + p always is
+        for g in (f, h * cyclotomic(k) + QtPoly.from_t(p)):
+            rem = qt_divmod(g, cyclotomic(k))[1]
+            if rem.q_degree():
+                with pytest.raises(ValueError):
+                    eval_at_root_of_unity(g, k)
+            else:
+                assert eval_at_root_of_unity(g, k) == rem.coeff(0)
+
+
+# integer coefficients wide enough to need several bits per digit, and
+# negative t-exponents
+int_qtpolys = st.dictionaries(
+    st.integers(0, 9),
+    st.dictionaries(st.integers(-3, 5), st.integers(-300, 300), max_size=4).map(LaurentPoly),
+    max_size=4,
+).map(QtPoly)
+
+
+def moved_q_weight(f: QtPoly, a: int, b: int) -> QtPoly:
+    """f with one unit of the monomial q^a t^b moved to q^(a + 1) t^b: the
+    same value at q = 1."""
+    unit = LaurentPoly.t_power(b)
+    return f + QtPoly.q_power(a + 1, unit) - QtPoly.q_power(a, unit)
+
+
+class TestSumsEqualAtPoint:
+    """The comparison at one integer point against QtPoly equality."""
+
+    @given(int_qtpolys, int_qtpolys, int_qtpolys)
+    @settings(max_examples=80, deadline=None)
+    def test_agrees_with_equality(self, f, g, h):
+        assert sums_equal_at_point([([(f, g), (h,)], f * g + h)])
+        assert sums_equal_at_point([([(f,)], g)]) == (f == g)
+        assert sums_equal_at_point([([(f, g)], h)]) == (f * g == h)
+        assert sums_equal_at_point([([(f, g)], f * g), ([(h,)], f)]) == (h == f)
+
+    @given(int_qtpolys, int_qtpolys, st.sampled_from([-1, 1]))
+    @settings(max_examples=80, deadline=None)
+    def test_one_unit_at_the_highest_coefficient_is_seen(self, f, g, unit):
+        rhs = f * g
+        a = rhs.q_degree() or 0
+        b = rhs.coeff(a).degree() or 0
+        bumped = rhs + QtPoly.q_power(a, LaurentPoly.t_power(b, unit))
+        assert sums_equal_at_point([([(f, g)], rhs)])
+        assert not sums_equal_at_point([([(f, g)], bumped)])
+
+    @given(int_qtpolys, int_qtpolys, st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_pairs_that_agree_at_q_one_are_told_apart(self, f, g, data):
+        rhs = f * g
+        a = data.draw(st.integers(0, 9))
+        b = data.draw(st.integers(-3, 5))
+        moved = moved_q_weight(rhs, a, b)
+        assert moved.at_q_one() == rhs.at_q_one() and moved != rhs
+        assert not sums_equal_at_point([([(f, g)], moved)])
+
+    def test_zero_sides_and_products(self):
+        f = QtPoly({0: ONE + T, 3: -T})
+        assert sums_equal_at_point([])
+        assert sums_equal_at_point([([], QtPoly.zero())])
+        assert sums_equal_at_point([([(QtPoly.zero(), f)], QtPoly.zero())])
+        assert not sums_equal_at_point([([], f)])
+
+    def test_a_fraction_never_passes(self):
+        half = QtPoly.from_t(LaurentPoly.const(Fraction(1, 2)))
+        assert not sums_equal_at_point([([(half,)], half)])
+        quarter = QtPoly.from_t(LaurentPoly.const(Fraction(1, 4)))
+        assert not sums_equal_at_point([([(half, half)], quarter)])
+
+    def test_a_t_power_is_not_the_next_q_power(self):
+        # with too few digits per power of q, t^b and q t^(b - span) would meet
+        for b in range(1, 6):
+            for low in (0, -1, -3):
+                lhs = QtPoly.from_t(LaurentPoly.t_power(b))
+                rhs = QtPoly.q_power(1, LaurentPoly.t_power(low))
+                assert not sums_equal_at_point([([(lhs,)], rhs)])
+                assert not sums_equal_at_point([([(lhs, QtPoly.one())], rhs)])
+
+    def test_a_carry_between_digits_is_not_a_match(self):
+        # with too few bits per digit, c * t^0 and t^1 would meet at the point
+        for c in (1, 2, 3, 255, 256, 2**40):
+            lhs = QtPoly.from_t(LaurentPoly.const(c))
+            assert not sums_equal_at_point([([(lhs,)], QtPoly.from_t(T))])
+            assert not sums_equal_at_point([([(lhs,)], QtPoly.q_power(1))])
 
 
 class TestPalindromeUnimodal:
