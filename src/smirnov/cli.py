@@ -21,50 +21,31 @@ import sys
 
 from . import enumerators as en
 from . import verify
-from .symfun import expand_in_variables
+from .symfun import expand_at_compositions
 
-VARIANT_ALIASES = {
-    "w": "W",
-    "wless": "Wless",
+# lower-cased --variant -> tag: every tag, and the paper's symbols
+VARIANT_ALIASES = {tag.lower(): tag for tag in en.VARIANTS} | {
     "w<": "Wless",
-    "wgreater": "Wgreater",
     "w>": "Wgreater",
-    "wequal": "Wequal",
     "w=": "Wequal",
-    "wneq": "Wneq",
     "w!=": "Wneq",
-    "wtilde": "Wtilde",
     "w~": "Wtilde",
-    "wtildeneq": "Wtildeneq",
     "w~!=": "Wtildeneq",
-    "xc": "XC",
     "xcn": "XC",
     "x_cn": "XC",
 }
-
-QEULER_ALIASES = {
+QEULER_ALIASES = {kind.lower(): kind for kind in en.Q_EULERIAN_KINDS} | {
     "a": "Ades",
-    "ades": "Ades",
-    "amajexc": "Amajexc",
-    "aless": "Aless",
     "a<": "Aless",
-    "atilde": "Atilde",
     "a~": "Atilde",
 }
 
 
-def _variant(parser: argparse.ArgumentParser, raw: str) -> str:
-    tag = VARIANT_ALIASES.get(raw.lower())
+def _alias(parser: argparse.ArgumentParser, aliases: dict, what: str, raw: str) -> str:
+    tag = aliases.get(raw.lower())
     if tag is None:
-        parser.error(f"--variant: unknown enumerator variant {raw!r}")
+        parser.error(f"--variant: unknown {what} {raw!r}")
     return tag
-
-
-def _qeuler_kind(parser: argparse.ArgumentParser, raw: str) -> str:
-    kind = QEULER_ALIASES.get(raw.lower())
-    if kind is None:
-        parser.error(f"--variant: unknown q-Eulerian kind {raw!r}")
-    return kind
 
 
 def _emit(args, value, obj=None) -> None:
@@ -128,9 +109,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_range(parser: argparse.ArgumentParser, flag: str, value: int, lo: int, key: str) -> None:
-    hi = en.LIMITS[key]
-    if not lo <= value <= hi:
-        parser.error(f"{flag}: must be between {lo} and {hi}, got {value}")
+    try:
+        en.check_limit(key, value, lo)
+    except ValueError as exc:
+        parser.error(f"{flag}: {exc}")
 
 
 def main(argv=None) -> int:
@@ -144,7 +126,7 @@ def main(argv=None) -> int:
 
 
 def _cmd_expand(parser, args) -> int:
-    variant = _variant(parser, args.variant)
+    variant = _alias(parser, VARIANT_ALIASES, "enumerator variant", args.variant)
     _check_range(parser, "--n", args.n, 1, "n")
     if args.vars is not None and args.basis != "e":
         parser.error(f"--vars: basis {args.basis} does not expand into variables; use --basis e")
@@ -158,14 +140,14 @@ def _cmd_expand(parser, args) -> int:
         _emit(args, en.f_expansion(variant, args.n))
     elif args.vars is not None:
         _check_range(parser, "--vars", args.vars, 1, "vars")
-        _emit(args, expand_in_variables(en.closed_form(variant, args.n), args.vars))
+        _emit(args, expand_at_compositions(en.closed_form(variant, args.n), args.vars))
     else:
         _emit(args, en.closed_form(variant, args.n))
     return 0
 
 
 def _cmd_qeuler(parser, args) -> int:
-    kind = _qeuler_kind(parser, args.variant)
+    kind = _alias(parser, QEULER_ALIASES, "q-Eulerian kind", args.variant)
     _check_range(parser, "--n", args.n, 0, "n")
     if args.q_root is None:
         _emit(args, en.q_eulerian(kind, args.n))
@@ -178,7 +160,7 @@ def _cmd_qeuler(parser, args) -> int:
 
 
 def _cmd_roots(parser, args) -> int:
-    kind = _qeuler_kind(parser, args.variant)
+    kind = _alias(parser, QEULER_ALIASES, "q-Eulerian kind", args.variant)
     if kind not in en.ROOT_FAMILIES:
         parser.error(f"--variant: no closed root-of-unity form for {kind}")
     _check_range(parser, "--n", args.n, 2, "n")

@@ -9,8 +9,9 @@ tables.
 The DPs here are the transfer-matrix method (Stanley, EC1 4.7).  The word
 and coloring enumerators are quasisymmetric, so each is a ``QsymTable``:
 ``brute_enumerator`` reads the coefficient of each composition of n from one
-prefix DP per alphabet size shared by all seven variants (``_word_ends``),
-and ``chromatic_qsym`` from a frontier DP over the vertices with the colors
+prefix DP per alphabet size shared by all seven variants (``_word_ends``)
+under the endpoint table ``ENDPOINT_RULES``, which the walks read too, and
+``chromatic_qsym`` from a frontier DP over the vertices with the colors
 standardised to ranks.  ``perm_walk`` is a prefix DP over permutations that
 ``enumerators.f_expansion`` and ``enumerators.q_eulerian`` run with their
 own step rules.  Everything else here enumerates objects one at a time,
@@ -35,18 +36,6 @@ from .exact import LaurentPoly, QtPoly
 from .symfun import MonomialTable, QsymTable
 
 
-def _endpoint_class(first: int, last: int) -> str:
-    if first < last:
-        return "<"
-    if first > last:
-        return ">"
-    return "="
-
-
-def _passes(class_filter: str, cls: str) -> bool:
-    return class_filter == "all" or class_filter == cls or (class_filter == "!=" and cls != "=")
-
-
 def packed_coeffs(poly: int, width: int) -> dict[int, int]:
     """The nonzero coefficients of a polynomial packed ``width`` bits per
     slot, keyed by slot (slot 0 in the lowest bits).  The DPs here add such
@@ -62,16 +51,32 @@ def packed_coeffs(poly: int, width: int) -> dict[int, int]:
     return coeffs
 
 
-# variant tag -> (endpoint class filter, statistic)
-VARIANT_RULES = {
-    "W": ("all", "des"),
-    "Wless": ("<", "des"),
-    "Wgreater": (">", "des"),
-    "Wequal": ("=", "des"),
-    "Wneq": ("!=", "des"),
-    "Wtilde": ("all", "cdes"),
-    "Wtildeneq": ("!=", "cdes"),
+def endpoint_class(first: int, last: int) -> str:
+    """'<', '>' or '=' as the first value is below, above or equal to the last."""
+    if first < last:
+        return "<"
+    if first > last:
+        return ">"
+    return "="
+
+
+# variant tag -> {endpoint class: the power of t it adds, one for the cyclic
+# wrap descent last > first}; a class left out is filtered out
+ENDPOINT_RULES = {
+    "W": {"<": 0, ">": 0, "=": 0},
+    "Wless": {"<": 0},
+    "Wgreater": {">": 0},
+    "Wequal": {"=": 0},
+    "Wneq": {"<": 0, ">": 0},
+    "Wtilde": {"<": 1, ">": 0, "=": 0},
+    "Wtildeneq": {"<": 1, ">": 0},
 }
+
+
+def endpoint_sum(variant: str, by_class: Iterable[tuple[str, int]], width: int) -> int:
+    """Sum (endpoint class, packed polynomial) pairs by ``ENDPOINT_RULES[variant]``."""
+    rule = ENDPOINT_RULES[variant]
+    return sum(poly << rule[cls] * width for cls, poly in by_class if cls in rule)
 
 
 def compositions(n: int, k: int) -> list[tuple[int, ...]]:
@@ -118,7 +123,7 @@ def _word_ends(n: int, k: int) -> tuple[int, dict[tuple[int, ...], dict[str, int
         for (first, last, code, _), poly in layer.items():
             alpha = tuple(code // u % base for u in unit)
             by_class = ends.setdefault(alpha, {})
-            cls = _endpoint_class(first, last)
+            cls = endpoint_class(first, last)
             by_class[cls] = by_class.get(cls, 0) + poly
     return width, ends
 
@@ -129,24 +134,19 @@ def brute_enumerator(variant: str, n: int, k: int) -> QsymTable:
     Relabelling letters in increasing order keeps adjacency, descents, the
     endpoint class and the wrap descent, so the enumerator is
     quasisymmetric, and its coefficient at each composition of n with at
-    most k parts is read from ``_word_ends`` by the endpoint filter, with a
-    t for the cyclic wrap descent last > first (endpoint class '<').
+    most k parts is read from ``_word_ends`` by the variant's endpoint rule
+    (``endpoint_sum``).
     """
-    if variant not in VARIANT_RULES:
+    if variant not in ENDPOINT_RULES:
         raise ValueError(f"unknown variant {variant!r}")
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive")
-    class_filter, stat = VARIANT_RULES[variant]
     width, ends = _word_ends(n, min(n, k))
     coeffs = {}
     for alpha, by_class in ends.items():
-        total = 0
-        for cls, poly in by_class.items():
-            if _passes(class_filter, cls):
-                total += poly << width if stat == "cdes" and cls == "<" else poly
-        if total:
-            coeffs[alpha] = LaurentPoly(packed_coeffs(total, width))
-    return QsymTable.zero(k)._like(coeffs)
+        total = endpoint_sum(variant, by_class.items(), width)
+        coeffs[alpha] = LaurentPoly(packed_coeffs(total, width))
+    return QsymTable.zero(k)._like(coeffs)  # drops the zero coefficients
 
 
 class Digraph(namedtuple("Digraph", ("n", "edges", "directed"))):

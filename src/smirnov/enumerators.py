@@ -7,15 +7,17 @@ expansions, the q-Eulerian polynomials with their q-exponential identities
 and root-of-unity evaluations, and the weighted-walk determinant identity.
 
 ``f_expansion`` and ``q_eulerian`` run the permutation prefix DP
-``combinat.perm_walk`` with their own step rules (``F_RULES``, ``Q_RULES``):
-the first over sigma^-1, the second over sigma, so ``verify``'s
-f-principal-numerator check compares two independent walks.  The q walks
-are cached by step rule and whether they keep the first value
-(``_q_walk``), so Aless and Atilde share one walk per n.  The unit tests
-check each walk against a sweep over every permutation, and
-``FExpansion.to_table`` (the M_alpha rule) against ``combinat.fundamental_F``.
-``q_exp_identity_check`` compares each degree of an identity at one integer
-point (``exact.sums_equal_at_point``) instead of multiplying q-polynomials.
+``combinat.perm_walk`` with their own step rules (``F_RULES``, ``Q_RULES``)
+and a word variant's endpoint rule (``combinat.ENDPOINT_RULES``): the first
+over sigma^-1, the second over sigma, so ``verify``'s f-principal-numerator
+check compares two independent walks.  The q walks are cached by step rule
+and whether they keep the first value (``_q_walk``), so Aless and Atilde
+share one walk per n.  The unit tests check each walk against a sweep over
+every permutation, and ``FExpansion.to_table`` (the M_alpha rule) against
+``combinat.fundamental_F``.  ``q_exp_identity_check`` compares each degree
+of an identity at one integer point (``exact.sums_equal_at_point``) instead
+of multiplying q-polynomials.  The transfer-matrix checks compare monomial
+coefficients as plain dicts, e_j being the sum of its squarefree monomials.
 """
 
 from __future__ import annotations
@@ -38,15 +40,7 @@ from .exact import (
     t_quantum,
 )
 from . import combinat
-from .symfun import (
-    MonomialTable,
-    Partition,
-    QsymTable,
-    SymFun,
-    SymSeries,
-    expand_in_variables,
-    partitions_of,
-)
+from .symfun import Partition, QsymTable, SymFun, SymSeries, partitions_of
 
 VARIANTS = ("W", "Wless", "Wgreater", "Wequal", "Wneq", "Wtilde", "Wtildeneq", "XC")
 POWERSUM_VARIANTS = ("W", "Wless", "Wgreater", "Wtilde", "Wtildeneq")
@@ -55,22 +49,17 @@ TOP_VARIANTS = ("Wneq", "XC")
 ROOT_FAMILIES = ("Ades", "Aless", "Atilde")
 QEXP_IDENTITIES = ("A", "Aless", "Atilde")
 
-# f_expansion walks tau = sigma^-1: variant -> (endpoint class of sigma,
-# statistic of sigma, gaps of tau whose positions form S)
-F_RULES = {
-    "W": ("all", "des", "drops"),
-    "Wless": ("<", "des", "drops"),
-    "Wgreater": (">", "des", "rises"),
-    "Wtilde": ("all", "cdes", "drops"),
-}
+# f_expansion walks tau = sigma^-1 under the endpoint rule of the variant
+# (combinat.ENDPOINT_RULES): variant -> the gaps of tau whose positions form S
+F_RULES = {"W": "drops", "Wless": "drops", "Wgreater": "rises", "Wtilde": "drops"}
 F_VARIANTS = tuple(F_RULES)
 
-# q_eulerian walks sigma: kind -> (endpoint class, statistic)
+# q_eulerian walks sigma: kind -> (variant whose endpoint rule it takes, step rule)
 Q_RULES = {
-    "Amajexc": ("all", "majexc"),
-    "Ades": ("all", "des"),
-    "Aless": ("<", "des"),
-    "Atilde": ("all", "cdes"),
+    "Amajexc": ("W", "majexc"),
+    "Ades": ("W", "des"),
+    "Aless": ("Wless", "des"),
+    "Atilde": ("Wtilde", "des"),
 }
 Q_EULERIAN_KINDS = tuple(Q_RULES)
 
@@ -187,20 +176,17 @@ def cleared_form_check(variant: str, order: int) -> bool:
     E = SymSeries.generating("e", order)
     denom = E.grade_scale_t() - E.scale(T)
     one_minus_t = ONE - T
-    series = closed_series(variant, order)
+    lhs = closed_series(variant, order)
     if variant == "W":
-        lhs = SymSeries.one("e", order) + series
+        lhs = SymSeries.one("e", order) + lhs
         rhs = E.scale(one_minus_t)
     elif variant == "Wtilde":
-        lhs = series
         rhs = E.grade_scale_t().dt().scale(one_minus_t)
     elif variant == "Wless":
-        lhs = series
         rhs = SymSeries.from_weights(
             order, lambda i: t_quantum(i).derivative() * one_minus_t if i >= 2 else None
         )
     else:  # Wgreater
-        lhs = series
         rhs = SymSeries.from_weights(
             order, lambda i: abc(i)[1] * one_minus_t if i >= 2 else None
         )
@@ -354,26 +340,25 @@ def f_expansion(variant: str, n: int) -> FExpansion:
     A walk over tau = sigma^-1 (``combinat.perm_walk``) with slot
     S_bits * (n + 1) + e.  Appending value v to tau is a descent of sigma at
     v when v + 1 is already placed; the gap between the last value and v
-    puts position p - 1 into S; the endpoint classes of sigma forbid placing
-    n before 1 (first < last) or 1 before n (first > last); and the cyclic
-    descent sigma(n) > sigma(1) is n placed after 1.
+    puts position p - 1 into S.  Placing n fixes sigma's endpoint class
+    ('<' if 1 is placed, '=' if n = 1, else '>'), and the variant's endpoint
+    rule (``combinat.ENDPOINT_RULES``) forbids that placement or adds its t.
     """
     if variant not in F_VARIANTS:
         raise ValueError(f"no fundamental expansion for {variant!r}")
     check_limit("n", n)
-    cls, stat, gaps = F_RULES[variant]
+    rule = combinat.ENDPOINT_RULES[variant]
+    drops = F_RULES[variant] == "drops"
     cols = n + 1
-    top = 1 << (n - 1)
 
     def step(p: int, used: int, last: int, v: int) -> int | None:
-        if v == n and cls == "<" and not used & 1:
-            return None
-        if v == 1 and cls == ">" and not used & top:
-            return None
         e = used >> v & 1
-        if v == n and stat == "cdes" and used & 1:
-            e += 1
-        gap = last - v if gaps == "drops" else v - last
+        if v == n:
+            cls = "=" if n == 1 else "<" if used & 1 else ">"
+            if cls not in rule:
+                return None
+            e += rule[cls]
+        gap = last - v if drops else v - last
         if p > 1 and gap >= 2:
             return (1 << (p - 2)) * cols + e
         return e
@@ -420,27 +405,24 @@ def q_eulerian(kind: str, n: int) -> QtPoly:
     sigma^-1 in ``f_expansion``.  Appending v at position p after ``last``
     is a descent when last > v, adds v to the q-weight when v + 1 is
     already placed but not just before v, and for Amajexc adds p - 1 to maj
-    on a descent and 1 to exc when v > p.  The endpoint filter and the wrap
-    descent sigma(n) > sigma(1) are applied to the complete permutations,
-    so Aless and Atilde read one walk that keeps the first value.
+    on a descent and 1 to exc when v > p.  The endpoint rule of the kind's
+    variant (``combinat.endpoint_sum``) is applied to the complete
+    permutations, so Aless and Atilde read one walk that keeps the first
+    value; W's rule keeps every class with no t, so Ades and Amajexc need not.
+    At n = 0 the one empty walk has class '=', which Aless leaves out.
     """
     if kind not in Q_EULERIAN_KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     check_limit("n", n, lo=0)
-    if n == 0:
-        return QtPoly.zero() if kind == "Aless" else QtPoly.one()
-    cls, stat = Q_RULES[kind]
-    rule = "majexc" if stat == "majexc" else "des"
-    width, walk = _q_walk(n, rule, cls != "all" or stat == "cdes")
+    variant, rule = Q_RULES[kind]
+    width, walk = _q_walk(n, rule, variant != "W")
+    ends = ((combinat.endpoint_class(first, last), poly) for (first, last), poly in walk.items())
+    total = combinat.endpoint_sum(variant, ends, width)
     cols = n + 1
-    total = 0
-    for (first, last), poly in walk.items():
-        if combinat._passes(cls, combinat._endpoint_class(first, last)):
-            total += poly << width if stat == "cdes" and last > first else poly
     out: dict[int, dict[int, int]] = {}
     for slot, c in combinat.packed_coeffs(total, width).items():
         a, b = divmod(slot, cols)
-        qe, te = (a - b, b) if stat == "majexc" else (a, b)
+        qe, te = (a - b, b) if rule == "majexc" else (a, b)
         out.setdefault(qe, {})[te] = c
     return QtPoly({qe: LaurentPoly(poly) for qe, poly in out.items()})
 
@@ -545,8 +527,7 @@ def root_of_unity(kind: str, n: int, k: int) -> LaurentPoly:
     '3*t^2'
     """
     parts = root_of_unity_parts(kind, n, k)
-    values = list(parts.values())
-    if any(v != values[0] for v in values[1:]):
+    if any(v != parts["via_eval"] for v in parts.values()):
         raise AssertionError(f"root-of-unity routes disagree for {kind}, n={n}, k={k}")
     return parts["via_eval"]
 
@@ -558,7 +539,8 @@ def transfer_matrix_check(k: int, order: int | None = None) -> bool:
     i -> j carries x_j, times t when it descends (i > j).  Every off-diagonal
     entry of I - zA is the single monomial -x_j (times t) z, so each term of
     the Leibniz sum is one monomial whose z-power is its total x-degree, and
-    truncating at z^order is a cut on total degree.
+    truncating at z^order is a cut on total degree.  The sides are compared
+    monomial by monomial, e_j as the sum of its squarefree monomials.
     """
     check_limit("transfer_k", k)
     if order is None:
@@ -576,26 +558,24 @@ def transfer_matrix_check(k: int, order: int | None = None) -> bool:
             sum(i > sigma[i] for i in moved), (-1) ** (inversions + len(moved))
         )
         det[vec] = det.get(vec, ZERO) + term
-    expected = MonomialTable.zero(k)
-    for j in range(order + 1):
-        expected = expected + expand_in_variables(
-            SymFun.generator("e", j, denominator_weight(j)), k
-        )
-    return MonomialTable(k, det) == expected
+    weights = {j: w for j in range(order + 1) if (w := denominator_weight(j))}
+    expected = {vec: w for j, w in weights.items() for vec in _squarefree(k, j)}
+    return {vec: c for vec, c in det.items() if c} == expected
+
+
+def _squarefree(k: int, j: int) -> list[tuple[int, ...]]:
+    """The monomials of e_j(x_1..x_k): the 0-1 exponent vectors with j ones."""
+    return [tuple(int(i in ones) for i in range(k)) for ones in combinations(range(k), j)]
 
 
 def distinguished_element_check(j: int, k: int) -> bool:
-    """sum_i x_i e_j(x with x_i removed) = (j+1) e_{j+1}(x_1..x_k)."""
+    """sum_i x_i e_j(x with x_i removed) = (j+1) e_{j+1}(x_1..x_k), monomial
+    by monomial."""
     if j < 0 or k < 1:
         raise ValueError("need j >= 0 and k >= 1")
-    lhs = MonomialTable.zero(k)
+    lhs: dict[tuple[int, ...], int] = {}
     for i in range(k):
-        others = [v for v in range(k) if v != i]
-        for subset in combinations(others, j):
-            vec = [0] * k
-            vec[i] = 1
-            for v in subset:
-                vec[v] += 1
-            lhs = lhs + MonomialTable(k, {tuple(vec): 1})
-    rhs = expand_in_variables(SymFun.generator("e", j + 1, j + 1), k)
-    return lhs == rhs
+        for subset in combinations([v for v in range(k) if v != i], j):
+            vec = tuple(int(v == i or v in subset) for v in range(k))
+            lhs[vec] = lhs.get(vec, 0) + 1
+    return lhs == dict.fromkeys(_squarefree(k, j + 1), j + 1)

@@ -35,7 +35,8 @@ nonnegative rows, single-entry rows; Macdonald I.6), computed by one cached
 DP over the parts of lam without building any k-variable table.  Expansion
 sums these counts per mu and writes each over its orbit or its compositions;
 conversion back is a triangular solve against the e counts, and doubles as a
-symmetry certificate for the oracles' tables.
+symmetry certificate for the oracles' tables.  A ``QsymTable`` writes its
+JSON k-variable table straight from the compositions.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from itertools import combinations
 from operator import itemgetter
 from typing import Callable, Mapping
 
-from .exact import ONE, ZERO, Combination, LaurentPoly, Scalar
+from .exact import ONE, ZERO, Combination, LaurentPoly, Scalar, palindrome_unimodal
 
 Partition = tuple[int, ...]
 
@@ -300,14 +301,7 @@ class MonomialTable(_Table):
         return cls(nvars, {(0,) * nvars: 1})
 
     def to_json_obj(self) -> dict:
-        # expand_in_variables writes one coefficient object at every vector of an orbit
-        encoded: dict[int, dict] = {}
-        rows = {}
-        for vec, c in self.terms.items():
-            if id(c) not in encoded:
-                encoded[id(c)] = c.to_json_obj()
-            rows[vec] = encoded[id(c)]
-        return _table_json(self.nvars, rows)
+        return _table_json(self.nvars, {vec: c.to_json_obj() for vec, c in self.terms.items()})
 
     def pretty(self) -> str:
         return _aligned(
@@ -357,6 +351,9 @@ class QsymTable(_Table):
         for alpha, c in self.terms.items():
             rows.update(dict.fromkeys(self._placements(alpha), c.to_json_obj()))
         return _table_json(self.nvars, rows)
+
+    def pretty(self) -> str:
+        return self.monomial_table().pretty()
 
 
 @lru_cache(maxsize=None)
@@ -662,10 +659,6 @@ class SymSeries:
         """Coefficientwise d/dt."""
         return self._like([a.map_coeffs(lambda p: p.derivative()) for a in self.coeffs])
 
-    def omega(self) -> "SymSeries":
-        coeffs = [a.omega() for a in self.coeffs]
-        return SymSeries(coeffs[0].basis, coeffs, self.zpart)
-
     def mul(self, other: "SymSeries") -> "SymSeries":
         """Graded product, to the smaller of the two orders."""
         self._check_basis(other)
@@ -718,8 +711,6 @@ def e_unimodal_palindromic(f: SymFun, center) -> tuple[bool, bool]:
     """
     if f.basis != "e":
         raise ValueError("requires the e basis")
-    from .exact import palindrome_unimodal
-
     pal = uni = True
     for c in f.terms.values():
         p, u = palindrome_unimodal(c, center)

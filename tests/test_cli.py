@@ -16,7 +16,7 @@ import pytest
 from smirnov import cli, combinat, exact, symfun, verify
 from smirnov import enumerators as en
 from smirnov.exact import LaurentPoly, QtPoly, t_quantum
-from smirnov.symfun import QsymTable, SymFun, SymSeries
+from smirnov.symfun import QsymTable, SymFun, SymSeries, expand_in_variables
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 REFERENCE_RUNS = json.loads(REFERENCE.read_text())
@@ -95,6 +95,19 @@ class TestExpand:
         assert info.value.code == 2
         err = capsys.readouterr().err
         assert "--vars" in err and f"basis {basis}" in err
+
+    @pytest.mark.parametrize("variant", en.VARIANTS)
+    def test_vars_table_matches_orbit_writer(self, capsys, variant):
+        # expand --vars writes its table from the compositions; the orbit
+        # writer of expand_in_variables is the independent reference
+        for n in range(2 if variant in ("Wneq", "XC") else 1, 7):
+            for k in sorted({1, 2, n, 8}):
+                table = expand_in_variables(en.closed_form(variant, n), k)
+                argv = ("expand", "--variant", variant, "--n", str(n), "--vars", str(k))
+                _, out, _ = run_cli(capsys, *argv, "--format", "json")
+                assert out == json.dumps(table.to_json_obj(), separators=(",", ":")) + "\n"
+                _, out, _ = run_cli(capsys, *argv)
+                assert out == table.pretty() + "\n"
 
     def test_variant_aliases(self, capsys):
         for alias in ("Wtilde", "wtilde", "W~"):
@@ -404,13 +417,22 @@ class TestVerify:
         assert records and all(r["status"] == "pass" for r in records)
 
     @pytest.mark.parametrize(
-        "variant, rule",
-        [("Wtilde", ("all", "des", "drops")), ("Wgreater", (">", "des", "drops"))],
+        "module, table, variant, rule",
+        [
+            (combinat, "ENDPOINT_RULES", "Wtilde", {"<": 0, ">": 0, "=": 0}),
+            (en, "F_RULES", "Wgreater", "drops"),
+        ],
         ids=["wrap-t-dropped", "rises-read-as-drops"],
     )
-    def test_mutated_f_walk_fails_f_suite(self, capsys, monkeypatch, variant, rule):
-        monkeypatch.setitem(en.F_RULES, variant, rule)
-        code, _, _ = run_cli(capsys, "verify", "--suite", "f", "--max-n", "4")
+    def test_mutated_f_walk_fails_f_suite(self, capsys, monkeypatch, module, table, variant, rule):
+        # the endpoint table also feeds q_eulerian, whose cached values the
+        # f suite reads; a wrong cached Atilde must not outlive this test
+        monkeypatch.setitem(getattr(module, table), variant, rule)
+        self.clear_q_caches()
+        try:
+            code, _, _ = run_cli(capsys, "verify", "--suite", "f", "--max-n", "4")
+        finally:
+            self.clear_q_caches()
         assert code == 1
 
     def test_m_alpha_rule_as_equality_fails_f_suite(self, capsys, monkeypatch):
@@ -428,7 +450,7 @@ class TestVerify:
         en._q_walk.cache_clear()
 
     def test_dropped_cyclic_wrap_fails_qexp(self, capsys, monkeypatch):
-        monkeypatch.setitem(en.Q_RULES, "Atilde", ("all", "des"))
+        monkeypatch.setitem(en.Q_RULES, "Atilde", ("W", "des"))
         self.clear_q_caches()
         try:
             code, _, _ = run_cli(capsys, "verify", "--suite", "qexp")
@@ -624,7 +646,7 @@ class TestUsageErrors:
         with pytest.raises(SystemExit):
             cli.main(["expand", "--variant", "W", "--n", "99"])
         err = capsys.readouterr().err
-        assert "--n" in err
+        assert "--n" in err and "LIMITS[" in err
 
     def test_library_range_error_is_exit_two(self, capsys):
         code = cli.main(["expand", "--variant", "Wneq", "--n", "1"])
@@ -689,7 +711,8 @@ class TestLimits:
         with pytest.raises(SystemExit) as info:
             cli.main(["verify", "--suite", "all", flag, str(en.LIMITS[key] + 1)])
         assert info.value.code == 2
-        assert flag in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert flag in err and "LIMITS[" in err
 
 
 class TestTracerNames:

@@ -12,7 +12,6 @@ from smirnov.combinat import (
     Digraph,
     F_ones_specialization,
     F_principal_series,
-    VARIANT_RULES,
     brute_enumerator,
     chromatic_qsym,
     compositions,
@@ -26,7 +25,19 @@ from smirnov.combinat import (
 )
 from smirnov.symfun import MonomialTable, SymFun, expand_in_variables, monomial_to_e
 from coloring_reference import colorings_by_content
-from word_reference import smirnov_words, word_stats
+from word_reference import endpoint_class, passes, smirnov_words, word_stats
+
+# The paper's word variants, stated here rather than read from the library:
+# variant -> (endpoint class filter, statistic)
+VARIANT_RULES = {
+    "W": ("all", "des"),
+    "Wless": ("<", "des"),
+    "Wgreater": (">", "des"),
+    "Wequal": ("=", "des"),
+    "Wneq": ("!=", "des"),
+    "Wtilde": ("all", "cdes"),
+    "Wtildeneq": ("!=", "cdes"),
+}
 
 
 class TestSmirnovWords:
@@ -126,8 +137,7 @@ def words_by_full_table(variant, n, k):
         layer = nxt
     totals = {}
     for (first, last, code), poly in layer.items():
-        cls = "<" if first < last else ">" if first > last else "="
-        if class_filter in ("all", cls) or (class_filter == "!=" and cls != "="):
+        if passes(class_filter, endpoint_class(first, last)):
             if stat == "cdes" and last > first:
                 poly <<= width
             totals[code] = totals.get(code, 0) + poly

@@ -1,17 +1,26 @@
 """Word-by-word reference enumeration of Smirnov words, for the tests.
 
 The library reads every word enumerator from the composition-indexed prefix
-DP ``smirnov.combinat._word_ends``; these per-word routines are the
+DP ``smirnov.combinat._word_ends`` and its endpoint rule; these per-word
+routines, with the endpoint classes and filters stated here, are the
 independent oracle the unit tests check it against at small n.
 """
 
 from typing import Iterator, NamedTuple, Sequence
 
-from smirnov.combinat import _endpoint_class, _passes
-
 Word = tuple[int, ...]
 
 WORD_CLASSES = ("all", "<", ">", "=", "!=")
+
+
+def endpoint_class(first: int, last: int) -> str:
+    return "<" if first < last else ">" if first > last else "="
+
+
+def passes(class_filter: str, cls: str) -> bool:
+    """Whether a word of endpoint class ``cls`` passes the filter: "all",
+    one class, or "!=" for first and last letters that differ."""
+    return class_filter in ("all", cls) or (class_filter == "!=" and cls != "=")
 
 
 def smirnov_words(n: int, k: int, class_filter: str = "all") -> Iterator[Word]:
@@ -29,7 +38,7 @@ def smirnov_words(n: int, k: int, class_filter: str = "all") -> Iterator[Word]:
                 continue
             word[i] = c
             if i == n - 1:
-                if _passes(class_filter, _endpoint_class(word[0], c)):
+                if passes(class_filter, endpoint_class(word[0], c)):
                     yield tuple(word)
             else:
                 yield from extend(i + 1)
@@ -60,4 +69,4 @@ def word_stats(w: Sequence[int]) -> WordStats:
     des = sum(1 for i in range(len(w) - 1) if w[i] > w[i + 1])
     asc = sum(1 for i in range(len(w) - 1) if w[i] < w[i + 1])
     cdes = des + (1 if w[-1] > w[0] else 0)
-    return WordStats(des, asc, cdes, _endpoint_class(w[0], w[-1]))
+    return WordStats(des, asc, cdes, endpoint_class(w[0], w[-1]))
