@@ -20,7 +20,6 @@ from .exact import (
     t_quantum,
 )
 from .symfun import (
-    MonomialTable,
     NotSymmetricError,
     SymFun,
     SymSeries,
@@ -28,7 +27,6 @@ from .symfun import (
     e_positivity_report,
     e_unimodal_direct,
     e_unimodal_palindromic,
-    expand_in_variables,
     monomial_to_e,
     partitions_of,
     z_of,

@@ -164,8 +164,7 @@ def _cmd_roots(parser, args) -> int:
     if kind not in en.ROOT_FAMILIES:
         parser.error(f"--variant: no closed root-of-unity form for {kind}")
     _check_range(parser, "--n", args.n, 2, "n")
-    parts = en.root_of_unity_parts(kind, args.n, args.q_root)
-    agree = all(v == parts["via_eval"] for v in parts.values())
+    parts, agree = en.root_of_unity_parts(kind, args.n, args.q_root)
     obj = {"agree": agree, **{name: poly.to_json_obj() for name, poly in parts.items()}}
     lines = [f"{name}: {poly.pretty()}" for name, poly in parts.items()]
     _emit(args, "\n".join(lines + [f"agree: {str(agree).lower()}"]), obj)

@@ -16,12 +16,14 @@ standardised to ranks.  ``perm_walk`` is a prefix DP over permutations that
 ``enumerators.f_expansion`` and ``enumerators.q_eulerian`` run with their
 own step rules.  Everything else here enumerates objects one at a time,
 ``permutations_of``, ``perm_stats``, ``inverse_perm`` and ``fundamental_F``
-included; the word by word enumeration and the content-vector coloring DP
-are reference modules of the tests.  The trust chain is closed form <-> DP
-or M_alpha rule (``enumerators.FExpansion.to_table``), compared at the
-compositions by ``verify`` and the acceptance tests, and DP or M_alpha rule
-<-> per-object enumeration or content-vector DP, compared as k-variable
-tables by the unit tests at small n.
+included; ``fundamental_F`` returns its counts by exponent vector as a plain
+dict.  The word by word enumeration, the content-vector coloring DP and the
+table by exponent vectors they are compared as are reference modules of the
+tests.  The trust chain is closed form <-> DP or M_alpha rule
+(``enumerators.FExpansion.to_table``), compared at the compositions by
+``verify`` and the acceptance tests, and DP or M_alpha rule <-> per-object
+enumeration or content-vector DP, compared as k-variable tables by the unit
+tests at small n.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from itertools import permutations
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .exact import LaurentPoly, QtPoly
-from .symfun import MonomialTable, QsymTable
+from .symfun import QsymTable
 
 
 def packed_coeffs(poly: int, width: int) -> dict[int, int]:
@@ -353,13 +355,13 @@ def perm_walk(
     return {(0, last): poly for (_, last), poly in layer.items()}
 
 
-def fundamental_F(n: int, S: Iterable[int], k: int) -> MonomialTable:
+def fundamental_F(n: int, S: Iterable[int], k: int) -> dict[tuple, int]:
     """Fundamental quasisymmetric function over k variables: the sum of x_f
     over weakly decreasing f: [n] -> [k] that drop strictly at every position
-    in S.
+    in S, as the number of such f with each exponent vector.
 
-    >>> sorted(fundamental_F(3, {1}, 2).terms)
-    [(2, 1)]
+    >>> fundamental_F(3, {1}, 2)
+    {(2, 1): 1}
     """
     S = frozenset(S)
     if any(not 1 <= i <= n - 1 for i in S):
@@ -383,7 +385,7 @@ def fundamental_F(n: int, S: Iterable[int], k: int) -> MonomialTable:
             extend(i + 1)
 
     extend(0)
-    return MonomialTable(k, {vec: LaurentPoly({0: c}) for vec, c in counts.items()})
+    return counts
 
 
 def F_ones_specialization(n: int, S: Iterable[int], m: int) -> int:

@@ -489,9 +489,10 @@ def _eulerian_at_root(n: int, k: int) -> LaurentPoly:
     return eval_at_root_of_unity(q_eulerian("Ades", n), k)
 
 
-def root_of_unity_parts(kind: str, n: int, k: int) -> dict:
+def root_of_unity_parts(kind: str, n: int, k: int) -> tuple[dict, bool]:
     """Root-of-unity evaluation both ways: exact cyclotomic reduction of the
-    q-polynomial, the closed product formula, and the step-k recursion."""
+    q-polynomial, the closed product formula, and the step-k recursion, by
+    route name, and whether every route agrees with ``via_eval``."""
     if kind not in ROOT_FAMILIES:
         raise ValueError(f"unknown family {kind!r}")
     if n < 2:
@@ -516,7 +517,7 @@ def root_of_unity_parts(kind: str, n: int, k: int) -> dict:
             parts["recursion"] = (T * qk * prev).derivative()
         else:
             parts["recursion"] = LaurentPoly.t_power(k, n) * prev
-    return parts
+    return parts, all(v == via_eval for v in parts.values())
 
 
 def root_of_unity(kind: str, n: int, k: int) -> LaurentPoly:
@@ -526,8 +527,8 @@ def root_of_unity(kind: str, n: int, k: int) -> LaurentPoly:
     >>> root_of_unity("Atilde", 3, 3).pretty()
     '3*t^2'
     """
-    parts = root_of_unity_parts(kind, n, k)
-    if any(v != parts["via_eval"] for v in parts.values()):
+    parts, agree = root_of_unity_parts(kind, n, k)
+    if not agree:
         raise AssertionError(f"root-of-unity routes disagree for {kind}, n={n}, k={k}")
     return parts["via_eval"]
 

@@ -13,7 +13,7 @@ coefficient maps, the bilinear product and the sum of coefficients are
 written once there.  Its subclasses say only how a key is
 checked, which attributes two values must share, and how two keys multiply:
 ``QtPoly`` (a polynomial in ``q``, keyed by the q-exponent) here, and
-``SymFun`` and ``MonomialTable`` in ``symfun``.  ``eval_at_root_of_unity``
+``SymFun`` and ``QsymTable`` in ``symfun``.  ``eval_at_root_of_unity``
 reduces a ``QtPoly`` modulo a cyclotomic polynomial, which evaluates it at a
 primitive root of unity without leaving exact arithmetic.
 ``sums_equal_at_point`` compares sums of ``QtPoly`` products at one integer

@@ -1,20 +1,19 @@
-"""Partitions, symmetric functions, monomial expansions, and graded series.
+"""Partitions, symmetric functions, k-variable tables, and graded series.
 
 A partition is a plain tuple of weakly decreasing positive integers.  A
 ``SymFun`` is a homogeneous formal combination of partition-indexed basis
 elements (elementary ``e``, complete homogeneous ``h``, power sum ``p``, or
-monomial ``m``) with ``LaurentPoly`` coefficients.  A ``MonomialTable`` is the
-expansion of such a function in a fixed finite number of variables, which is
-faithful as long as the variable count is at least the degree; a
-``QsymTable`` holds a quasisymmetric one, such as an oracle's, by its
-coefficients at the compositions with at most k parts.  All three are
-``exact.Combination`` subclasses: the shared core does their arithmetic, and
-each says only how a key is checked (a partition of the degree; a length-k
-vector of nonnegative exponents; a composition), what two values must share
+monomial ``m``) with ``LaurentPoly`` coefficients.  A ``QsymTable`` is a
+quasisymmetric polynomial in a fixed finite number k of variables, such as
+an oracle's or a symmetric function's expansion, held by its coefficients at
+the compositions with at most k parts; the expansion is faithful as long as
+k is at least the degree.  Both are ``exact.Combination`` subclasses: the
+shared core does their arithmetic, and each says only how a key is checked
+(a partition of the degree; a composition), what two values must share
 (basis, zpart and degree; the variable count) and how two keys multiply
-(``merge``; vector addition).  A ``SymSeries`` is a graded sequence of
-``SymFun`` values indexed by the power of a formal variable z; the grading
-and the x-degree always coincide here.
+(``merge``).  A ``SymSeries`` is a graded sequence of ``SymFun`` values
+indexed by the power of a formal variable z; the grading and the x-degree
+always coincide here.
 
 Power sums are kept in ``zpart`` form, against p_lam / z_lam, where products
 have integer structure constants (Macdonald I.2): with m_i(lam) the number of
@@ -28,15 +27,15 @@ coefficient 1, and the power sum identities run in integers.  ``Fraction``
 coefficients appear only at the output edge: ``from_zpart`` (plain p
 coefficients), and expansions whose values are not integral.
 
-Both directions between a ``SymFun`` and a ``MonomialTable`` go through the
+Both directions between a ``SymFun`` and a ``QsymTable`` go through the
 monomial basis.  The coefficient of m_mu in e_lam, h_lam or p_lam is an
 integer count of matrices with row sums lam and column sums mu (0-1 rows,
 nonnegative rows, single-entry rows; Macdonald I.6), computed by one cached
 DP over the parts of lam without building any k-variable table.  Expansion
-sums these counts per mu and writes each over its orbit or its compositions;
+sums these counts per mu and writes each at every rearrangement of mu;
 conversion back is a triangular solve against the e counts, and doubles as a
 symmetry certificate for the oracles' tables.  A ``QsymTable`` writes its
-JSON k-variable table straight from the compositions.
+k-variable table, as JSON or text, straight from the compositions.
 """
 
 from __future__ import annotations
@@ -248,8 +247,10 @@ class SymFun(Combination):
         return f"SymFun({self.basis}{'/z' if self.zpart else ''}, deg={self.degree})"
 
 
-class _Table(Combination):
-    """The variable count and degree of the two tables over k variables."""
+class QsymTable(Combination):
+    """A quasisymmetric polynomial in k variables by its coefficients at the
+    compositions with at most k parts, each that of every monomial whose
+    nonzero exponents read it in order."""
 
     __slots__ = ("nvars",)
 
@@ -259,14 +260,20 @@ class _Table(Combination):
         self.nvars = nvars
         self._store(terms)
 
+    def _key(self, alpha) -> tuple:
+        alpha = tuple(alpha)
+        if len(alpha) > self.nvars or not all(isinstance(a, int) and a > 0 for a in alpha):
+            raise ValueError(f"bad composition {alpha!r}")
+        return alpha
+
     def _shape(self) -> tuple:
         return (self.nvars,)
 
-    def _copy_shape(self, out: "_Table") -> None:
+    def _copy_shape(self, out: "QsymTable") -> None:
         out.nvars = self.nvars
 
     @classmethod
-    def zero(cls, nvars: int):
+    def zero(cls, nvars: int) -> "QsymTable":
         return cls(nvars)
 
     def total_degree(self) -> int | None:
@@ -276,57 +283,6 @@ class _Table(Combination):
         if len(degs) > 1:
             raise ValueError("table is not homogeneous")
         return degs.pop()
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(vars={self.nvars}, terms={len(self.terms)})"
-
-
-class MonomialTable(_Table):
-    """Map from length-k exponent vectors to LaurentPoly coefficients."""
-
-    __slots__ = ()
-
-    def _key(self, vec) -> tuple:
-        vec = tuple(vec)
-        if len(vec) != self.nvars or any(e < 0 for e in vec):
-            raise ValueError(f"bad exponent vector {vec!r}")
-        return vec
-
-    @staticmethod
-    def _mul_key(v1: tuple, v2: tuple) -> tuple[tuple, int]:
-        return tuple(a + b for a, b in zip(v1, v2)), 1
-
-    @classmethod
-    def one(cls, nvars: int) -> "MonomialTable":
-        return cls(nvars, {(0,) * nvars: 1})
-
-    def to_json_obj(self) -> dict:
-        return _table_json(self.nvars, {vec: c.to_json_obj() for vec, c in self.terms.items()})
-
-    def pretty(self) -> str:
-        return _aligned(
-            ("x^(" + ",".join(map(str, vec)) + ")", self.terms[vec].pretty())
-            for vec in sorted(self.terms, reverse=True)
-        )
-
-
-class QsymTable(_Table):
-    """A quasisymmetric polynomial in k variables by its coefficients at the
-    compositions with at most k parts, each that of every monomial whose
-    nonzero exponents read it in order; equal to its ``MonomialTable``."""
-
-    __slots__ = ()
-
-    def _key(self, alpha) -> tuple:
-        alpha = tuple(alpha)
-        if len(alpha) > self.nvars or not all(isinstance(a, int) and a > 0 for a in alpha):
-            raise ValueError(f"bad composition {alpha!r}")
-        return alpha
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, MonomialTable):
-            return self.monomial_table() == other
-        return super().__eq__(other)
 
     def sum_coeffs(self) -> LaurentPoly:
         """The value at all ones: alpha has C(k, l(alpha)) placements."""
@@ -338,22 +294,26 @@ class QsymTable(_Table):
         padded = (0,) + alpha
         return [read(padded) for read in _slot_readers(self.nvars, len(alpha))]
 
-    def monomial_table(self) -> MonomialTable:
-        """The coefficient at alpha written at every placement of alpha."""
-        terms = {vec: c for alpha, c in self.terms.items() for vec in self._placements(alpha)}
-        return MonomialTable.zero(self.nvars)._like(terms)
+    def _rows(self, encode: Callable[[LaurentPoly], object]) -> dict[tuple, object]:
+        """Every exponent vector of the k-variable table mapped to its
+        coefficient, encoded once per composition and shared by the rows
+        that read it."""
+        rows: dict[tuple, object] = {}
+        for alpha, c in self.terms.items():
+            rows.update(dict.fromkeys(self._placements(alpha), encode(c)))
+        return rows
 
     def to_json_obj(self) -> dict:
-        """The layout of ``monomial_table().to_json_obj()``, written from the
-        compositions: each coefficient is encoded once, and every row of its
-        composition shares that object."""
-        rows: dict[tuple, dict] = {}
-        for alpha, c in self.terms.items():
-            rows.update(dict.fromkeys(self._placements(alpha), c.to_json_obj()))
-        return _table_json(self.nvars, rows)
+        return _table_json(self.nvars, self._rows(LaurentPoly.to_json_obj))
 
     def pretty(self) -> str:
-        return self.monomial_table().pretty()
+        rows = self._rows(LaurentPoly.pretty)
+        return _aligned(
+            ("x^(" + ",".join(map(str, vec)) + ")", rows[vec]) for vec in sorted(rows, reverse=True)
+        )
+
+    def __repr__(self) -> str:
+        return f"QsymTable(vars={self.nvars}, terms={len(self.terms)})"
 
 
 @lru_cache(maxsize=None)
@@ -470,31 +430,23 @@ def _m_sums(f: SymFun, k: int) -> dict[Partition, LaurentPoly]:
     return out
 
 
-def expand_in_variables(f: SymFun, k: int) -> MonomialTable:
-    """Set all variables beyond the first k to zero: each m_mu coefficient
-    (``_m_sums``) is written at every rearrangement of mu padded to length
-    k.  No k-variable table is multiplied.
-
-    >>> expand_in_variables(SymFun.generator("e", 2), 2).terms
-    {(1, 1): LaurentPoly(1)}
-    """
-    terms = {vec: c for mu, c in _m_sums(f, k).items() for vec in _orbit(mu, k)}
-    return MonomialTable.zero(k)._like(terms)
-
-
 def expand_at_compositions(f: SymFun, k: int) -> QsymTable:
-    """``expand_in_variables`` as a ``QsymTable``: each m_mu coefficient is
-    written at every rearrangement of mu."""
+    """Set all variables beyond the first k to zero, as a ``QsymTable``: each
+    m_mu coefficient (``_m_sums``) is written at every rearrangement of mu.
+    No k-variable table is multiplied.
+
+    >>> expand_at_compositions(SymFun.generator("h", 2), 2).terms
+    {(2,): LaurentPoly(1), (1, 1): LaurentPoly(1)}
+    """
     terms = {alpha: c for mu, c in _m_sums(f, k).items() for alpha in _orbit(mu, len(mu))}
     return QsymTable.zero(k)._like(terms)
 
 
-def _orbit_size(mu: Partition, k: int) -> int:
-    """Distinct rearrangements of mu padded with zeros to length k."""
-    padded = mu + (0,) * (k - len(mu))
-    size = math.factorial(k)
-    for v in set(padded):
-        size //= math.factorial(padded.count(v))
+def _orbit_size(mu: Partition) -> int:
+    """Distinct rearrangements of mu."""
+    size = math.factorial(len(mu))
+    for v in set(mu):
+        size //= math.factorial(mu.count(v))
     return size
 
 
@@ -506,32 +458,31 @@ def _e_in_m(lam: Partition) -> tuple[tuple[Partition, int], ...]:
     )
 
 
-def monomial_to_e(table: MonomialTable | QsymTable, n: int | None = None) -> SymFun:
+def monomial_to_e(table: QsymTable, n: int | None = None) -> SymFun:
     """Invert a monomial expansion into the elementary basis.
 
     The table must be a symmetric homogeneous polynomial of degree n in
     k >= n variables; otherwise ``NotSymmetricError`` (or ValueError for
-    malformed input) is raised.  Every orbit must be complete with one
-    coefficient (for a ``QsymTable``, every alpha has the one at sorted
+    malformed input) is raised.  Every rearrangement of each partition must
+    be present with one coefficient (every alpha has the one at sorted
     alpha), which gives the m-basis coordinates; these are peeled in
     lexicographic order against the m-basis coordinates of e_lam, read from
     the e-transition counts, so success certifies symmetry.
     """
-    k = table.nvars
     deg = table.total_degree()
     if n is None:
         n = deg if deg is not None else 0
     if deg is not None and deg != n:
         raise ValueError("table degree does not match n")
-    if k < n:
+    if table.nvars < n:
         raise ValueError("need at least as many variables as the degree")
     if not table:
         return SymFun.zero("e", n)
 
     orbit_coeff: dict[Partition, LaurentPoly] = {}
     orbit_count: dict[Partition, int] = {}
-    for vec, c in table.terms.items():
-        mu = tuple(sorted((e for e in vec if e), reverse=True))
+    for alpha, c in table.terms.items():
+        mu = tuple(sorted(alpha, reverse=True))
         seen = orbit_coeff.get(mu)
         if seen is None:
             orbit_coeff[mu] = c
@@ -539,14 +490,12 @@ def monomial_to_e(table: MonomialTable | QsymTable, n: int | None = None) -> Sym
             raise NotSymmetricError(f"orbit of {mu} has unequal coefficients")
         orbit_count[mu] = orbit_count.get(mu, 0) + 1
     for mu, count in orbit_count.items():
-        if count != _orbit_size(mu, len(mu) if isinstance(table, QsymTable) else k):
+        if count != _orbit_size(mu):
             raise NotSymmetricError(f"orbit of {mu} is incomplete")
 
     residual = dict(orbit_coeff)
     result: dict[Partition, LaurentPoly] = {}
     for mu in partitions_of(n):
-        if len(mu) > k:
-            continue
         c = residual.get(mu)
         if not c:
             residual.pop(mu, None)

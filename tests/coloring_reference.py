@@ -9,7 +9,7 @@ no appeal to quasisymmetry; the unit tests check the rank DP against it.
 
 from smirnov.combinat import Digraph, packed_coeffs
 from smirnov.exact import LaurentPoly
-from smirnov.symfun import MonomialTable
+from monomial_reference import MonomialTable
 
 
 def colorings_by_content(g: Digraph, k: int) -> MonomialTable:

@@ -16,7 +16,8 @@ import pytest
 from smirnov import cli, combinat, exact, symfun, verify
 from smirnov import enumerators as en
 from smirnov.exact import LaurentPoly, QtPoly, t_quantum
-from smirnov.symfun import QsymTable, SymFun, SymSeries, expand_in_variables
+from smirnov.symfun import QsymTable, SymFun, SymSeries
+from monomial_reference import expand_in_variables
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 REFERENCE_RUNS = json.loads(REFERENCE.read_text())
@@ -359,6 +360,23 @@ class TestVerify:
         monkeypatch.setattr(en, "eval_at_root_of_unity", lambda f, k: original(f, k) + exact.ONE)
         code, _, _ = run_cli(capsys, "verify", "--suite", "roots")
         assert code == 1
+
+    def test_shifted_recursion_alone_fails_roots(self, capsys, monkeypatch):
+        # via_eval and closed stay equal, so only the recursion route can
+        # fail a record: the verdict over every route must reach each caller
+        original = en._eulerian_at_root
+        monkeypatch.setattr(en, "_eulerian_at_root", lambda n, k: original(n, k) + exact.ONE)
+        code, out, _ = run_cli(capsys, "verify", "--suite", "roots", "--format", "json")
+        assert code == 1
+        failed = [r for r in json.loads(out) if r["status"] == "fail"]
+        assert failed and all(r["lhs"] == r["rhs"] for r in failed)
+        assert {r["params"]["kind"] for r in failed} == {"Aless", "Atilde"}
+        code, out, _ = run_cli(
+            capsys, "roots", "--variant", "Aless", "--n", "4", "--q-root", "2", "--format", "json"
+        )
+        assert code == 1 and '"agree":false' in out
+        with pytest.raises(AssertionError):
+            en.root_of_unity("Aless", 4, 2)
 
     def test_perturbed_h_series_fails_series(self, capsys, monkeypatch):
         original = SymSeries.h_series_p
