@@ -6,24 +6,26 @@ quasisymmetric functions in the weakly-decreasing convention, and their two
 specializations.  The closed forms elsewhere are verified against these
 tables.
 
-The DPs here are the transfer-matrix method (Stanley, EC1 4.7).  The word
-and coloring enumerators are quasisymmetric, so each is a ``QsymTable``:
-``brute_enumerator`` reads the coefficient of each composition of n from one
-prefix DP per alphabet size shared by all seven variants (``_word_ends``)
+The word and coloring enumerators are quasisymmetric, so each is a
+``QsymTable``: ``brute_enumerator`` reads the coefficient of each
+composition of n from one insertion DP per n shared by all seven variants
+(``_insertion_ends``: each letter's copies go into the gaps of the word so
+far, in the insertion argument behind Carlitz-Scoville-Vaughan counts)
 under the endpoint table ``ENDPOINT_RULES``, which the walks read too, and
-``chromatic_qsym`` from a frontier DP over the vertices with the colors
-standardised to ranks.  ``perm_walk`` is a prefix DP over permutations that
-``enumerators.f_expansion`` and ``enumerators.q_eulerian`` run with their
-own step rules.  Everything else here enumerates objects one at a time,
-``permutations_of``, ``perm_stats``, ``inverse_perm`` and ``fundamental_F``
-included; ``fundamental_F`` returns its counts by exponent vector as a plain
-dict.  The word by word enumeration, the content-vector coloring DP and the
-table by exponent vectors they are compared as are reference modules of the
-tests.  The trust chain is closed form <-> DP or M_alpha rule
-(``enumerators.FExpansion.to_table``), compared at the compositions by
-``verify`` and the acceptance tests, and DP or M_alpha rule <-> per-object
-enumeration or content-vector DP, compared as k-variable tables by the unit
-tests at small n.
+``chromatic_qsym`` from a transfer-matrix DP (Stanley, EC1 4.7) over the
+vertices with the colors standardised to ranks.  ``perm_walk`` is a prefix
+DP over permutations that ``enumerators.f_expansion`` and
+``enumerators.q_eulerian`` run with their own step rules.  Everything else
+here enumerates objects one at a time, ``permutations_of``, ``perm_stats``,
+``inverse_perm`` and ``fundamental_F`` included; ``fundamental_F`` returns
+its counts by exponent vector as a plain dict.  The word by word
+enumeration, a prefix word DP over (first, last, content), the
+content-vector coloring DP and the table by exponent vectors they are
+compared as are reference modules of the tests.  The trust chain is closed
+form <-> DP or M_alpha rule (``enumerators.FExpansion.to_table``), compared
+at the compositions by ``verify`` and the acceptance tests, and DP or
+M_alpha rule <-> per-object enumeration or reference DP, compared by the
+unit tests at small n.
 """
 
 from __future__ import annotations
@@ -96,37 +98,64 @@ def compositions(n: int, k: int) -> list[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def _word_ends(n: int, k: int) -> tuple[int, dict[tuple[int, ...], dict[str, int]]]:
+def _gap_moves(m: int, d: int, b: int, c: int) -> tuple[tuple[int, int, str | None, int], ...]:
+    """The ways to insert c copies of a new largest letter L into a word of
+    length m with d descents and b equal adjacencies, as (descents, equal
+    adjacencies, endpoint class or None if unchanged, ways).  The copies go
+    in runs into g distinct gaps, C(c - 1, g - 1) ways, and each run adds
+    its length - 1 equal pairs.  Between x > y a run keeps one descent,
+    between x < y it adds one, between x = y it adds one and breaks the
+    pair; in front (L..L x) it adds one, at the back (x L..L) none."""
+    # each kind of gap: (how many, descents added, pairs broken, end bit)
+    kinds = ((d, 0, 0, 0), (m - 1 - d - b, 1, 0, 0), (b, 1, 1, 0), (1, 1, 0, 1), (1, 0, 0, 2))
+    partial = {(0, 0, 0, 0): 1}  # (gaps used, descents added, pairs broken, end bits) -> ways
+    for count, des, broken, end in kinds:
+        grown: dict[tuple[int, int, int, int], int] = {}
+        for (g, x, y, e), ways in partial.items():
+            for i in range(min(count, c - g) + 1):
+                key = (g + i, x + i * des, y + i * broken, e | end if i else e)
+                grown[key] = grown.get(key, 0) + ways * math.comb(count, i)
+        partial = grown
+    return tuple(
+        (d + x, b - y + c - g, (None, ">", "<", "=")[e], ways * math.comb(c - 1, g - 1))
+        for (g, x, y, e), ways in partial.items() if g
+    )
+
+
+@lru_cache(maxsize=None)
+def _insertion_ends(n: int) -> tuple[int, dict[tuple[int, ...], dict[str, int]]]:
     """(width, alpha -> endpoint class -> descent polynomial packed ``width``
     bits per power of t) of the Smirnov words of length n with content
-    exactly alpha, for the compositions alpha of n with at most k parts.
+    exactly alpha, for every composition alpha of n that has such words.
 
-    One prefix DP over (first, last, content, letters used) per alphabet
-    size l, keeping a prefix only while its unused letters fit in what is
-    left of the word, so every word it completes uses all l letters.
+    The copies of letters 1, 2, ... are inserted in turn (``_gap_moves``),
+    equal neighbours allowed until a larger letter separates them.  A state
+    (descents, equal adjacencies, endpoint class) counts words.  A DFS over
+    the compositions shares each prefix's states and drops those with more
+    equal pairs than letters to come, so at the end every word is Smirnov.
     """
     width = math.factorial(n).bit_length()  # no coefficient exceeds n!
-    base = n + 1
     ends: dict[tuple[int, ...], dict[str, int]] = {}
-    for ell in range(1, min(n, k) + 1):
-        unit = [base**c for c in range(ell)]
-        layer = {(c, c, unit[c], 1 << c): 1 for c in range(ell)}
-        for i in range(2, n + 1):
-            nxt: dict[tuple[int, int, int, int], int] = {}
-            for (first, last, code, used), poly in layer.items():
-                down = poly << width
-                for c in range(ell):
-                    grown = used | 1 << c
-                    if c == last or ell - grown.bit_count() > n - i:
-                        continue
-                    key = (first, c, code + unit[c], grown)
-                    nxt[key] = nxt.get(key, 0) + (down if c < last else poly)
-            layer = nxt
-        for (first, last, code, _), poly in layer.items():
-            alpha = tuple(code // u % base for u in unit)
-            by_class = ends.setdefault(alpha, {})
-            cls = endpoint_class(first, last)
-            by_class[cls] = by_class.get(cls, 0) + poly
+
+    def extend(alpha: tuple[int, ...], m: int, layer: dict[tuple[int, int, str], int]) -> None:
+        if m == n:
+            by_class = ends[alpha] = {}
+            for (d, _, cls), count in layer.items():
+                by_class[cls] = by_class.get(cls, 0) + (count << d * width)
+            return
+        for c in range(1, n - m + 1):
+            left = n - m - c
+            nxt: dict[tuple[int, int, str], int] = {}
+            for (d, b, cls), count in layer.items():
+                for d2, b2, moved, ways in _gap_moves(m, d, b, c):
+                    if b2 <= left:
+                        key = (d2, b2, moved or cls)
+                        nxt[key] = nxt.get(key, 0) + count * ways
+            if nxt:
+                extend(alpha + (c,), m + c, nxt)
+
+    for c in range(1, (n + 1) // 2 + 1):  # c copies of letter 1: c - 1 equal pairs
+        extend((c,), c, {(0, c - 1, "="): 1})
     return width, ends
 
 
@@ -136,18 +165,18 @@ def brute_enumerator(variant: str, n: int, k: int) -> QsymTable:
     Relabelling letters in increasing order keeps adjacency, descents, the
     endpoint class and the wrap descent, so the enumerator is
     quasisymmetric, and its coefficient at each composition of n with at
-    most k parts is read from ``_word_ends`` by the variant's endpoint rule
-    (``endpoint_sum``).
+    most k parts is read from the insertion DP at k = n
+    (``_insertion_ends``) by the variant's endpoint rule (``endpoint_sum``).
     """
     if variant not in ENDPOINT_RULES:
         raise ValueError(f"unknown variant {variant!r}")
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive")
-    width, ends = _word_ends(n, min(n, k))
-    coeffs = {}
-    for alpha, by_class in ends.items():
-        total = endpoint_sum(variant, by_class.items(), width)
-        coeffs[alpha] = LaurentPoly(packed_coeffs(total, width))
+    width, ends = _insertion_ends(n)
+    coeffs = {
+        alpha: LaurentPoly(packed_coeffs(endpoint_sum(variant, by_class.items(), width), width))
+        for alpha, by_class in ends.items() if len(alpha) <= k
+    }
     return QsymTable.zero(k)._like(coeffs)  # drops the zero coefficients
 
 

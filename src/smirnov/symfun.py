@@ -35,7 +35,8 @@ DP over the parts of lam without building any k-variable table.  Expansion
 sums these counts per mu and writes each at every rearrangement of mu;
 conversion back is a triangular solve against the e counts, and doubles as a
 symmetry certificate for the oracles' tables.  A ``QsymTable`` writes its
-k-variable table, as JSON or text, straight from the compositions.
+k-variable table, as JSON or text, by reading one cached row layout per
+(vars, degree) at its compositions (``_layout``), with no sort.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import combinations
-from operator import itemgetter
 from typing import Callable, Mapping
 
 from .exact import ONE, ZERO, Combination, LaurentPoly, Scalar, palindrome_unimodal
@@ -288,28 +288,24 @@ class QsymTable(Combination):
         """The value at all ones: alpha has C(k, l(alpha)) placements."""
         return sum((c * math.comb(self.nvars, len(a)) for a, c in self.terms.items()), ZERO)
 
-    def _placements(self, alpha: tuple) -> list[tuple]:
-        """The exponent vectors that read alpha: its parts placed into k
-        slots, in order, with zeros elsewhere."""
-        padded = (0,) + alpha
-        return [read(padded) for read in _slot_readers(self.nvars, len(alpha))]
-
-    def _rows(self, encode: Callable[[LaurentPoly], object]) -> dict[tuple, object]:
-        """Every exponent vector of the k-variable table mapped to its
-        coefficient, encoded once per composition and shared by the rows
-        that read it."""
-        rows: dict[tuple, object] = {}
-        for alpha, c in self.terms.items():
-            rows.update(dict.fromkeys(self._placements(alpha), encode(c)))
-        return rows
+    def _rows(self, encode: Callable[[LaurentPoly], object]) -> list[tuple[list[int], object]]:
+        """(exponent list, encoded coefficient) for every exponent vector of
+        the k-variable table, in descending order: the layouts of its
+        degrees (``_layout``) read at its compositions, each coefficient
+        encoded once and shared by the rows that read it."""
+        coded = {alpha: encode(c) for alpha, c in self.terms.items()}
+        layouts = [_layout(self.nvars, d) for d in sorted({sum(alpha) for alpha in coded})]
+        rows = layouts[0] if len(layouts) == 1 else sorted(sum(layouts, ()), reverse=True)
+        return [(vec, coded[alpha]) for vec, alpha in rows if alpha in coded]
 
     def to_json_obj(self) -> dict:
-        return _table_json(self.nvars, self._rows(LaurentPoly.to_json_obj))
+        """The k-variable table; its exponent lists are shared, not to be mutated."""
+        rows = self._rows(LaurentPoly.to_json_obj)
+        return {"vars": self.nvars, "terms": [{"exponents": vec, "coeff": c} for vec, c in rows]}
 
     def pretty(self) -> str:
-        rows = self._rows(LaurentPoly.pretty)
         return _aligned(
-            ("x^(" + ",".join(map(str, vec)) + ")", rows[vec]) for vec in sorted(rows, reverse=True)
+            ("x^(" + ",".join(map(str, vec)) + ")", c) for vec, c in self._rows(LaurentPoly.pretty)
         )
 
     def __repr__(self) -> str:
@@ -317,27 +313,15 @@ class QsymTable(Combination):
 
 
 @lru_cache(maxsize=None)
-def _slot_readers(k: int, parts: int) -> tuple[Callable[[tuple], tuple], ...]:
-    """One reader per choice of ``parts`` of k slots, in lexicographic order:
-    it takes (0, *alpha) to the length-k vector with alpha's parts in those
-    slots and zeros elsewhere."""
-    readers = []
-    for slots in combinations(range(k), parts):
-        index = [0] * k
-        for j, slot in enumerate(slots, 1):
-            index[slot] = j
-        read = itemgetter(*index)
-        readers.append(read if k > 1 else lambda padded, read=read: (read(padded),))
-    return tuple(readers)
-
-
-def _table_json(nvars: int, rows: dict[tuple, dict]) -> dict:
-    """The k-variable table layout: exponent vectors mapped to encoded
-    coefficients, listed in descending lexicographic order."""
-    return {
-        "vars": nvars,
-        "terms": [{"exponents": list(vec), "coeff": rows[vec]} for vec in sorted(rows, reverse=True)],
-    }
+def _layout(k: int, degree: int) -> tuple[tuple[list[int], tuple], ...]:
+    """The rows of every k-variable table of that degree: each exponent
+    vector, as a list read from k - 1 bars among degree + k - 1 places, with
+    its composition (its nonzero exponents), in descending order."""
+    rows = []
+    for bars in reversed(list(combinations(range(degree + k - 1), k - 1))):
+        vec = [b - a - 1 for a, b in zip((-1,) + bars, bars + (degree + k - 1,))]
+        rows.append((vec, tuple(e for e in vec if e)))
+    return tuple(rows)
 
 
 def _aligned(rows) -> str:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from itertools import groupby
 
 from . import combinat
 from . import enumerators as en
@@ -86,19 +87,44 @@ dumps = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 
 def records_json(records: list[dict]) -> str:
     """The records as one compact JSON line, byte for byte
-    ``json.dumps(records, separators=(",", ":"))``.  The sides of a record
-    that ``_record`` built from equal values are one object (``rhs is
-    lhs``), and that side is encoded once and written in both places; any
-    other record is encoded in one call."""
-    out = []
-    for r in records:
-        if r["rhs"] is r["lhs"]:
+    ``json.dumps(records, separators=(",", ":"))``.  Each run of records with
+    no k-variable table side is encoded in one call.  A table side is written
+    from the text of its exponent lists, shared by the tables of one size,
+    and of its coefficients, shared by the rows of one composition, each
+    encoded once per call; a side that is both sides is written once."""
+    parts = ["["]
+    texts: dict[int, str] = {}  # id -> text of a shared list or coefficient, kept alive by records
+
+    def text(obj) -> str:
+        return texts.get(id(obj)) or texts.setdefault(id(obj), dumps(obj))
+
+    def is_table(obj) -> bool:
+        return type(obj) is dict and "vars" in obj  # as QsymTable.to_json_obj writes it
+
+    def side(obj) -> str:
+        if not is_table(obj):
+            return dumps(obj)
+        rows = ",".join(
+            f'{{"exponents":{text(r["exponents"])},"coeff":{text(r["coeff"])}}}' for r in obj["terms"]
+        )
+        return f'{{"vars":{obj["vars"]},"terms":[{rows}]}}'
+
+    def tabled(r: dict) -> bool:
+        return is_table(r["lhs"]) or is_table(r["rhs"])
+
+    if not any(map(tabled, records)):
+        return dumps(records)
+    for has_table, run in groupby(records, tabled):
+        if not has_table:
+            parts += (dumps(list(run))[1:-1], ",")
+            continue
+        for r in run:
             head = dumps({"check": r["check"], "params": r["params"], "status": r["status"]})
-            lhs = dumps(r["lhs"])
-            out.append(f'{head[:-1]},"lhs":{lhs},"rhs":{lhs}}}')
-        else:
-            out.append(dumps(r))
-    return "[" + ",".join(out) + "]"
+            lhs = side(r["lhs"])
+            rhs = lhs if r["rhs"] is r["lhs"] else side(r["rhs"])
+            parts += (head[:-1], ',"lhs":', lhs, ',"rhs":', rhs, "},")
+    parts[-1] = parts[-1][:-1] + "]"  # no comma after the last record
+    return "".join(parts)
 
 
 def suite_oracle(max_n: int, nvars: int) -> list[dict]:
@@ -440,17 +466,18 @@ def suite_series(order: int) -> list[dict]:
     Htz = H.grade_scale_t()
     ratio = H.div(Htz)
     lhs = SymSeries.one("p", order, zpart=True)
+    # ratio^power has coefficient power^l(lam) * prod_i (1 - t^lam_i) at p_lam / z_lam
+    factor = {part: ONE - LaurentPoly.t_power(part) for part in range(1, order + 1)}
+    products = [
+        [(lam, math.prod(map(factor.get, lam), start=ONE)) for lam in partitions_of(n)]
+        for n in range(order + 1)
+    ]
     for power in range(1, 4):
         lhs = lhs.mul(ratio)
-        coeffs = []
-        for n in range(order + 1):
-            terms = {}
-            for lam in partitions_of(n):
-                c = LaurentPoly.const(power ** len(lam))
-                for part in lam:
-                    c = c * (ONE - LaurentPoly.t_power(part))
-                terms[lam] = c
-            coeffs.append(SymFun("p", n, terms, zpart=True))
+        coeffs = [
+            SymFun("p", n, {lam: c * power ** len(lam) for lam, c in row}, zpart=True)
+            for n, row in enumerate(products)
+        ]
         ok = lhs == SymSeries("p", coeffs, zpart=True)
         records.append(_record("h-ratio-power", {"power": power, "order": order}, ok, True))
     ps_series = SymSeries(

@@ -6,14 +6,17 @@ exponent vector, and ``expand_in_variables`` writes a symmetric function
 over the orbit of each partition with no appeal to compositions, so the
 tests can check the library's expansions, its writers and its oracles
 against an independent table.  A ``QsymTable`` lifts into a
-``MonomialTable`` at every placement of each composition
+``MonomialTable`` at every placement of each composition, placed here
 (``monomial_table``), so the two types compare with ``==`` in either order.
+A ``MonomialTable`` writes its JSON and text by sorting its own vectors, so
+it is a second writer next to the library's cached row layout.
 """
 
+from itertools import combinations
 from typing import Mapping
 
 from smirnov.exact import Combination, LaurentPoly, Scalar
-from smirnov.symfun import QsymTable, SymFun, _aligned, _m_sums, _orbit, _table_json
+from smirnov.symfun import QsymTable, SymFun, _aligned, _m_sums, _orbit
 
 
 class MonomialTable(Combination):
@@ -58,7 +61,13 @@ class MonomialTable(Combination):
         return cls(nvars, {(0,) * nvars: 1})
 
     def to_json_obj(self) -> dict:
-        return _table_json(self.nvars, {vec: c.to_json_obj() for vec, c in self.terms.items()})
+        return {
+            "vars": self.nvars,
+            "terms": [
+                {"exponents": list(vec), "coeff": self.terms[vec].to_json_obj()}
+                for vec in sorted(self.terms, reverse=True)
+            ],
+        }
 
     def pretty(self) -> str:
         return _aligned(
@@ -70,9 +79,21 @@ class MonomialTable(Combination):
         return f"MonomialTable(vars={self.nvars}, terms={len(self.terms)})"
 
 
+def placements(alpha: tuple, k: int) -> list[tuple]:
+    """The length-k exponent vectors that read alpha: its parts in order in
+    any len(alpha) of the k slots, zeros elsewhere."""
+    out = []
+    for slots in combinations(range(k), len(alpha)):
+        vec = [0] * k
+        for slot, part in zip(slots, alpha):
+            vec[slot] = part
+        out.append(tuple(vec))
+    return out
+
+
 def monomial_table(table: QsymTable) -> MonomialTable:
     """The coefficient at alpha written at every placement of alpha."""
-    terms = {vec: c for alpha, c in table.terms.items() for vec in table._placements(alpha)}
+    terms = {vec: c for alpha, c in table.terms.items() for vec in placements(alpha, table.nvars)}
     return MonomialTable.zero(table.nvars)._like(terms)
 
 

@@ -299,6 +299,19 @@ class TestVerify:
         monkeypatch.setattr(combinat, "chromatic_qsym", mutated)
         assert self.oracle_suite_exit_code(capsys) == 1
 
+    def test_equal_gap_without_descent_flips_exit_code(self, capsys, monkeypatch):
+        # a run of the new largest letter L between x = y makes x L..L x, one
+        # descent more; an equal gap that adds none undercounts those words
+        before = combinat.brute_enumerator("W", 3, 3)
+        mutated = recompiled(combinat._gap_moves.__wrapped__, "(b, 1, 1, 0)", "(b, 0, 1, 0)")
+        monkeypatch.setattr(combinat, "_gap_moves", mutated)
+        combinat._insertion_ends.cache_clear()
+        try:
+            assert combinat.brute_enumerator("W", 3, 3) != before
+            assert self.oracle_suite_exit_code(capsys) == 1
+        finally:
+            combinat._insertion_ends.cache_clear()
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -22,11 +22,12 @@ from smirnov.combinat import (
     perm_stats,
     perm_walk,
     permutations_of,
+    _insertion_ends,
 )
-from smirnov.symfun import SymFun, monomial_to_e
+from smirnov.symfun import QsymTable, SymFun, monomial_to_e
 from monomial_reference import MonomialTable, expand_in_variables
 from coloring_reference import colorings_by_content
-from word_reference import endpoint_class, passes, smirnov_words, word_stats
+from word_reference import _word_ends, endpoint_class, passes, smirnov_words, word_stats
 
 # The paper's word variants, stated here rather than read from the library:
 # variant -> (endpoint class filter, statistic)
@@ -173,6 +174,33 @@ class TestBruteEnumerator:
         for n in range(1, 8):
             for k in range(1, 7):
                 assert brute_enumerator(variant, n, k) == words_by_full_table(variant, n, k)
+
+    @pytest.mark.parametrize("variant", sorted(VARIANT_RULES))
+    def test_insertion_dp_matches_prefix_word_dp(self, variant):
+        # the prefix DP over (first, last, content) keeps each endpoint
+        # class apart; fold them here by the rules stated in this file
+        class_filter, stat = VARIANT_RULES[variant]
+        for n in range(1, 9):
+            for k in range(1, n + 1):
+                width, ends = _word_ends(n, k)
+                terms = {}
+                for alpha, by_class in ends.items():
+                    total = sum(
+                        poly << (width if stat == "cdes" and cls == "<" else 0)
+                        for cls, poly in by_class.items()
+                        if passes(class_filter, cls)
+                    )
+                    if total:
+                        terms[alpha] = LaurentPoly(packed_coeffs(total, width))
+                assert brute_enumerator(variant, n, k) == QsymTable(k, terms), (n, k)
+
+    def test_insertion_dp_runs_once_per_n(self):
+        _insertion_ends.cache_clear()
+        for k in range(1, 8):
+            for variant in VARIANT_RULES:
+                brute_enumerator(variant, 6, k)
+        info = _insertion_ends.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
 
     @pytest.mark.parametrize("args", [("W", 0, 3), ("W", 3, 0), ("Wbogus", 3, 3)])
     def test_rejects_bad_arguments(self, args):

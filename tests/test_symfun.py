@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from smirnov import combinat
 from smirnov import enumerators as en
 from smirnov import symfun
+from smirnov import verify
 from smirnov.exact import ONE, T, ZERO, Combination, LaurentPoly, QtPoly, t_quantum
 from smirnov.symfun import (
     NotSymmetricError,
@@ -407,13 +408,24 @@ class TestQsymTable:
     @given(qsym_tables())
     @example(QsymTable(1))
     @example(QsymTable(6))
+    @example(QsymTable(1, {(3,): LaurentPoly.t_power(-2, Fraction(-1, 2)), (1,): T}))
     @example(QsymTable(4, {(1, 2): ONE + T}))
     @settings(max_examples=80, deadline=None)
     def test_json_encodes_a_shared_coefficient_once(self, table):
         obj = table.to_json_obj()
-        assert obj == monomial_table(table).to_json_obj()
+        reference = monomial_table(table).to_json_obj()
+        assert obj == reference
         assert table.pretty() == monomial_table(table).pretty()
         assert json.loads(json.dumps(obj)) == obj
+        # records_json splices table sides from shared text: one side shown
+        # twice, two equal sides, and a table beside a side that is none
+        records = [
+            {"check": "same", "params": {"n": 1}, "status": "pass", "lhs": obj, "rhs": obj},
+            {"check": "equal", "params": {}, "status": "pass", "lhs": obj, "rhs": reference},
+            {"check": "mixed", "params": {}, "status": "fail", "lhs": [True], "rhs": obj},
+            {"check": "plain", "params": {}, "status": "pass", "lhs": 1, "rhs": 1},
+        ]
+        assert verify.records_json(records) == json.dumps(records, separators=(",", ":"))
         rows = [tuple(row["exponents"]) for row in obj["terms"]]
         assert rows == sorted(rows, reverse=True)
         placed = set()
