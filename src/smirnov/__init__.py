@@ -32,12 +32,10 @@ from .symfun import (
     z_of,
 )
 from .combinat import (
-    Digraph,
     PermStats,
     F_ones_specialization,
     F_principal_series,
     brute_enumerator,
-    chromatic_qsym,
     fundamental_F,
     perm_stats,
 )

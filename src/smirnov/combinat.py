@@ -1,10 +1,10 @@
 """Combinatorial oracles.
 
 Smirnov words (no adjacent equal letters) with descent statistics, proper
-colorings of labeled graphs and digraphs, permutation statistics, fundamental
-quasisymmetric functions in the weakly-decreasing convention, and their two
-specializations.  The closed forms elsewhere are verified against these
-tables.
+colorings of the path and of the labeled and directed cycles, permutation
+statistics, fundamental quasisymmetric functions in the weakly-decreasing
+convention, and their two specializations.  The closed forms elsewhere are
+verified against these tables.
 
 The word and coloring enumerators are quasisymmetric, so each is a
 ``QsymTable``: ``brute_enumerator`` reads the coefficient of each
@@ -12,26 +12,26 @@ composition of n from one insertion DP per n shared by all seven variants
 (``_insertion_ends``: each letter's copies go into the gaps of the word so
 far, in the insertion argument behind Carlitz-Scoville-Vaughan counts)
 under the endpoint table ``ENDPOINT_RULES``, which the walks read too, and
-``chromatic_qsym`` from a transfer-matrix DP (Stanley, EC1 4.7) over the
-vertices with the colors standardised to ranks.  ``perm_walk`` is a prefix
-DP over permutations that ``enumerators.f_expansion`` and
+``ring_colorings`` the colorings of the path, the labeled cycle and the
+directed cycle at every n from one transfer-matrix walk (Stanley, EC1 4.7)
+along the path with the colors standardised to ranks.  ``perm_walk`` is a
+prefix DP over permutations that ``enumerators.f_expansion`` and
 ``enumerators.q_eulerian`` run with their own step rules.  Everything else
 here enumerates objects one at a time, ``permutations_of``, ``perm_stats``,
 ``inverse_perm`` and ``fundamental_F`` included; ``fundamental_F`` returns
 its counts by exponent vector as a plain dict.  The word by word
-enumeration, a prefix word DP over (first, last, content), the
-content-vector coloring DP and the table by exponent vectors they are
-compared as are reference modules of the tests.  The trust chain is closed
-form <-> DP or M_alpha rule (``enumerators.FExpansion.to_table``), compared
-at the compositions by ``verify`` and the acceptance tests, and DP or
-M_alpha rule <-> per-object enumeration or reference DP, compared by the
-unit tests at small n.
+enumeration, a prefix word DP over (first, last, content), the general
+digraph coloring DPs (by ranks and by content vector) and the table by
+exponent vectors they are compared as are reference modules of the tests.
+The trust chain is closed form <-> DP or M_alpha rule
+(``enumerators.FExpansion.to_table``), compared at the compositions by
+``verify`` and the acceptance tests, and DP or M_alpha rule <-> per-object
+enumeration or reference DP, compared by the unit tests at small n.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from functools import lru_cache
 from itertools import permutations
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -180,107 +180,57 @@ def brute_enumerator(variant: str, n: int, k: int) -> QsymTable:
     return QsymTable.zero(k)._like(coeffs)  # drops the zero coefficients
 
 
-class Digraph(namedtuple("Digraph", ("n", "edges", "directed"))):
-    """A loopless digraph on vertices 1..n, edges with multiplicity.
+def ring_colorings(max_n: int, k: int) -> dict[tuple[str, int], QsymTable]:
+    """Proper-coloring enumerators over colors 1..k weighted by t^des, of the
+    path 1 - 2 - ... - n for n <= max_n and, for n >= 2, of the labeled and
+    the directed cycle on 1..n, keyed ("path", n), ("cycle", n) and
+    ("directed_cycle", n).  A path edge {i, i + 1} descends when
+    kappa(i) > kappa(i + 1), the cycle's edge {1, n} (at n = 2 a parallel
+    edge, kept) when kappa(1) > kappa(n), and the arc n -> 1 when
+    kappa(n) > kappa(1); each sees only the order of the colors, so each
+    table is quasisymmetric (Shareshian-Wachs 2016; Ellzey 2017).
 
-    In labeled (undirected) mode edges are stored oriented from the smaller
-    vertex to the larger one, which makes the descent count of a coloring the
-    same expression in both modes.  Immutable and hashable, with equality by
-    its fields.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, n: int, edges: tuple[tuple[int, int], ...], directed: bool = True):
-        for i, j in edges:
-            if i == j:
-                raise ValueError("self-loops are not allowed")
-            if not (1 <= i <= n and 1 <= j <= n):
-                raise ValueError("edge endpoint out of range")
-            if not directed and i > j:
-                raise ValueError("labeled edges must be stored small to large")
-        return super().__new__(cls, n, edges, directed)
-
-    @staticmethod
-    def path(n: int) -> "Digraph":
-        return Digraph(n, tuple((i, i + 1) for i in range(1, n)), directed=False)
-
-    @staticmethod
-    def cycle(n: int) -> "Digraph":
-        """Labeled cycle; for n = 2 the wraparound edge is kept as a parallel
-        edge so the coloring enumerator matches the generating function."""
-        if n < 2:
-            raise ValueError("cycles need at least two vertices")
-        return Digraph(n, tuple((i, i + 1) for i in range(1, n)) + ((1, n),), directed=False)
-
-    @staticmethod
-    def directed_cycle(n: int) -> "Digraph":
-        if n < 2:
-            raise ValueError("directed cycles need at least two vertices")
-        return Digraph(n, tuple((i, i + 1) for i in range(1, n)) + ((n, 1),), directed=True)
-
-
-def chromatic_qsym(g: Digraph, k: int) -> QsymTable:
-    """Proper-coloring enumerator weighted by t^des over colors 1..k.
-
-    des counts the stored edges (i, j) with kappa(i) > kappa(j), which in
-    labeled mode means pairs {i, j} with i < j and kappa(i) > kappa(j).
-    Both see only the relative order of the colors, so the enumerator is
-    quasisymmetric (Shareshian-Wachs 2016; Ellzey 2017).
-
-    A frontier DP that colors vertices 1..n in order, the colors so far
-    standardised to ranks.  A state is the content by rank plus the ranks of
-    the frontier: the colored vertices that still have an uncolored
-    neighbour.  A vertex takes a rank, or a new color in one of the l + 1
-    gaps around the l ranks, which lifts the ranks above it; states with
-    more than k ranks are dropped.  Each edge is checked, and its descent
-    counted, when its later endpoint gets a color.
+    One walk colors the path with the colors standardised to ranks (Stanley,
+    EC1 4.7).  A state is (content by rank, rank of vertex 1, rank of the
+    last vertex).  Vertex m takes a rank other than the last one's or, while
+    fewer than k ranks are in use, a new color in one of the l + 1 gaps
+    around the l ranks, which lifts every rank at or above it.  After vertex
+    m the states summed by content are path(m); those whose two ranks
+    differ, with the closing edge's descent, are the two cycles.
     """
     if k < 1:
         raise ValueError("need at least one color")
-    n = g.n
-    width = math.factorial(n).bit_length()  # no coefficient exceeds n!
-    back: list[list[tuple[int, bool]]] = [[] for _ in range(n + 1)]
-    reach = list(range(n + 1))  # largest neighbour of each vertex, or itself
-    for i, j in g.edges:
-        a, b = min(i, j), max(i, j)
-        back[b].append((a, i == a))  # the edge descends when kappa(i) > kappa(j)
-        reach[a] = max(reach[a], b)
-    frontier: list[int] = []
-    layer: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {((), ()): 1}
-    for v in range(1, n + 1):
-        checks = [(frontier.index(a), a_first) for a, a_first in back[v]]
-        grown = frontier + [v]
-        kept = [i for i, u in enumerate(grown) if reach[u] > v]
-        moves: dict[tuple[int, tuple[int, ...]], list[tuple[int, int, tuple[int, ...]]]] = {}
-        nxt: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-        for (content, ranks), poly in layer.items():
-            ell = len(content)
-            if (ell, ranks) not in moves:
-                # slot s is rank s // 2 if s is odd, a new color in gap s // 2
-                # if even; with k ranks in use, only the odd slots are left
-                options = []
-                for s in range(2 * ell + 1) if ell < k else range(1, 2 * ell, 2):
-                    des = 0
-                    for pos, a_first in checks:
-                        slot = 2 * ranks[pos] + 1
-                        if slot == s:
-                            break
-                        des += slot > s if a_first else s > slot
-                    else:
-                        r = s // 2
-                        ext = tuple(q + (q >= r and s % 2 == 0) for q in ranks) + (r,)
-                        options.append((s, des * width, tuple(ext[i] for i in kept)))
-                moves[ell, ranks] = options
-            for s, shift, after in moves[ell, ranks]:
-                r, old = s // 2, s % 2
-                key = (content[:r] + (content[r] + 1 if old else 1,) + content[r + old :], after)
-                nxt[key] = nxt.get(key, 0) + (poly << shift)
-        layer = nxt
-        frontier = [grown[i] for i in kept]
-    # the frontier ends empty, so each content is one state
-    coeffs = {alpha: LaurentPoly(packed_coeffs(p, width)) for (alpha, _), p in layer.items()}
-    return QsymTable.zero(k)._like(coeffs)
+    width = math.factorial(max_n).bit_length()  # no coefficient exceeds n!
+    zero = QsymTable.zero(k)
+    tables: dict[tuple[str, int], QsymTable] = {}
+    layer: dict[tuple[tuple[int, ...], int, int], int] = {((1,), 0, 0): 1}
+    for m in range(1, max_n + 1):
+        if m > 1:
+            nxt: dict[tuple[tuple[int, ...], int, int], int] = {}
+            for (content, first, last), poly in layer.items():
+                ell = len(content)
+                for r in range(ell):  # an old color: a descent when last > r
+                    if r != last:
+                        key = (content[:r] + (content[r] + 1,) + content[r + 1 :], first, r)
+                        nxt[key] = nxt.get(key, 0) + (poly << width if last > r else poly)
+                if ell < k:  # a new color in gap g: a descent when last >= g
+                    for g in range(ell + 1):
+                        key = (content[:g] + (1,) + content[g:], first + (first >= g), g)
+                        nxt[key] = nxt.get(key, 0) + (poly << width if last >= g else poly)
+            layer = nxt
+        path, cycle, directed = {}, {}, {}  # content -> packed polynomial
+        for (content, first, last), poly in layer.items():
+            path[content] = path.get(content, 0) + poly
+            if first != last:  # the closing edge {1, m} descends one way, the arc m -> 1 the other
+                up, down = (poly << width, poly) if first > last else (poly, poly << width)
+                cycle[content] = cycle.get(content, 0) + up
+                directed[content] = directed.get(content, 0) + down
+        families = (("path", path), ("cycle", cycle), ("directed_cycle", directed))
+        for family, by_content in families if m > 1 else families[:1]:
+            tables[family, m] = zero._like(
+                {alpha: LaurentPoly(packed_coeffs(p, width)) for alpha, p in by_content.items()}
+            )
+    return tables
 
 
 Perm = tuple[int, ...]

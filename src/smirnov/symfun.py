@@ -368,7 +368,8 @@ def _m_coeff(basis: str, lam: Partition, mu: Partition) -> int:
     )
 
 
-def _orbit(mu: Partition, k: int) -> list[tuple[int, ...]]:
+@lru_cache(maxsize=None)
+def _orbit(mu: Partition, k: int) -> tuple[tuple[int, ...], ...]:
     """Distinct rearrangements of mu padded with zeros to length k."""
     counts: dict[int, int] = {}
     for v in mu + (0,) * (k - len(mu)):
@@ -389,7 +390,7 @@ def _orbit(mu: Partition, k: int) -> list[tuple[int, ...]]:
                 counts[v] = left
 
     place()
-    return out
+    return tuple(out)
 
 
 def _m_sums(f: SymFun, k: int) -> dict[Partition, LaurentPoly]:

@@ -65,11 +65,19 @@ def _present(x):
     return x
 
 
-def _record(check: str, params: dict, lhs, rhs, ok: bool | None = None) -> dict:
+def _record(
+    check: str, params: dict, lhs, rhs, ok: bool | None = None, seen: dict | None = None
+) -> dict:
     """One record; it passes when ``lhs == rhs``, or when ``ok`` for the
-    checks whose condition is wider than the two sides shown."""
+    checks whose condition is wider than the two sides shown.  Equal values
+    present identically: a suite that shows a value in several records
+    passes ``seen`` (id -> (value kept alive, presentation)) to present it once."""
     same = lhs == rhs
-    shown = _present(lhs)
+    sides = (lhs, rhs) if same else (lhs,)
+    seen = {} if seen is None else seen
+    hits = [seen[id(x)][1] for x in sides if id(x) in seen]
+    shown = hits[0] if hits else _present(lhs)
+    seen.update((id(x), (x, shown)) for x in sides)
     return {
         "check": check,
         "params": params,
@@ -90,24 +98,26 @@ def records_json(records: list[dict]) -> str:
     ``json.dumps(records, separators=(",", ":"))``.  Each run of records with
     no k-variable table side is encoded in one call.  A table side is written
     from the text of its exponent lists, shared by the tables of one size,
-    and of its coefficients, shared by the rows of one composition, each
-    encoded once per call; a side that is both sides is written once."""
+    and of its coefficients, shared by the rows of one composition; these
+    and a table side shown by several records are each encoded once per
+    call."""
     parts = ["["]
-    texts: dict[int, str] = {}  # id -> text of a shared list or coefficient, kept alive by records
+    texts: dict[int, str] = {}  # id -> text of a shared object, kept alive by records
 
-    def text(obj) -> str:
-        return texts.get(id(obj)) or texts.setdefault(id(obj), dumps(obj))
+    def text(obj, encode=dumps) -> str:
+        return texts.get(id(obj)) or texts.setdefault(id(obj), encode(obj))
 
     def is_table(obj) -> bool:
         return type(obj) is dict and "vars" in obj  # as QsymTable.to_json_obj writes it
 
-    def side(obj) -> str:
-        if not is_table(obj):
-            return dumps(obj)
+    def table(obj) -> str:
         rows = ",".join(
             f'{{"exponents":{text(r["exponents"])},"coeff":{text(r["coeff"])}}}' for r in obj["terms"]
         )
         return f'{{"vars":{obj["vars"]},"terms":[{rows}]}}'
+
+    def side(obj) -> str:
+        return text(obj, table) if is_table(obj) else dumps(obj)
 
     def tabled(r: dict) -> bool:
         return is_table(r["lhs"]) or is_table(r["rhs"])
@@ -120,25 +130,25 @@ def records_json(records: list[dict]) -> str:
             continue
         for r in run:
             head = dumps({"check": r["check"], "params": r["params"], "status": r["status"]})
-            lhs = side(r["lhs"])
-            rhs = lhs if r["rhs"] is r["lhs"] else side(r["rhs"])
-            parts += (head[:-1], ',"lhs":', lhs, ',"rhs":', rhs, "},")
+            parts += (head[:-1], ',"lhs":', side(r["lhs"]), ',"rhs":', side(r["rhs"]), "},")
     parts[-1] = parts[-1][:-1] + "]"  # no comma after the last record
     return "".join(parts)
 
 
 def suite_oracle(max_n: int, nvars: int) -> list[dict]:
     records = []
-    tables: dict[tuple[str, int], QsymTable] = {}
+    seen: dict = {}  # each value shown is presented once per call
+
+    def record(check: str, params: dict, lhs, rhs) -> None:
+        records.append(_record(check, params, lhs, rhs, seen=seen))
+
+    rings = combinat.ring_colorings(max_n, nvars)  # the path and both cycles, every n
+    # each oracle table once per call: XC's from the walk, a word table when first read
+    tables = {("XC", n): rings["cycle", n] for n in range(2, max_n + 1)}
 
     def table(variant: str, n: int) -> QsymTable:
-        """Each oracle table once per call, looked up at call time: the word
-        table of a word variant, the labeled cycle's coloring table for XC."""
         if (variant, n) not in tables:
-            if variant == "XC":
-                tables[variant, n] = combinat.chromatic_qsym(combinat.Digraph.cycle(n), nvars)
-            else:
-                tables[variant, n] = combinat.brute_enumerator(variant, n, nvars)
+            tables[variant, n] = combinat.brute_enumerator(variant, n, nvars)
         return tables[variant, n]
 
     for variant in en.VARIANTS:
@@ -147,18 +157,18 @@ def suite_oracle(max_n: int, nvars: int) -> list[dict]:
             lhs = expand_at_compositions(en.closed_form(variant, n), nvars)
             rhs = table(variant, n)
             params = {"variant": variant, "n": n, "vars": nvars}
-            records.append(_record("oracle", params, lhs, rhs))
+            record("oracle", params, lhs, rhs)
     for n in range(1, max_n + 1):
-        lhs = combinat.chromatic_qsym(combinat.Digraph.path(n), nvars)
+        lhs = rings["path", n]
         rhs = table("W", n)
-        records.append(_record("chromatic-path", {"n": n, "vars": nvars}, lhs, rhs))
+        record("chromatic-path", {"n": n, "vars": nvars}, lhs, rhs)
     for n in range(2, max_n + 1):
-        lhs = combinat.chromatic_qsym(combinat.Digraph.directed_cycle(n), nvars)
+        lhs = rings["directed_cycle", n]
         rhs = table("Wtildeneq", n)
-        records.append(_record("chromatic-directed-cycle", {"n": n, "vars": nvars}, lhs, rhs))
+        record("chromatic-directed-cycle", {"n": n, "vars": nvars}, lhs, rhs)
         lhs = table("XC", n)
         rhs = table("Wless", n) + table("Wgreater", n).scale(T)
-        records.append(_record("chromatic-cycle-split", {"n": n, "vars": nvars}, lhs, rhs))
+        record("chromatic-cycle-split", {"n": n, "vars": nvars}, lhs, rhs)
     for n in range(1, max_n + 1):
         less = table("Wless", n)
         greater = table("Wgreater", n)
@@ -170,9 +180,9 @@ def suite_oracle(max_n: int, nvars: int) -> list[dict]:
             ("refinement-cyclic-distinct", "Wtildeneq", less.scale(T) + greater),
         ):
             lhs = table(lhs_variant, n)
-            records.append(_record(name, {"n": n, "vars": nvars}, lhs, rhs))
+            record(name, {"n": n, "vars": nvars}, lhs, rhs)
         reversed_less = less.map_coeffs(lambda p: p.reverse(n - 1))
-        records.append(_record("word-reversal", {"n": n, "vars": nvars}, greater, reversed_less))
+        record("word-reversal", {"n": n, "vars": nvars}, greater, reversed_less)
     return records
 
 

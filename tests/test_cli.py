@@ -232,14 +232,19 @@ class TestVerify:
     @pytest.mark.parametrize(
         "perturb",
         [
-            lambda g: combinat.Digraph(g.n, tuple(tuple(sorted(e)) for e in g.edges), False),
-            lambda g: combinat.Digraph(g.n, tuple(dict.fromkeys(g.edges)), g.directed),
+            # the directed closing arc n -> 1 counted as the labeled edge {1, n}
+            lambda rings: {
+                (family, n): rings["cycle" if family == "directed_cycle" else family, n]
+                for family, n in rings
+            },
+            # cycle(2) with its two edges merged into one is the path on 2 vertices
+            lambda rings: {**rings, ("cycle", 2): rings["path", 2]},
         ],
         ids=["orientation-ignored", "parallel-edges-merged"],
     )
     def test_perturbed_coloring_oracle_flips_exit_code(self, capsys, monkeypatch, perturb):
-        original = combinat.chromatic_qsym
-        monkeypatch.setattr(combinat, "chromatic_qsym", lambda g, k: original(perturb(g), k))
+        original = combinat.ring_colorings
+        monkeypatch.setattr(combinat, "ring_colorings", lambda n, k: perturb(original(n, k)))
         assert self.oracle_suite_exit_code(capsys) == 1
 
     def test_each_word_table_is_built_once(self, capsys, monkeypatch):
@@ -256,19 +261,19 @@ class TestVerify:
         assert len(calls) == len(set(calls)) and set(calls) == words
 
     def test_each_coloring_table_is_built_once(self, capsys, monkeypatch):
-        original = combinat.chromatic_qsym
+        # one walk serves the path and both cycles at every n, and the
+        # library has no other coloring DP
+        original = combinat.ring_colorings
         calls = []
 
-        def counted(g, k):
-            calls.append((g, k))
-            return original(g, k)
+        def counted(max_n, k):
+            calls.append((max_n, k))
+            return original(max_n, k)
 
-        monkeypatch.setattr(combinat, "chromatic_qsym", counted)
+        monkeypatch.setattr(combinat, "ring_colorings", counted)
         assert self.oracle_suite_exit_code(capsys) == 0
-        graphs = {(combinat.Digraph.path(n), 4) for n in range(1, 5)}
-        for n in range(2, 5):
-            graphs |= {(combinat.Digraph.cycle(n), 4), (combinat.Digraph.directed_cycle(n), 4)}
-        assert len(calls) == len(set(calls)) and set(calls) == graphs
+        assert calls == [(4, 4)]
+        assert not hasattr(combinat, "chromatic_qsym") and not hasattr(combinat, "Digraph")
 
     @pytest.mark.parametrize("nvars", ["4", "2"], ids=["vars-at-least-n", "vars-below-n"])
     def test_word_value_at_partitions_only_flips_exit_code(self, capsys, monkeypatch, nvars):
@@ -291,12 +296,11 @@ class TestVerify:
         assert all((p["n"] > p["vars"]) == (nvars == "2") for p in failed)
 
     def test_gap_off_by_one_in_rank_dp_flips_exit_code(self, capsys, monkeypatch):
-        # a new color in gap r lifts the ranks from r up; lifting only those
-        # above r files the new color one gap too high
-        mutated = recompiled(combinat.chromatic_qsym, "q >= r", "q > r")
-        triangle = combinat.Digraph.cycle(3)
-        assert mutated(triangle, 3) != combinat.chromatic_qsym(triangle, 3)
-        monkeypatch.setattr(combinat, "chromatic_qsym", mutated)
+        # a new color in gap g lifts the ranks from g up, vertex 1's included;
+        # lifting only those above g leaves vertex 1 one rank too low
+        mutated = recompiled(combinat.ring_colorings, "first >= g", "first > g")
+        assert mutated(3, 3)["cycle", 3] != combinat.ring_colorings(3, 3)["cycle", 3]
+        monkeypatch.setattr(combinat, "ring_colorings", mutated)
         assert self.oracle_suite_exit_code(capsys) == 1
 
     def test_equal_gap_without_descent_flips_exit_code(self, capsys, monkeypatch):
@@ -616,6 +620,31 @@ class TestRecords:
         assert differ["status"] == "fail" and differ["lhs"] != differ["rhs"]
         assert verify._record("wider", {}, 1, 2, ok=True)["status"] == "pass"
         assert verify._record("wider", {}, 1, 1, ok=False)["status"] == "fail"
+
+    def test_record_reuses_the_presentation_of_a_value_seen(self):
+        closed = symfun.expand_at_compositions(en.closed_form("W", 3), 3)
+        oracle = combinat.brute_enumerator("W", 3, 3)
+        path = combinat.ring_colorings(3, 3)["path", 3]
+        seen = {}
+        first = verify._record("oracle", {}, closed, oracle, seen=seen)
+        # the other side equals a value seen, or the side is one
+        assert verify._record("chromatic-path", {}, path, oracle, seen=seen)["lhs"] is first["lhs"]
+        assert verify._record("refinement", {}, oracle, path, seen=seen)["lhs"] is first["lhs"]
+        # an unequal other side is not taken for the side shown
+        differ = verify._record("oracle", {}, oracle.scale(exact.T), oracle, seen=seen)
+        assert differ["status"] == "fail" and differ["lhs"] == verify._present(oracle.scale(exact.T))
+        assert differ["rhs"] == first["lhs"]
+
+    def test_oracle_suite_presents_only_its_oracle_sides(self, monkeypatch):
+        # every later record shows a word or coloring table equal to an
+        # oracle record's side, and reuses its presentation; only Wneq at
+        # n = 1, which has no oracle record, is presented on its own
+        shown = []
+        original = verify._present
+        monkeypatch.setattr(verify, "_present", lambda x: shown.append(x) or original(x))
+        records = verify.suite_oracle(4, 4)
+        assert verify.all_pass(records)
+        assert len(shown) == sum(r["check"] == "oracle" for r in records) + 1
 
     @staticmethod
     def assert_encoded_as_json_dumps(records):

@@ -9,11 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from smirnov.exact import ONE, T, LaurentPoly, QtPoly
 from smirnov.combinat import (
-    Digraph,
     F_ones_specialization,
     F_principal_series,
     brute_enumerator,
-    chromatic_qsym,
     compositions,
     fundamental_F,
     inverse_perm,
@@ -22,11 +20,12 @@ from smirnov.combinat import (
     perm_stats,
     perm_walk,
     permutations_of,
+    ring_colorings,
     _insertion_ends,
 )
 from smirnov.symfun import QsymTable, SymFun, monomial_to_e
 from monomial_reference import MonomialTable, expand_in_variables
-from coloring_reference import colorings_by_content
+from coloring_reference import Digraph, chromatic_qsym, colorings_by_content
 from word_reference import _word_ends, endpoint_class, passes, smirnov_words, word_stats
 
 # The paper's word variants, stated here rather than read from the library:
@@ -317,6 +316,35 @@ class TestChromatic:
         table = chromatic_qsym(Digraph.cycle(3), 3)
         f = monomial_to_e(table)
         assert f == SymFun("e", 3, {(3,): (ONE + T) * (ONE + T + T * T)})
+
+
+class TestRingColorings:
+    # each family's key names its Digraph constructor
+    def test_matches_reference_dp_at_every_n(self):
+        for k in range(1, 9):
+            rings = ring_colorings(8, k)
+            assert set(rings) == {("path", 1)} | {
+                (family, n) for family in ("path", "cycle", "directed_cycle") for n in range(2, 9)
+            }
+            for (family, n), table in rings.items():
+                assert table == chromatic_qsym(getattr(Digraph, family)(n), k), (family, n, k)
+
+    def test_matches_content_dp(self):
+        # the content-vector DP never standardises colors to ranks; k = 7
+        # leaves colors unused at every n
+        for k in range(1, 8):
+            for (family, n), table in ring_colorings(6, k).items():
+                assert table == colorings_by_content(getattr(Digraph, family)(n), k), (family, n, k)
+
+    def test_shorter_walk_is_a_prefix(self):
+        long = ring_colorings(6, 4)
+        assert all(long[key] == table for key, table in ring_colorings(4, 4).items())
+
+    def test_rejects_zero_colors_as_the_reference_does(self):
+        with pytest.raises(ValueError) as reference:
+            chromatic_qsym(Digraph.path(2), 0)
+        with pytest.raises(ValueError, match=f"^{reference.value}$"):
+            ring_colorings(2, 0)
 
 
 class TestPermStats:

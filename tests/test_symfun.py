@@ -104,7 +104,7 @@ class TestCombination:
             (expand_in_variables(en.closed_form("W", 2), 3), MonomialTable(3, {(1, 1, 0): T})),
         ]
         results = [combinat.brute_enumerator("Wtilde", 4, 3)]
-        results.append(combinat.chromatic_qsym(combinat.Digraph.cycle(4), 3))
+        results.append(combinat.ring_colorings(4, 3)["cycle", 4])
         results.append(en.f_expansion("Wless", 4).to_table(3))
         results.append(expand_in_variables(en.powersum_form("Wtilde", 4).omega(), 4))
         results.append(expand_at_compositions(en.powersum_form("Wtilde", 4).omega(), 3))
