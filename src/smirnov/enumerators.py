@@ -6,6 +6,13 @@ builds those quotients, the power sum and fundamental quasisymmetric
 expansions, the q-Eulerian polynomials with their q-exponential identities
 and root-of-unity evaluations, and the weighted-walk determinant identity.
 
+The numerator, denominator and closed series, ``closed_form``,
+``powersum_form`` with the t-analog products it shares between variants,
+``f_expansion``, ``q_eulerian`` and the q walks are cached, so each argument
+is computed once per process.
+``quotient_form_check`` and ``cleared_form_check`` compare their series
+products at one integer point (``symfun.product_equal_at_point``).
+
 ``f_expansion`` and ``q_eulerian`` run the permutation prefix DP
 ``combinat.perm_walk`` with their own step rules (``F_RULES``, ``Q_RULES``)
 and a word variant's endpoint rule (``combinat.ENDPOINT_RULES``): the first
@@ -40,7 +47,14 @@ from .exact import (
     t_quantum,
 )
 from . import combinat
-from .symfun import Partition, QsymTable, SymFun, SymSeries, partitions_of
+from .symfun import (
+    Partition,
+    QsymTable,
+    SymFun,
+    SymSeries,
+    partitions_of,
+    product_equal_at_point,
+)
 
 VARIANTS = ("W", "Wless", "Wgreater", "Wequal", "Wneq", "Wtilde", "Wtildeneq", "XC")
 POWERSUM_VARIANTS = ("W", "Wless", "Wgreater", "Wtilde", "Wtildeneq")
@@ -132,10 +146,12 @@ def denominator_weight(i: int) -> LaurentPoly:
     return ZERO
 
 
+@lru_cache(maxsize=None)
 def numerator_series(variant: str, order: int) -> SymSeries:
     return SymSeries.from_weights(order, lambda i: numerator_weight(variant, i))
 
 
+@lru_cache(maxsize=None)
 def denominator_series(order: int) -> SymSeries:
     return SymSeries.from_weights(order, denominator_weight)
 
@@ -145,6 +161,7 @@ def closed_series(variant: str, order: int) -> SymSeries:
     return numerator_series(variant, order).div(denominator_series(order))
 
 
+@lru_cache(maxsize=None)
 def closed_form(variant: str, n: int) -> SymFun:
     """The degree-n enumerator in the elementary basis.
 
@@ -190,15 +207,26 @@ def cleared_form_check(variant: str, order: int) -> bool:
         rhs = SymSeries.from_weights(
             order, lambda i: abc(i)[1] * one_minus_t if i >= 2 else None
         )
-    return lhs.mul(denom) == rhs
+    return product_equal_at_point([lhs, denom], rhs)
 
 
 def quotient_form_check(variant: str, order: int) -> bool:
     """Numerator = denominator * series, for every variant's quotient."""
-    series = closed_series(variant, order)
-    return series.mul(denominator_series(order)) == numerator_series(variant, order)
+    factors = [closed_series(variant, order), denominator_series(order)]
+    return product_equal_at_point(factors, numerator_series(variant, order))
 
 
+@lru_cache(maxsize=None)
+def _quantum_product(lam: Partition) -> LaurentPoly:
+    """The product of the t-analogs [part]_t over the parts of lam, shared
+    by the power sum forms of every variant."""
+    prod = ONE
+    for part in lam:
+        prod = prod * t_quantum(part)
+    return prod
+
+
+@lru_cache(maxsize=None)
 def powersum_form(variant: str, n: int) -> SymFun:
     """Coefficients of p_lam / z_lam in the omega image of the enumerator.
 
@@ -211,9 +239,7 @@ def powersum_form(variant: str, n: int) -> SymFun:
     terms: dict[Partition, LaurentPoly] = {}
     for lam in partitions_of(n):
         ell = len(lam)
-        prod = ONE
-        for part in lam:
-            prod = prod * t_quantum(part)
+        prod = _quantum_product(lam)
         if variant == "W":
             c = eulerian(ell) * prod
         elif variant == "Wless":
@@ -224,10 +250,7 @@ def powersum_form(variant: str, n: int) -> SymFun:
         elif variant == "Wtilde":
             acc = ZERO
             for i, part in enumerate(lam):
-                rest = ONE
-                for j, other in enumerate(lam):
-                    if j != i:
-                        rest = rest * t_quantum(other)
+                rest = _quantum_product(lam[:i] + lam[i + 1 :])
                 acc = acc + LaurentPoly.t_power(part, part) * rest
             c = eulerian(ell - 1) * acc
         else:  # Wtildeneq
@@ -333,6 +356,7 @@ class FExpansion(NamedTuple):
         return " + ".join(rows)
 
 
+@lru_cache(maxsize=None)
 def f_expansion(variant: str, n: int) -> FExpansion:
     """Fundamental quasisymmetric expansion of the omega image, as a sum
     over permutations weighted by descent or cyclic descent.

@@ -17,7 +17,10 @@ checked, which attributes two values must share, and how two keys multiply:
 reduces a ``QtPoly`` modulo a cyclotomic polynomial, which evaluates it at a
 primitive root of unity without leaving exact arithmetic.
 ``sums_equal_at_point`` compares sums of ``QtPoly`` products at one integer
-point, exactly, without forming the products.
+point, exactly, without forming the products; ``symfun.product_equal_at_point``
+does the same for products of graded series.  Both read one shape
+(``int_span``), one digit width with its proof (``digit_width``) and one
+packing of a ``LaurentPoly`` at t = 2^w (``at_point``).
 
 Everything in this module is immutable after construction and every operation
 is a pure function, so values are safe to share between concurrent workers.
@@ -596,6 +599,50 @@ def qt_divmod(f: QtPoly, g: QtPoly) -> tuple[QtPoly, QtPoly]:
     return f._like(quo), f._like(rem)
 
 
+def int_span(polys: Iterable[LaurentPoly]) -> tuple[int, int, int] | None:
+    """(lowest t-exponent, highest t-exponent, sum of l1 norms) of nonzero
+    polynomials, (0, 0, 0) for none, or None when a coefficient is not an
+    int: the shape that ``at_point`` and ``digit_width`` need."""
+    exps, l1 = [], 0
+    for p in polys:
+        for b, x in p.terms.items():
+            if type(x) is not int:
+                return None
+            exps.append(b)
+            l1 += abs(x)
+    return min(exps, default=0), max(exps, default=0), l1
+
+
+def digit_width(bound: int) -> int:
+    """The digit width w of a comparison at one integer point, where every
+    coefficient of a difference of two sides is at most ``bound`` in
+    absolute value.
+
+    Each side is a polynomial in t times the power of t that makes the
+    lowest exponent of the two sides 0, taken at t = 2^w (``at_point``).
+    With 2^(w - 1) > bound, every coefficient of the difference is a digit
+    in balanced base 2^w, and such digits are unique: the difference is 0
+    at the point exactly when it is 0 as a polynomial.
+
+    >>> digit_width(3), digit_width(4)
+    (3, 4)
+    """
+    return bound.bit_length() + 1
+
+
+def at_point(terms: Iterable[tuple[int, int]], w: int, low: int) -> int:
+    """The sum of x t^(b - low) over the terms (b, x) at t = 2^w, low at most
+    every b.
+
+    >>> at_point(LaurentPoly({-1: 1, 1: -2}).terms.items(), 4, -1)
+    -511
+    """
+    v = 0
+    for b, x in terms:
+        v += x << w * (b - low)
+    return v
+
+
 def sums_equal_at_point(identities: Iterable[tuple[Sequence[Sequence[QtPoly]], QtPoly]]) -> bool:
     """Whether each identity holds, a sum of products of QtPoly factors
     equal to a right-hand side, compared at one integer point.
@@ -605,11 +652,10 @@ def sums_equal_at_point(identities: Iterable[tuple[Sequence[Sequence[QtPoly]], Q
     times the power that brings it to its identity's lowest t-exponent, and
     all are evaluated at t = 2^w and q = 2^(w s).  s exceeds every t-degree
     of the shifted sides, so distinct monomials q^a t^b land on distinct
-    powers 2^(w (s a + b)).  w is chosen from the l1 norms so that every
-    coefficient of the difference of two sides is below 2^(w - 1) in
-    absolute value.  Digits in balanced base 2^w are unique, so a difference
-    is zero at the point exactly when it is zero as a polynomial.  Only
-    integer coefficients are compared: a Fraction anywhere gives False.
+    powers 2^(w (s a + b)).  w comes from the l1 norms (``digit_width``), so
+    a difference is zero at the point exactly when it is zero as a
+    polynomial.  Only integer coefficients are compared: a Fraction anywhere
+    gives False.
 
     >>> f = QtPoly({0: LaurentPoly({-1: 1}), 2: T})
     >>> sums_equal_at_point([([(f, f), (f,)], f * f + f)])
@@ -624,14 +670,10 @@ def sums_equal_at_point(identities: Iterable[tuple[Sequence[Sequence[QtPoly]], Q
     for products, rhs in identities:
         for f in (rhs, *(f for factors in products for f in factors)):
             if id(f) not in shapes:
-                exps, l1 = [], 0
-                for c in f.terms.values():
-                    for b, x in c.terms.items():
-                        if type(x) is not int:
-                            return False
-                        exps.append(b)
-                        l1 += abs(x)
-                shapes[id(f)] = (min(exps, default=0), max(exps, default=0), l1, f)
+                shape = int_span(f.terms.values())
+                if shape is None:
+                    return False
+                shapes[id(f)] = (*shape, f)
         low, high, total, _ = shapes[id(rhs)]
         lows = []
         for factors in products:
@@ -646,17 +688,16 @@ def sums_equal_at_point(identities: Iterable[tuple[Sequence[Sequence[QtPoly]], Q
         bound = max(bound, total)
         sides.append((list(zip(products, lows)), rhs, low))
     s = span + 1
-    w = bound.bit_length() + 1  # 2^(w - 1) > bound
+    w = digit_width(bound)
     values: dict[int, int] = {}
 
     def value(f: QtPoly) -> int:
         """f times t^-(its low t) at the point."""
         if id(f) not in values:
-            lo, v = shapes[id(f)][0], 0
-            for a, c in f.terms.items():
-                for b, x in c.terms.items():
-                    v += x << w * (s * a + b - lo)
-            values[id(f)] = v
+            lo = shapes[id(f)][0]  # q^a is t^(s a) at the point
+            values[id(f)] = sum(
+                at_point(c.terms.items(), w, lo - s * a) for a, c in f.terms.items()
+            )
         return values[id(f)]
 
     for shifted, rhs, low in sides:

@@ -13,7 +13,10 @@ shared core does their arithmetic, and each says only how a key is checked
 (basis, zpart and degree; the variable count) and how two keys multiply
 (``merge``).  A ``SymSeries`` is a graded sequence of ``SymFun`` values
 indexed by the power of a formal variable z; the grading and the x-degree
-always coincide here.
+always coincide here.  ``SymSeries.mul`` and ``div`` form products and
+quotients; ``product_equal_at_point`` checks that a product of series is a
+given series without forming it: the partitions stay keys, and every
+coefficient is one integer, its value at t = 2^w (``exact.at_point``).
 
 Power sums are kept in ``zpart`` form, against p_lam / z_lam, where products
 have integer structure constants (Macdonald I.2): with m_i(lam) the number of
@@ -44,9 +47,19 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
-from .exact import ONE, ZERO, Combination, LaurentPoly, Scalar, palindrome_unimodal
+from .exact import (
+    ONE,
+    ZERO,
+    Combination,
+    LaurentPoly,
+    Scalar,
+    at_point,
+    digit_width,
+    int_span,
+    palindrome_unimodal,
+)
 
 Partition = tuple[int, ...]
 
@@ -619,6 +632,87 @@ class SymSeries:
                     acc = acc - other.coeffs[j] * coeffs[n - j]
             coeffs.append(acc)
         return self._like(coeffs)
+
+
+def product_equal_at_point(factors: Sequence[SymSeries], rhs: SymSeries) -> bool:
+    """Whether the graded product of the factors is rhs, as
+    ``functools.reduce(SymSeries.mul, factors) == rhs`` says, compared at one
+    integer point instead of multiplying ``LaurentPoly`` coefficients.
+
+    The partitions stay keys.  Every coefficient of a series is taken times
+    the power of t that makes the series' lowest t-exponent 0, at t = 2^w
+    (``exact.at_point``), so each product of two coefficients is one product
+    of ints times the structure constant that ``_product_key`` gives, summed
+    per partition.  Each side is then brought to the lower of the two sides'
+    t-exponents.  w comes from the l1 norms (``exact.digit_width``): the
+    product of degrees j and n - j has l1 norm at most that of the two
+    factors times C(n, j) against p / z (a structure constant
+    prod_i C(m_i(lam) + m_i(mu), m_i(mu)) is at most
+    C(l(lam) + l(mu), l(mu)) <= C(n, j)), and times 1 in e, h or plain p.
+    Only integer coefficients are compared: a Fraction anywhere gives False.
+
+    >>> E = SymSeries.generating("e", 3)
+    >>> product_equal_at_point([E, E], E.mul(E)), product_equal_at_point([E, E], E)
+    (True, False)
+    """
+    basis, zpart = factors[0].basis, factors[0].zpart
+    for f in factors:
+        factors[0]._check_basis(f)
+    if basis == "m":
+        raise ValueError("products require a common multiplicative basis")
+    order = min(f.order for f in factors)
+    if (rhs.basis, rhs.zpart, rhs.order) != (basis, zpart, order):
+        return False
+    size = order + 1
+    series = {id(s): s for s in (rhs, *factors)}  # each distinct series once
+    shapes = {}  # id -> (lowest t-exponent, l1 norm per degree)
+    for i, s in series.items():
+        spans = [int_span(f.terms.values()) for f in s.coeffs[:size]]
+        if None in spans:
+            return False
+        low = min((lo for lo, _, l1 in spans if l1), default=0)  # l1 is 0 only at a zero degree
+        shapes[i] = (low, [l1 for _, _, l1 in spans])
+    low, norms = shapes[id(factors[0])]
+    for f in factors[1:]:
+        f_low, f_norms = shapes[id(f)]
+        low += f_low
+        norms = [
+            sum(
+                (math.comb(n, j) if zpart else 1) * norms[j] * f_norms[n - j]
+                for j in range(n + 1)
+            )
+            for n in range(size)
+        ]
+    rhs_low, rhs_norms = shapes[id(rhs)]
+    w = digit_width(max(a + b for a, b in zip(norms, rhs_norms)))
+
+    values = {}  # id -> per degree, each coefficient times t^-(the series' low) at the point
+    for i, s in series.items():
+        s_low = shapes[i][0]
+        values[i] = [
+            {lam: at_point(c.terms.items(), w, s_low) for lam, c in f.terms.items()}
+            for f in s.coeffs[:size]
+        ]
+    key = _product_key  # read now, so a patched structure constant is seen
+    lhs = values[id(factors[0])]
+    for f in factors[1:]:
+        g = values[id(f)]
+        product = []
+        for n in range(size):
+            acc: dict[Partition, int] = {}
+            for j in range(n + 1):
+                for lam, x in lhs[j].items():
+                    for mu, y in g[n - j].items():
+                        nu, mult = key(lam, mu, zpart)
+                        acc[nu] = acc.get(nu, 0) + x * y * mult
+            product.append(acc)
+        lhs = product
+    shift_lhs, shift_rhs = w * (low - min(low, rhs_low)), w * (rhs_low - min(low, rhs_low))
+    return all(
+        {lam: x << shift_lhs for lam, x in got.items() if x}
+        == {lam: x << shift_rhs for lam, x in want.items()}
+        for got, want in zip(lhs, values[id(rhs)])
+    )
 
 
 def e_positivity_report(f: SymFun) -> tuple[bool, list[tuple[Partition, LaurentPoly, bool]]]:

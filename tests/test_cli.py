@@ -35,6 +35,26 @@ def recompiled(fn, old, new):
     return namespace[fn.__name__]
 
 
+ENUMERATOR_CACHES = [
+    fn
+    for fn in vars(en).values()
+    if hasattr(fn, "cache_clear") and getattr(fn, "__module__", None) == en.__name__
+]
+
+
+@pytest.fixture
+def fresh_caches():
+    """Every lru_cache of enumerators empty when the test starts and when it
+    ends, so that a value computed under a patch neither hides the patch nor
+    outlives it.  A test that patches anything a cached enumerator calls
+    uses this."""
+    for fn in ENUMERATOR_CACHES:
+        fn.cache_clear()
+    yield
+    for fn in ENUMERATOR_CACHES:
+        fn.cache_clear()
+
+
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -367,7 +387,7 @@ class TestVerify:
             symfun._e_in_m.cache_clear()
         assert code == 1
 
-    def test_shifted_denominator_fails_transfer(self, capsys, monkeypatch):
+    def test_shifted_denominator_fails_transfer(self, capsys, monkeypatch, fresh_caches):
         monkeypatch.setattr(en, "t_quantum", lambda n: t_quantum(n + 1))
         code, _, _ = run_cli(capsys, "verify", "--suite", "transfer")
         assert code == 1
@@ -409,7 +429,7 @@ class TestVerify:
         failed = {r["check"] for r in json.loads(out) if r["status"] == "fail"}
         assert failed == {"h-ratio-power", "eulerian-powersum-series"}
 
-    def test_dropped_binomial_factor_fails_series(self, capsys, monkeypatch):
+    def test_dropped_binomial_factor_fails_series(self, capsys, monkeypatch, fresh_caches):
         # products against p / z carry the structure constant
         # prod_i C(m_i(lam) + m_i(mu), m_i(lam)); a product without it must
         # fail the power sum series checks
@@ -459,15 +479,13 @@ class TestVerify:
         ],
         ids=["wrap-t-dropped", "rises-read-as-drops"],
     )
-    def test_mutated_f_walk_fails_f_suite(self, capsys, monkeypatch, module, table, variant, rule):
+    def test_mutated_f_walk_fails_f_suite(
+        self, capsys, monkeypatch, fresh_caches, module, table, variant, rule
+    ):
         # the endpoint table also feeds q_eulerian, whose cached values the
         # f suite reads; a wrong cached Atilde must not outlive this test
         monkeypatch.setitem(getattr(module, table), variant, rule)
-        self.clear_q_caches()
-        try:
-            code, _, _ = run_cli(capsys, "verify", "--suite", "f", "--max-n", "4")
-        finally:
-            self.clear_q_caches()
+        code, _, _ = run_cli(capsys, "verify", "--suite", "f", "--max-n", "4")
         assert code == 1
 
     def test_m_alpha_rule_as_equality_fails_f_suite(self, capsys, monkeypatch):
@@ -479,18 +497,9 @@ class TestVerify:
         code, _, _ = run_cli(capsys, "verify", "--suite", "f", "--max-n", "4")
         assert code == 1
 
-    @staticmethod
-    def clear_q_caches():
-        en.q_eulerian.cache_clear()
-        en._q_walk.cache_clear()
-
-    def test_dropped_cyclic_wrap_fails_qexp(self, capsys, monkeypatch):
+    def test_dropped_cyclic_wrap_fails_qexp(self, capsys, monkeypatch, fresh_caches):
         monkeypatch.setitem(en.Q_RULES, "Atilde", ("W", "des"))
-        self.clear_q_caches()
-        try:
-            code, _, _ = run_cli(capsys, "verify", "--suite", "qexp")
-        finally:
-            self.clear_q_caches()
+        code, _, _ = run_cli(capsys, "verify", "--suite", "qexp")
         assert code == 1
 
     def test_moved_q_weight_fails_qexp(self, capsys, monkeypatch):
@@ -519,7 +528,7 @@ class TestVerify:
             ("qexp-identity", '{"kind": "Aless", "order": 8}')
         ]
 
-    def test_qexp_walks_once_per_n_for_aless_and_atilde(self, capsys, monkeypatch):
+    def test_qexp_walks_once_per_n_for_aless_and_atilde(self, capsys, monkeypatch, fresh_caches):
         walks = []
         original = combinat.perm_walk
 
@@ -528,14 +537,33 @@ class TestVerify:
             return original(n, width, step, keep_first)
 
         monkeypatch.setattr(combinat, "perm_walk", counted)
-        self.clear_q_caches()
-        try:
-            code, _, _ = run_cli(capsys, "verify", "--suite", "qexp")
-        finally:
-            self.clear_q_caches()
+        code, _, _ = run_cli(capsys, "verify", "--suite", "qexp")
         assert code == 0
         kept = sorted(n for n, keep_first in walks if keep_first)
         assert kept == list(range(1, 9))  # one for both kinds at each n
+
+    def test_enumerator_caches_are_all_known(self):
+        names = {fn.__name__ for fn in ENUMERATOR_CACHES}
+        series = {"numerator_series", "denominator_series", "closed_series", "closed_form"}
+        forms = {"_quantum_product", "powersum_form", "f_expansion"}
+        assert names == series | forms | {"q_eulerian", "_q_walk"}
+
+    def test_all_suites_compute_each_form_once(self, capsys, monkeypatch, fresh_caches):
+        # verify --suite all asks for some power sum and F forms several
+        # times; each distinct argument is computed once
+        calls = {"powersum_form": [], "f_expansion": []}
+        cached = {name: getattr(en, name) for name in calls}
+        for name, args in calls.items():
+            monkeypatch.setattr(
+                en, name, lambda *a, fn=cached[name], args=args: args.append(a) or fn(*a)
+            )
+        code, _, _ = run_cli(capsys, "verify", "--suite", "all")
+        assert code == 0
+        for name, args in calls.items():
+            info = cached[name].cache_info()
+            assert len(set(args)) < len(args)
+            assert info.misses == info.currsize == len(set(args)), name
+            assert info.hits == len(args) - len(set(args)), name
 
     def test_all_suites_json_matches_reference_digest(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--format", "json")

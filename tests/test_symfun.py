@@ -3,7 +3,7 @@
 import json
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
@@ -558,6 +558,102 @@ class TestPowerSumsOverZ:
         ratio = H.div(H.grade_scale_t())
         for f in ratio.mul(ratio).coeffs:
             assert all(type(c) is int for p in f.terms.values() for c in p.terms.values())
+
+
+# integer coefficients wide enough to need several bits per digit, and
+# negative t-exponents
+series_coeffs = st.dictionaries(st.integers(-3, 4), st.integers(-40, 40), max_size=3).map(
+    LaurentPoly
+)
+
+
+@st.composite
+def sym_series(draw, basis: str, order: int):
+    """A random series to the given order: e, or p against p / z."""
+    zpart = basis == "p"
+    coeffs = [
+        SymFun(basis, n, {lam: draw(series_coeffs) for lam in partitions_of(n)}, zpart)
+        for n in range(order + 1)
+    ]
+    return SymSeries(basis, coeffs, zpart)
+
+
+@st.composite
+def series_factors(draw):
+    """Two or three random series of one basis, each to an order up to 4."""
+    basis = draw(st.sampled_from(["e", "p"]))
+    count = draw(st.integers(2, 3))
+    return [draw(sym_series(basis, draw(st.integers(0, 4)))) for _ in range(count)]
+
+
+def with_coeff(series, n, lam, c):
+    """The series with c added to its coefficient at degree n and partition lam."""
+    coeffs = list(series.coeffs)
+    coeffs[n] = coeffs[n] + SymFun(series.basis, n, {lam: c}, series.zpart)
+    return SymSeries(series.basis, coeffs, series.zpart)
+
+
+class TestProductEqualAtPoint:
+    """The comparison at one integer point against ``SymSeries.mul`` and
+    equality."""
+
+    @given(series_factors(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_the_product(self, factors, data):
+        product = reduce(SymSeries.mul, factors)
+        assert symfun.product_equal_at_point(factors, product)
+        other = data.draw(sym_series(factors[0].basis, product.order))
+        assert symfun.product_equal_at_point(factors, other) == (product == other)
+
+    @given(series_factors(), st.data(), st.sampled_from([-1, 1]))
+    @settings(max_examples=60, deadline=None)
+    def test_one_bumped_coefficient_is_seen(self, factors, data, unit):
+        product = reduce(SymSeries.mul, factors)
+        n = data.draw(st.integers(0, product.order))
+        lam = data.draw(st.sampled_from(partitions_of(n)))
+        b = data.draw(st.integers(-3, 10))
+        bumped = with_coeff(product, n, lam, LaurentPoly.t_power(b, unit))
+        assert not symfun.product_equal_at_point(factors, bumped)
+
+    @given(series_factors(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_a_fraction_never_passes(self, factors, data):
+        # the product is formed in exact rationals, so the sides stay equal
+        half = LaurentPoly.const(Fraction(1, 2))
+        i = data.draw(st.integers(0, len(factors) - 1))
+        lam = data.draw(st.sampled_from(partitions_of(0)))
+        factors[i] = with_coeff(factors[i], 0, lam, half)
+        product = reduce(SymSeries.mul, factors)
+        assert not symfun.product_equal_at_point(factors, product)
+        assert not symfun.product_equal_at_point([factors[i]], factors[i])
+
+    def test_orders_and_bases(self):
+        E, E_short = SymSeries.generating("e", 4), SymSeries.generating("e", 2)
+        assert symfun.product_equal_at_point([E, E_short], E_short.mul(E))
+        assert not symfun.product_equal_at_point([E, E], E_short.mul(E_short))
+        assert not symfun.product_equal_at_point([E, E], SymSeries.generating("h", 4))
+        with pytest.raises(ValueError):
+            symfun.product_equal_at_point([E, SymSeries.generating("h", 4)], E)
+        with pytest.raises(ValueError):
+            symfun.product_equal_at_point([SymSeries.h_series_p(3), SymSeries.one("p", 3)], E)
+
+    def test_a_carry_between_digits_is_not_a_match(self):
+        # with too few bits per digit, c * t^0 and t^1 would meet at the point
+        one, rhs = SymSeries.one("e", 0), SymSeries.from_weights(0, lambda i: T)
+        for c in (1, 2, 3, 255, 256, 2**40):
+            lhs = SymSeries.from_weights(0, lambda i: LaurentPoly.const(c))
+            assert not symfun.product_equal_at_point([lhs, one], rhs)
+
+    def test_a_structure_constant_is_in_the_digit_bound(self):
+        # p_1 / z times p_(1^7) / z is 8 p_(1^8) / z, all l1 norms 1: a bound
+        # without C(8, 1) gives 3-bit digits, where 8 * t^0 would meet t^1
+        def single(lam, c=ONE):
+            coeffs = [SymFun("p", n, {lam: c} if n == sum(lam) else {}, True) for n in range(9)]
+            return SymSeries("p", coeffs, zpart=True)
+
+        a, b, ones = single((1,)), single((1,) * 7), (1,) * 8
+        assert a.mul(b) == single(ones, 8)
+        assert not symfun.product_equal_at_point([a, b], single(ones, T))
 
 
 class TestReports:
