@@ -10,8 +10,8 @@ The numerator, denominator and closed series, ``closed_form``,
 ``powersum_form`` with the t-analog products it shares between variants,
 ``f_expansion``, ``q_eulerian`` and the q walks are cached, so each argument
 is computed once per process.
-``quotient_form_check`` and ``cleared_form_check`` compare their series
-products at one integer point (``symfun.product_equal_at_point``).
+``quotient_form_check`` and ``cleared_form_check`` compare each product of
+two series at one integer point (``symfun.product_equal_at_point``).
 
 ``f_expansion`` and ``q_eulerian`` run the permutation prefix DP
 ``combinat.perm_walk`` with their own step rules (``F_RULES``, ``Q_RULES``)
@@ -77,13 +77,11 @@ Q_RULES = {
 }
 Q_EULERIAN_KINDS = tuple(Q_RULES)
 
-# The largest sizes computed and checked; the CLI's ranges and verify's
-# bounds read them from here.
+# The largest sizes a library function computes; the CLI's ranges and
+# verify's flags read them from here.  How far a suite sweeps is its own.
 LIMITS = {
     "n": 8,  # degree of a closed form, expansion or q-Eulerian polynomial; series order
     "vars": 8,  # variables of a monomial table
-    "counting_n": 6,  # word length of the counting suite
-    "counting_m": 5,  # alphabet size of the counting suite
     "transfer_k": 6,  # alphabet size of the transfer-matrix determinant
 }
 
@@ -207,13 +205,13 @@ def cleared_form_check(variant: str, order: int) -> bool:
         rhs = SymSeries.from_weights(
             order, lambda i: abc(i)[1] * one_minus_t if i >= 2 else None
         )
-    return product_equal_at_point([lhs, denom], rhs)
+    return product_equal_at_point(lhs, denom, rhs)
 
 
 def quotient_form_check(variant: str, order: int) -> bool:
     """Numerator = denominator * series, for every variant's quotient."""
-    factors = [closed_series(variant, order), denominator_series(order)]
-    return product_equal_at_point(factors, numerator_series(variant, order))
+    series, denom = closed_series(variant, order), denominator_series(order)
+    return product_equal_at_point(series, denom, numerator_series(variant, order))
 
 
 @lru_cache(maxsize=None)
@@ -557,33 +555,28 @@ def root_of_unity(kind: str, n: int, k: int) -> LaurentPoly:
     return parts["via_eval"]
 
 
-def transfer_matrix_check(k: int, order: int | None = None) -> bool:
+def transfer_matrix_check(k: int) -> bool:
     """det(I - zA) = 1 - sum over j >= 2 of e_j(x_1..x_k) t[j-1]_t z^j.
 
     A is the walk matrix of the complete loopless digraph on 1..k: the edge
     i -> j carries x_j, times t when it descends (i > j).  Every off-diagonal
     entry of I - zA is the single monomial -x_j (times t) z, so each term of
     the Leibniz sum is one monomial whose z-power is its total x-degree, and
-    truncating at z^order is a cut on total degree.  The sides are compared
-    monomial by monomial, e_j as the sum of its squarefree monomials.
+    the full determinant's equality implies that of every truncation in z.
+    The sides are compared monomial by monomial, e_j as the sum of its
+    squarefree monomials.
     """
     check_limit("transfer_k", k)
-    if order is None:
-        order = k
-    if not 0 <= order <= k:
-        raise ValueError(f"order must be between 0 and k = {k}, got {order}")
     det: dict[tuple[int, ...], LaurentPoly] = {}
     for sigma in permutations(range(k)):
         moved = [i for i in range(k) if sigma[i] != i]
-        if len(moved) > order:
-            continue
         inversions = sum(a > b for a, b in combinations(sigma, 2))
         vec = tuple(int(sigma[i] != i) for i in range(k))
         term = LaurentPoly.t_power(
             sum(i > sigma[i] for i in moved), (-1) ** (inversions + len(moved))
         )
         det[vec] = det.get(vec, ZERO) + term
-    weights = {j: w for j in range(order + 1) if (w := denominator_weight(j))}
+    weights = {j: w for j in range(k + 1) if (w := denominator_weight(j))}
     expected = {vec: w for j, w in weights.items() for vec in _squarefree(k, j)}
     return {vec: c for vec, c in det.items() if c} == expected
 

@@ -18,7 +18,7 @@ reduces a ``QtPoly`` modulo a cyclotomic polynomial, which evaluates it at a
 primitive root of unity without leaving exact arithmetic.
 ``sums_equal_at_point`` compares sums of ``QtPoly`` products at one integer
 point, exactly, without forming the products; ``symfun.product_equal_at_point``
-does the same for products of graded series.  Both read one shape
+does the same for the product of two graded series.  Both read one shape
 (``int_span``), one digit width with its proof (``digit_width``) and one
 packing of a ``LaurentPoly`` at t = 2^w (``at_point``).
 

@@ -2,20 +2,20 @@
 
 A partition is a plain tuple of weakly decreasing positive integers.  A
 ``SymFun`` is a homogeneous formal combination of partition-indexed basis
-elements (elementary ``e``, complete homogeneous ``h``, power sum ``p``, or
-monomial ``m``) with ``LaurentPoly`` coefficients.  A ``QsymTable`` is a
-quasisymmetric polynomial in a fixed finite number k of variables, such as
-an oracle's or a symmetric function's expansion, held by its coefficients at
-the compositions with at most k parts; the expansion is faithful as long as
-k is at least the degree.  Both are ``exact.Combination`` subclasses: the
+elements (elementary ``e``, complete homogeneous ``h`` or power sum ``p``)
+with ``LaurentPoly`` coefficients.  A ``QsymTable`` is a quasisymmetric
+polynomial in a fixed finite number k of variables, such as an oracle's or
+a symmetric function's expansion, held by its coefficients at the
+compositions with at most k parts; the expansion is faithful as long as k
+is at least the degree.  Both are ``exact.Combination`` subclasses: the
 shared core does their arithmetic, and each says only how a key is checked
 (a partition of the degree; a composition), what two values must share
 (basis, zpart and degree; the variable count) and how two keys multiply
 (``merge``).  A ``SymSeries`` is a graded sequence of ``SymFun`` values
 indexed by the power of a formal variable z; the grading and the x-degree
 always coincide here.  ``SymSeries.mul`` and ``div`` form products and
-quotients; ``product_equal_at_point`` checks that a product of series is a
-given series without forming it: the partitions stay keys, and every
+quotients; ``product_equal_at_point`` checks that the product of two series
+is a given series without forming it: the partitions stay keys, and every
 coefficient is one integer, its value at t = 2^w (``exact.at_point``).
 
 Power sums are kept in ``zpart`` form, against p_lam / z_lam, where products
@@ -47,7 +47,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 from .exact import (
     ONE,
@@ -145,7 +145,7 @@ def _product_key(lam: Partition, mu: Partition, zpart: bool) -> tuple[Partition,
     return merge(lam, mu), mult
 
 
-_BASES = ("e", "h", "p", "m")
+_BASES = ("e", "h", "p")
 
 
 class SymFun(Combination):
@@ -193,7 +193,7 @@ class SymFun(Combination):
         return _product_key(lam, mu, self.zpart)
 
     def _product_shape(self, other: "SymFun") -> "SymFun":
-        if self.basis != other.basis or self.basis == "m" or self.zpart != other.zpart:
+        if self.basis != other.basis or self.zpart != other.zpart:
             raise ValueError("products require a common multiplicative basis")
         return SymFun(self.basis, self.degree + other.degree, zpart=self.zpart)
 
@@ -217,14 +217,9 @@ class SymFun(Combination):
             return SymFun("h", self.degree, self.terms)
         if self.basis == "h":
             return SymFun("e", self.degree, self.terms)
-        if self.basis == "p":
-            return SymFun(
-                "p",
-                self.degree,
-                {l: c * omega_sign(l) for l, c in self.terms.items()},
-                self.zpart,
-            )
-        raise ValueError("omega is not implemented for the monomial basis")
+        return SymFun(
+            "p", self.degree, {l: c * omega_sign(l) for l, c in self.terms.items()}, self.zpart
+        )
 
     def from_zpart(self) -> "SymFun":
         if not self.zpart:
@@ -348,19 +343,18 @@ def _aligned(rows) -> str:
 
 @lru_cache(maxsize=None)
 def _m_coeff(basis: str, lam: Partition, mu: Partition) -> int:
-    """Coefficient of x^mu in b_lam for b in e, h, p, m, as a plain int.
+    """Coefficient of x^mu in b_lam for b in e, h, p, as a plain int.
 
-    For e, h and p this counts the matrices with row sums lam and column
-    sums mu whose rows are 0-1 vectors (e), nonnegative vectors (h) or a
-    single column (p).  The first row is chosen against the column sums,
-    and what is left is the count for the remaining parts of lam against
-    the sorted leftover column sums, since the count is symmetric in the
-    columns.  For m the value is [lam = mu].
+    This counts the matrices with row sums lam and column sums mu whose rows
+    are 0-1 vectors (e), nonnegative vectors (h) or a single column (p).
+    The first row is chosen against the column sums, and what is left is
+    the count for the remaining parts of lam against the sorted leftover
+    column sums, since the count is symmetric in the columns.
 
     >>> _m_coeff("e", (2, 1), (1, 1, 1)), _m_coeff("h", (2, 1), (2, 1))
     (3, 2)
     """
-    if basis == "m" or not lam:
+    if not lam:
         return int(lam == mu)
     part, rest = lam[0], lam[1:]
     if basis == "p":
@@ -382,16 +376,16 @@ def _m_coeff(basis: str, lam: Partition, mu: Partition) -> int:
 
 
 @lru_cache(maxsize=None)
-def _orbit(mu: Partition, k: int) -> tuple[tuple[int, ...], ...]:
-    """Distinct rearrangements of mu padded with zeros to length k."""
+def _orbit(values: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Distinct rearrangements of values."""
     counts: dict[int, int] = {}
-    for v in mu + (0,) * (k - len(mu)):
+    for v in values:
         counts[v] = counts.get(v, 0) + 1
     out: list[tuple[int, ...]] = []
     vec: list[int] = []
 
     def place() -> None:
-        if len(vec) == k:
+        if len(vec) == len(values):
             out.append(tuple(vec))
             return
         for v, left in counts.items():
@@ -436,7 +430,7 @@ def expand_at_compositions(f: SymFun, k: int) -> QsymTable:
     >>> expand_at_compositions(SymFun.generator("h", 2), 2).terms
     {(2,): LaurentPoly(1), (1, 1): LaurentPoly(1)}
     """
-    terms = {alpha: c for mu, c in _m_sums(f, k).items() for alpha in _orbit(mu, len(mu))}
+    terms = {alpha: c for mu, c in _m_sums(f, k).items() for alpha in _orbit(mu)}
     return QsymTable.zero(k)._like(terms)
 
 
@@ -634,10 +628,9 @@ class SymSeries:
         return self._like(coeffs)
 
 
-def product_equal_at_point(factors: Sequence[SymSeries], rhs: SymSeries) -> bool:
-    """Whether the graded product of the factors is rhs, as
-    ``functools.reduce(SymSeries.mul, factors) == rhs`` says, compared at one
-    integer point instead of multiplying ``LaurentPoly`` coefficients.
+def product_equal_at_point(a: SymSeries, b: SymSeries, rhs: SymSeries) -> bool:
+    """Whether ``a.mul(b) == rhs``, compared at one integer point instead of
+    multiplying ``LaurentPoly`` coefficients.
 
     The partitions stay keys.  Every coefficient of a series is taken times
     the power of t that makes the series' lowest t-exponent 0, at t = 2^w
@@ -652,67 +645,47 @@ def product_equal_at_point(factors: Sequence[SymSeries], rhs: SymSeries) -> bool
     Only integer coefficients are compared: a Fraction anywhere gives False.
 
     >>> E = SymSeries.generating("e", 3)
-    >>> product_equal_at_point([E, E], E.mul(E)), product_equal_at_point([E, E], E)
+    >>> product_equal_at_point(E, E, E.mul(E)), product_equal_at_point(E, E, E)
     (True, False)
     """
-    basis, zpart = factors[0].basis, factors[0].zpart
-    for f in factors:
-        factors[0]._check_basis(f)
-    if basis == "m":
-        raise ValueError("products require a common multiplicative basis")
-    order = min(f.order for f in factors)
-    if (rhs.basis, rhs.zpart, rhs.order) != (basis, zpart, order):
+    a._check_basis(b)
+    zpart = a.zpart
+    size = min(a.order, b.order) + 1
+    if (rhs.basis, rhs.zpart, rhs.order) != (a.basis, zpart, size - 1):
         return False
-    size = order + 1
-    series = {id(s): s for s in (rhs, *factors)}  # each distinct series once
-    shapes = {}  # id -> (lowest t-exponent, l1 norm per degree)
-    for i, s in series.items():
+    shapes = []  # per series: (lowest t-exponent, l1 norm per degree)
+    for s in (a, b, rhs):
         spans = [int_span(f.terms.values()) for f in s.coeffs[:size]]
         if None in spans:
             return False
         low = min((lo for lo, _, l1 in spans if l1), default=0)  # l1 is 0 only at a zero degree
-        shapes[i] = (low, [l1 for _, _, l1 in spans])
-    low, norms = shapes[id(factors[0])]
-    for f in factors[1:]:
-        f_low, f_norms = shapes[id(f)]
-        low += f_low
-        norms = [
-            sum(
-                (math.comb(n, j) if zpart else 1) * norms[j] * f_norms[n - j]
-                for j in range(n + 1)
-            )
+        shapes.append((low, [l1 for _, _, l1 in spans]))
+    (a_low, a_l1), (b_low, b_l1), (rhs_low, rhs_l1) = shapes
+    w = digit_width(
+        max(
+            sum((math.comb(n, j) if zpart else 1) * a_l1[j] * b_l1[n - j] for j in range(n + 1))
+            + rhs_l1[n]
             for n in range(size)
-        ]
-    rhs_low, rhs_norms = shapes[id(rhs)]
-    w = digit_width(max(a + b for a, b in zip(norms, rhs_norms)))
-
-    values = {}  # id -> per degree, each coefficient times t^-(the series' low) at the point
-    for i, s in series.items():
-        s_low = shapes[i][0]
-        values[i] = [
-            {lam: at_point(c.terms.items(), w, s_low) for lam, c in f.terms.items()}
-            for f in s.coeffs[:size]
-        ]
-    key = _product_key  # read now, so a patched structure constant is seen
-    lhs = values[id(factors[0])]
-    for f in factors[1:]:
-        g = values[id(f)]
-        product = []
-        for n in range(size):
-            acc: dict[Partition, int] = {}
-            for j in range(n + 1):
-                for lam, x in lhs[j].items():
-                    for mu, y in g[n - j].items():
-                        nu, mult = key(lam, mu, zpart)
-                        acc[nu] = acc.get(nu, 0) + x * y * mult
-            product.append(acc)
-        lhs = product
-    shift_lhs, shift_rhs = w * (low - min(low, rhs_low)), w * (rhs_low - min(low, rhs_low))
-    return all(
-        {lam: x << shift_lhs for lam, x in got.items() if x}
-        == {lam: x << shift_rhs for lam, x in want.items()}
-        for got, want in zip(lhs, values[id(rhs)])
+        )
     )
+    x, y, want = (
+        [{lam: at_point(c.terms.items(), w, low) for lam, c in f.terms.items()} for f in s.coeffs[:size]]
+        for s, (low, _) in zip((a, b, rhs), shapes)
+    )
+    key = _product_key  # read now, so a patched structure constant is seen
+    low = min(a_low + b_low, rhs_low)
+    shift_lhs, shift_rhs = w * (a_low + b_low - low), w * (rhs_low - low)
+    for n in range(size):
+        acc: dict[Partition, int] = {}
+        for j in range(n + 1):
+            for lam, u in x[j].items():
+                for mu, v in y[n - j].items():
+                    nu, mult = key(lam, mu, zpart)
+                    acc[nu] = acc.get(nu, 0) + u * v * mult
+        got = {lam: u << shift_lhs for lam, u in acc.items() if u}
+        if got != {lam: u << shift_rhs for lam, u in want[n].items()}:
+            return False
+    return True
 
 
 def e_positivity_report(f: SymFun) -> tuple[bool, list[tuple[Partition, LaurentPoly, bool]]]:

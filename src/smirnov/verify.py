@@ -196,7 +196,7 @@ def suite_powersum(max_n: int) -> list[dict]:
             ok = expand_at_compositions(form.omega(), n) == rhs
             params = {"variant": variant, "n": n}
             records.append(_record("powersum-vs-brute", params, form, rhs, ok))
-    for n in range(1, en.LIMITS["n"] + 1):
+    for n in range(1, SWEEP_N + 1):
         less, greater, cyclic = (
             en.powersum_form(v, n) for v in ("Wless", "Wgreater", "Wtildeneq")
         )
@@ -212,7 +212,7 @@ def suite_powersum(max_n: int) -> list[dict]:
                 ok = all(s.coeff(i) == s.coeff(n - i) for i in range(1, n))
                 records.append(_record("powersum-weight-palindromic", params, s, s.reverse(n), ok))
     for variant in en.TOP_VARIANTS:
-        for n in range(2, en.LIMITS["n"] + 1):
+        for n in range(2, SWEEP_N + 1):
             lhs = en.powersum_top_coefficient(variant, n)
             rhs = en.closed_form(variant, n).coeff((n,))
             records.append(_record("top-coefficient", {"variant": variant, "n": n}, lhs, rhs))
@@ -308,7 +308,7 @@ def suite_qexp(max_order: int) -> list[dict]:
 
 def suite_roots() -> list[dict]:
     records = []
-    for n in range(2, en.LIMITS["n"] + 1):
+    for n in range(2, SWEEP_N + 1):
         for k in divisors(n):
             for kind in en.ROOT_FAMILIES:
                 parts, ok = en.root_of_unity_parts(kind, n, k)
@@ -332,13 +332,12 @@ def _shape_palindromic_unimodal(p: LaurentPoly) -> bool:
     return palindrome_unimodal(p, center) == (True, True)
 
 
-def suite_unimodal(n_max: int = en.LIMITS["n"]) -> list[dict]:
+def suite_unimodal() -> list[dict]:
     """Palindromicity/unimodality assertions for every variant with a stated
     center, the even-cycle failure witness, and the special coefficient
     formulas for the cyclic enumerator."""
-    en.check_limit("n", n_max)
     records = []
-    for n in range(2, n_max + 1):
+    for n in range(2, SWEEP_N + 1):
         for variant, center in (
             ("W", Fraction(n - 1, 2)),
             ("Wneq", Fraction(n - 1, 2)),
@@ -414,33 +413,29 @@ def suite_unimodal(n_max: int = en.LIMITS["n"]) -> list[dict]:
                 c = wt.coeff(lam)
                 ok = c == expected and _shape_palindromic_unimodal(expected)
                 records.append(_record(name, {"n": n, "partition": list(lam)}, c, expected, ok))
-    if n_max >= 5:
-        w5 = en.closed_form("Wtilde", 5)
-        pal_any = any(
-            e_unimodal_palindromic(w5, Fraction(c2, 2))[0] for c2 in range(0, 2 * 5 + 1)
-        )
-        lhs = [pal_any, e_unimodal_direct(w5)]
-        records.append(_record("cyclic-degree-five-counterexample", {"n": 5}, lhs, [False, False]))
+    w5 = en.closed_form("Wtilde", 5)
+    pal_any = any(e_unimodal_palindromic(w5, Fraction(c2, 2))[0] for c2 in range(0, 2 * 5 + 1))
+    lhs = [pal_any, e_unimodal_direct(w5)]
+    records.append(_record("cyclic-degree-five-counterexample", {"n": 5}, lhs, [False, False]))
     return records
 
 
-def suite_counting(
-    n_max: int = en.LIMITS["counting_n"], m_max: int = en.LIMITS["counting_m"]
-) -> list[dict]:
+def suite_counting() -> list[dict]:
     """Alphabet-restricted descent counts against binomial sums over
     permutations graded by the drop-gap sets of their inverses.
 
-    The word side is the word DP; the permutation side reads the walk of
-    ``en.f_expansion``, whose set S is exactly the positions where sigma^-1
-    drops by at least two, so no permutation is swept."""
-    en.check_limit("counting_n", n_max)
-    en.check_limit("counting_m", m_max)
+    The word side reads one word DP table per variant and n, in n variables:
+    the count over m letters is the sum of c_alpha * C(m, l(alpha)).  The
+    permutation side reads the walk of ``en.f_expansion``, whose set S is
+    exactly the positions where sigma^-1 drops by at least two, so no
+    permutation is swept."""
     records = []
-    for n in range(1, n_max + 1):
+    for n in range(1, COUNTING_N + 1):
         walks = {v: en.f_expansion(v, n).terms for v in ("W", "Wless", "Wtilde")}
-        for m in range(1, m_max + 1):
+        words = {v: combinat.brute_enumerator(v, n, n).terms for v in walks}
+        for m in range(1, COUNTING_M + 1):
             for mode, variant in (("des", "W"), ("des-first-less", "Wless"), ("cdes", "Wtilde")):
-                lhs = combinat.brute_enumerator(variant, n, m).sum_coeffs()
+                lhs = sum((c * math.comb(m, len(a)) for a, c in words[variant].items()), ZERO)
                 rhs = ZERO
                 for e, S, mult in walks[variant]:
                     rhs = rhs + LaurentPoly.t_power(e, mult * math.comb(m + len(S), n))
@@ -458,7 +453,7 @@ def suite_series(order: int) -> list[dict]:
         records.append(_record("series-cleared", {"variant": variant, "order": order}, ok, True))
     D = en.denominator_series(order)
     inv = SymSeries.one("e", order).div(D)
-    ok = product_equal_at_point([D, inv], SymSeries.one("e", order))
+    ok = product_equal_at_point(D, inv, SymSeries.one("e", order))
     records.append(_record("series-geometric-inverse", {"order": order}, ok, True))
     for n in range(2, order + 1):
         less = en.closed_form("Wless", n)
@@ -482,12 +477,15 @@ def suite_series(order: int) -> list[dict]:
         [(lam, math.prod(map(factor.get, lam), start=ONE)) for lam in partitions_of(n)]
         for n in range(order + 1)
     ]
+    below = None  # the closed ratio^(power - 1)
     for power in range(1, 4):
         coeffs = [
             SymFun("p", n, {lam: c * power ** len(lam) for lam, c in row}, zpart=True)
             for n, row in enumerate(products)
         ]
-        ok = product_equal_at_point([ratio] * power, SymSeries("p", coeffs, zpart=True))
+        closed = SymSeries("p", coeffs, zpart=True)
+        ok = ratio == closed if below is None else product_equal_at_point(ratio, below, closed)
+        below = closed
         records.append(_record("h-ratio-power", {"power": power, "order": order}, ok, True))
     ps_series = SymSeries(
         "p",
@@ -495,7 +493,7 @@ def suite_series(order: int) -> list[dict]:
         zpart=True,
     )
     denom = Htz - H.scale(T)
-    ok = product_equal_at_point([ps_series, denom], H.scale(ONE - T))
+    ok = product_equal_at_point(ps_series, denom, H.scale(ONE - T))
     records.append(_record("eulerian-powersum-series", {"order": order}, ok, True))
     for m in range(2, 6):
         params = {"m": m, "order": EULER_SERIES_ORDER}
@@ -520,6 +518,11 @@ BOUNDS = {
     "vars": (6, "vars"),
     "max_order": (8, "n"),
 }
+
+# The sweeps no bound sets, whatever en.LIMITS allows: n of the power sum,
+# roots and unimodal suites; word length n and alphabet size m of counting.
+SWEEP_N = 8
+COUNTING_N, COUNTING_M = 6, 5
 
 # suite -> (suite function, the run_suite bounds it reads, in argument order)
 SUITE_BOUNDS = {

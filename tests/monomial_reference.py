@@ -105,5 +105,6 @@ def expand_in_variables(f: SymFun, k: int) -> MonomialTable:
     >>> expand_in_variables(SymFun.generator("e", 2), 2).terms
     {(1, 1): LaurentPoly(1)}
     """
-    terms = {vec: c for mu, c in _m_sums(f, k).items() for vec in _orbit(mu, k)}
+    sums = _m_sums(f, k)  # every mu here has at most k parts
+    terms = {vec: c for mu, c in sums.items() for vec in _orbit(mu + (0,) * (k - len(mu)))}
     return MonomialTable.zero(k)._like(terms)

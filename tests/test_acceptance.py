@@ -120,8 +120,11 @@ def test_criterion_05_fundamental_expansions_and_counting():
             fe = en.f_expansion(variant, n)
             rhs = expand_in_variables(en.closed_form(variant, n).omega(), n)
             ok = ok and fe.to_table(n) == rhs
-    records = verify.suite_counting(6, 5)
+    records = verify.suite_counting()  # words of length n <= 6 over m <= 5 letters
     ok = ok and bool(records) and all(r["status"] == "pass" for r in records)
+    ok = ok and {(r["params"]["n"], r["params"]["m"]) for r in records} == {
+        (n, m) for n in range(1, 7) for m in range(1, 6)
+    }
     _report(5, "fundamental expansions and counting identities", ok)
 
 
@@ -160,8 +163,9 @@ def test_criterion_08_transfer_matrix():
 
 
 def test_criterion_09_unimodality_palindromicity():
-    records = verify.suite_unimodal(8)
+    records = verify.suite_unimodal()
     ok = bool(records) and all(r["status"] == "pass" for r in records)
+    ok = ok and max(r["params"]["n"] for r in records) == 8
     for n in range(2, 9):
         flags = e_unimodal_palindromic(en.closed_form("Wneq", n), Fraction(n - 1, 2))
         ok = ok and flags == (True, True)

@@ -426,8 +426,10 @@ class TestVerify:
         monkeypatch.setattr(SymSeries, "h_series_p", staticmethod(h_series_p))
         code, out, _ = run_cli(capsys, "verify", "--suite", "series", "--format", "json")
         assert code == 1
-        failed = {r["check"] for r in json.loads(out) if r["status"] == "fail"}
-        assert failed == {"h-ratio-power", "eulerian-powersum-series"}
+        failed = [r for r in json.loads(out) if r["status"] == "fail"]
+        assert {r["check"] for r in failed} == {"h-ratio-power", "eulerian-powersum-series"}
+        powers = [r["params"]["power"] for r in failed if r["check"] == "h-ratio-power"]
+        assert powers == [1, 2, 3]  # each power is checked on its own
 
     def test_dropped_binomial_factor_fails_series(self, capsys, monkeypatch, fresh_caches):
         # products against p / z carry the structure constant
@@ -438,8 +440,10 @@ class TestVerify:
         )
         code, out, _ = run_cli(capsys, "verify", "--suite", "series", "--format", "json")
         assert code == 1
-        failed = {r["check"] for r in json.loads(out) if r["status"] == "fail"}
-        assert failed == {"h-ratio-power", "eulerian-powersum-series"}
+        failed = [r for r in json.loads(out) if r["status"] == "fail"]
+        assert {r["check"] for r in failed} == {"h-ratio-power", "eulerian-powersum-series"}
+        powers = [r["params"]["power"] for r in failed if r["check"] == "h-ratio-power"]
+        assert powers == [1, 2, 3]
 
     def test_perturbed_cyclic_form_fails_unimodal(self, capsys, monkeypatch):
         original = en.closed_form
@@ -461,6 +465,21 @@ class TestVerify:
         )
         code, _, _ = run_cli(capsys, "verify", "--suite", "counting")
         assert code == 1
+
+    def test_counting_reads_one_word_table_per_variant_and_n(self, monkeypatch):
+        # the count over m letters is read from the table in n variables
+        original = combinat.brute_enumerator
+        calls = []
+
+        def counted(variant, n, k):
+            calls.append((variant, n, k))
+            return original(variant, n, k)
+
+        monkeypatch.setattr(combinat, "brute_enumerator", counted)
+        records = verify.suite_counting()
+        assert records and verify.all_pass(records)
+        assert len(calls) == 18
+        assert set(calls) == {(v, n, n) for v in ("W", "Wless", "Wtilde") for n in range(1, 7)}
 
     def test_counting_sweeps_no_permutation(self, monkeypatch):
         def sweep(*args):
@@ -566,6 +585,15 @@ class TestVerify:
             assert info.hits == len(args) - len(set(args)), name
 
     def test_all_suites_json_matches_reference_digest(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--format", "json")
+        reference = REFERENCE_RUNS["verify --suite all --format json"]
+        assert code == reference["exit"] == 0
+        assert hashlib.sha256(out.encode()).hexdigest()[:32] == reference["stdout"]
+
+    def test_raised_caps_leave_the_default_json(self, capsys, monkeypatch, fresh_caches):
+        # a cap bounds what the library may compute; no suite sweeps to it
+        monkeypatch.setitem(en.LIMITS, "n", 10)
+        monkeypatch.setitem(en.LIMITS, "vars", 10)
         code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--format", "json")
         reference = REFERENCE_RUNS["verify --suite all --format json"]
         assert code == reference["exit"] == 0
