@@ -148,7 +148,7 @@ def _cmd_expand(parser, args) -> int:
 
 def _cmd_qeuler(parser, args) -> int:
     kind = _alias(parser, QEULER_ALIASES, "q-Eulerian kind", args.variant)
-    _check_range(parser, "--n", args.n, 0, "n")
+    _check_range(parser, "--n", args.n, 0 if args.q_root is None else 2, "n")
     if args.q_root is None:
         _emit(args, en.q_eulerian(kind, args.n))
         return 0

@@ -248,6 +248,7 @@ class LaurentPoly:
     def truncated(self, max_exp: int) -> "LaurentPoly":
         return _trusted({e: c for e, c in self.terms.items() if e <= max_exp})
 
+    # no library caller; perfbench/tracer.py counts words_kept as table.sum_coeffs().at_one()
     def at_one(self) -> Scalar:
         """Evaluate at t = 1."""
         return _clean(sum(self.terms.values(), 0))

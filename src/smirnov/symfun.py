@@ -292,6 +292,7 @@ class QsymTable(Combination):
             raise ValueError("table is not homogeneous")
         return degs.pop()
 
+    # no library caller; perfbench/tracer.py counts words_kept as table.sum_coeffs().at_one()
     def sum_coeffs(self) -> LaurentPoly:
         """The value at all ones: alpha has C(k, l(alpha)) placements."""
         return sum((c * math.comb(self.nvars, len(a)) for a, c in self.terms.items()), ZERO)

@@ -445,6 +445,25 @@ class TestVerify:
         powers = [r["params"]["power"] for r in failed if r["check"] == "h-ratio-power"]
         assert powers == [1, 2, 3]
 
+    def test_stray_end_term_fails_weight_palindromic(self, monkeypatch, fresh_caches):
+        # 4 at (2, 2) adds t^0 to the weight s = c / 4 and no t^4: its
+        # interior coefficients stay palindromic, but its shown sides differ
+        original = en.powersum_form
+
+        def powersum_form(variant, n):
+            out = original(variant, n)
+            if (variant, n) == ("Wtildeneq", 4):
+                return out + SymFun("p", 4, {(2, 2): 4}, zpart=True)
+            return out
+
+        monkeypatch.setattr(en, "powersum_form", powersum_form)
+        [record] = [
+            r
+            for r in verify.suite_powersum(1)
+            if r["check"] == "powersum-weight-palindromic" and r["params"] == {"n": 4, "partition": [2, 2]}
+        ]
+        assert record["lhs"] != record["rhs"] and record["status"] == "fail"
+
     def test_perturbed_cyclic_form_fails_unimodal(self, capsys, monkeypatch):
         original = en.closed_form
 
@@ -652,7 +671,6 @@ class TestRecords:
     WIDER = {
         "powersum-vs-brute",
         "f-vs-closed",
-        "powersum-weight-palindromic",
         "root-of-unity",
         "cycle-even-corrected",
         "cyclic-coefficient-smallest-part-one",
@@ -789,6 +807,16 @@ class TestUsageErrors:
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("verb", ["roots", "qeuler"])
+    @pytest.mark.parametrize("n", ["0", "1"])
+    def test_root_below_degree_two_names_the_flag(self, capsys, verb, n):
+        with pytest.raises(SystemExit) as info:
+            cli.main([verb, "--variant", "Atilde", "--n", n, "--q-root", "1"])
+        assert info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith(f"error: --n: {n} is out of range: LIMITS['n'] allows 2 to {en.LIMITS['n']}\n")
+
     def test_missing_verb(self, capsys):
         with pytest.raises(SystemExit) as info:
             cli.main([])
@@ -890,3 +918,39 @@ class TestEntryPoint:
         assert "smirnov.cli" in cli
         for module in ("dataclasses", "inspect"):
             assert module not in cli or module in bare, module
+
+    # each module imports only modules before it here
+    LAYERS = ("exact", "symfun", "combinat", "enumerators", "verify", "cli")
+
+    @pytest.mark.parametrize("depth", range(len(LAYERS)), ids=LAYERS)
+    def test_importing_a_module_loads_only_its_imports(self, depth):
+        # the package __init__ imports nothing, so a fresh interpreter holds
+        # exactly the module and those before it
+        code = f"import sys, smirnov.{self.LAYERS[depth]}; print(*sorted(m for m in sys.modules if m.startswith('smirnov.')))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == sorted(f"smirnov.{m}" for m in self.LAYERS[: depth + 1])
+
+
+class TestTracerRun:
+    ARGV = ["verify", "--suite", "oracle", "--max-n", "3", "--vars", "3", "--format", "json"]
+
+    @pytest.mark.parametrize("mode", ["time", "count"])
+    def test_traced_output_equals_untraced(self, capsys, mode):
+        # perfbench/tracer.py wraps the modules that smirnov.cli loads; a
+        # change under src/ that it cannot wrap fails here, not only in CI
+        code, expected, _ = run_cli(capsys, *self.ARGV)
+        assert code == 0
+        proc = subprocess.run(
+            [sys.executable, str(REFERENCE.parent / "tracer.py"), mode, "--", *self.ARGV],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        out, report = proc.stdout.rstrip("\n").rsplit("\n", 1)
+        assert out + "\n" == expected
+        report = json.loads(report)
+        if mode == "time":
+            assert report["spans"]
+        else:
+            assert report["counts"]["combinat.words_kept"] > 0
