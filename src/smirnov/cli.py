@@ -108,9 +108,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_range(parser: argparse.ArgumentParser, flag: str, value: int, lo: int, key: str) -> None:
+def _check(parser: argparse.ArgumentParser, flag: str, check, *args) -> None:
+    """Run a library check; its ValueError is a usage error naming the flag."""
     try:
-        en.check_limit(key, value, lo)
+        check(*args)
     except ValueError as exc:
         parser.error(f"{flag}: {exc}")
 
@@ -127,7 +128,7 @@ def main(argv=None) -> int:
 
 def _cmd_expand(parser, args) -> int:
     variant = _alias(parser, VARIANT_ALIASES, "enumerator variant", args.variant)
-    _check_range(parser, "--n", args.n, 1, "n")
+    _check(parser, "--n", en.check_limit, "n", args.n)
     if args.vars is not None and args.basis != "e":
         parser.error(f"--vars: basis {args.basis} does not expand into variables; use --basis e")
     if args.basis == "p":
@@ -139,7 +140,7 @@ def _cmd_expand(parser, args) -> int:
             parser.error(f"--variant: no fundamental expansion for {variant}")
         _emit(args, en.f_expansion(variant, args.n))
     elif args.vars is not None:
-        _check_range(parser, "--vars", args.vars, 1, "vars")
+        _check(parser, "--vars", en.check_limit, "vars", args.vars)
         _emit(args, expand_at_compositions(en.closed_form(variant, args.n), args.vars))
     else:
         _emit(args, en.closed_form(variant, args.n))
@@ -148,12 +149,13 @@ def _cmd_expand(parser, args) -> int:
 
 def _cmd_qeuler(parser, args) -> int:
     kind = _alias(parser, QEULER_ALIASES, "q-Eulerian kind", args.variant)
-    _check_range(parser, "--n", args.n, 0 if args.q_root is None else 2, "n")
+    _check(parser, "--n", en.check_limit, "n", args.n, 0 if args.q_root is None else 2)
     if args.q_root is None:
         _emit(args, en.q_eulerian(kind, args.n))
         return 0
     if kind not in en.ROOT_FAMILIES:
         parser.error(f"--q-root: no closed root-of-unity form for {kind}")
+    _check(parser, "--q-root", en.check_root_order, args.n, args.q_root)
     value = en.root_of_unity(kind, args.n, args.q_root)
     _emit(args, value, {"t_polynomial": value.to_json_obj()})
     return 0
@@ -163,7 +165,8 @@ def _cmd_roots(parser, args) -> int:
     kind = _alias(parser, QEULER_ALIASES, "q-Eulerian kind", args.variant)
     if kind not in en.ROOT_FAMILIES:
         parser.error(f"--variant: no closed root-of-unity form for {kind}")
-    _check_range(parser, "--n", args.n, 2, "n")
+    _check(parser, "--n", en.check_limit, "n", args.n, 2)
+    _check(parser, "--q-root", en.check_root_order, args.n, args.q_root)
     parts, agree = en.root_of_unity_parts(kind, args.n, args.q_root)
     obj = {"agree": agree, **{name: poly.to_json_obj() for name, poly in parts.items()}}
     lines = [f"{name}: {poly.pretty()}" for name, poly in parts.items()]
@@ -180,7 +183,7 @@ def _cmd_verify(parser, args) -> int:
             continue
         if bound not in reads:
             parser.error(f"{_flag(bound)}: suite {args.suite} does not read this flag")
-        _check_range(parser, _flag(bound), value, 1, key)
+        _check(parser, _flag(bound), en.check_limit, key, value)
         bounds[bound] = value
     names = verify.SUITES if args.suite == "all" else (args.suite,)
     records = verify.run_suites(names, **bounds)

@@ -177,7 +177,7 @@ def brute_enumerator(variant: str, n: int, k: int) -> QsymTable:
         alpha: LaurentPoly(packed_coeffs(endpoint_sum(variant, by_class.items(), width), width))
         for alpha, by_class in ends.items() if len(alpha) <= k
     }
-    return QsymTable.zero(k)._like(coeffs)  # drops the zero coefficients
+    return QsymTable(k)._like(coeffs)  # drops the zero coefficients
 
 
 def ring_colorings(max_n: int, k: int) -> dict[tuple[str, int], QsymTable]:
@@ -201,7 +201,7 @@ def ring_colorings(max_n: int, k: int) -> dict[tuple[str, int], QsymTable]:
     if k < 1:
         raise ValueError("need at least one color")
     width = math.factorial(max_n).bit_length()  # no coefficient exceeds n!
-    zero = QsymTable.zero(k)
+    zero = QsymTable(k)
     tables: dict[tuple[str, int], QsymTable] = {}
     layer: dict[tuple[tuple[int, ...], int, int], int] = {((1,), 0, 0): 1}
     for m in range(1, max_n + 1):

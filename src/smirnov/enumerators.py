@@ -92,6 +92,15 @@ def check_limit(key: str, value: int, lo: int = 1) -> None:
         raise ValueError(f"{value} is out of range: LIMITS[{key!r}] allows {lo} to {LIMITS[key]}")
 
 
+def check_root_order(n: int, k: int) -> None:
+    """Raise ValueError unless k, the order of a root of unity, is a
+    positive divisor of n."""
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    if n % k:
+        raise ValueError(f"k must divide n, got k = {k} and n = {n}")
+
+
 def abc(i: int) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
     """The three numerator weights splitting the t-analog by endpoint class.
 
@@ -260,7 +269,7 @@ def powersum_form(variant: str, n: int) -> SymFun:
         if val is not None and val < 0:
             raise AssertionError("power sum coefficient is not a polynomial")
         terms[lam] = c
-    return SymFun("p", n, terms, zpart=True)
+    return SymFun("p/z", n, terms)
 
 
 def powersum_top_coefficient(variant: str, n: int) -> LaurentPoly:
@@ -324,7 +333,7 @@ class FExpansion(NamedTuple):
             packed = below[sum(1 << (c - 1) for c in accumulate(reversed(alpha[1:])))]
             if packed:
                 coeffs[alpha] = LaurentPoly(combinat.packed_coeffs(packed, width))
-        return QsymTable.zero(k)._like(coeffs)
+        return QsymTable(k)._like(coeffs)
 
     def principal_numerator(self) -> QtPoly:
         """Stable principal specialization numerator over the implicit
@@ -519,10 +528,7 @@ def root_of_unity_parts(kind: str, n: int, k: int) -> tuple[dict, bool]:
         raise ValueError(f"unknown family {kind!r}")
     if n < 2:
         raise ValueError("n must be at least 2")
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    if n % k:
-        raise ValueError(f"k must divide n, got k = {k} and n = {n}")
+    check_root_order(n, k)
     m = n // k
     via_eval = eval_at_root_of_unity(q_eulerian(kind, n), k)
     qk = t_quantum(k)

@@ -2,25 +2,26 @@
 
 A partition is a plain tuple of weakly decreasing positive integers.  A
 ``SymFun`` is a homogeneous formal combination of partition-indexed basis
-elements (elementary ``e``, complete homogeneous ``h`` or power sum ``p``)
-with ``LaurentPoly`` coefficients.  A ``QsymTable`` is a quasisymmetric
-polynomial in a fixed finite number k of variables, such as an oracle's or
-a symmetric function's expansion, held by its coefficients at the
-compositions with at most k parts; the expansion is faithful as long as k
-is at least the degree.  Both are ``exact.Combination`` subclasses: the
-shared core does their arithmetic, and each says only how a key is checked
-(a partition of the degree; a composition), what two values must share
-(basis, zpart and degree; the variable count) and how two keys multiply
-(``merge``).  A ``SymSeries`` is a graded sequence of ``SymFun`` values
-indexed by the power of a formal variable z; the grading and the x-degree
-always coincide here.  ``SymSeries.mul`` and ``div`` form products and
-quotients; ``product_equal_at_point`` checks that the product of two series
-is a given series without forming it: the partitions stay keys, and every
-coefficient is one integer, its value at t = 2^w (``exact.at_point``).
+elements (elementary ``e``, complete homogeneous ``h``, power sum ``p``, or
+``p/z``, the power sums over their centralizer orders) with ``LaurentPoly``
+coefficients.  A ``QsymTable`` is a quasisymmetric polynomial in a fixed
+finite number k of variables, such as an oracle's or a symmetric function's
+expansion, held by its coefficients at the compositions with at most k
+parts; the expansion is faithful as long as k is at least the degree.  Both
+are ``exact.Combination`` subclasses: the shared core does their
+arithmetic, and each says only how a key is checked (a partition of the
+degree; a composition), what two values must share (basis and degree; the
+variable count) and how two keys multiply (``merge``).  A ``SymSeries`` is
+a graded sequence of ``SymFun`` values indexed by the power of a formal
+variable z, all in the basis of its constant term; the grading and the
+x-degree always coincide here.  ``SymSeries.mul`` and ``div`` form products
+and quotients; ``product_equal_at_point`` checks that the product of two
+series is a given series without forming it: the partitions stay keys, and
+every coefficient is one integer, its value at t = 2^w (``exact.at_point``).
 
-Power sums are kept in ``zpart`` form, against p_lam / z_lam, where products
-have integer structure constants (Macdonald I.2): with m_i(lam) the number of
-parts i of lam,
+Power sums are kept in the ``p/z`` basis, against p_lam / z_lam, where
+products have integer structure constants (Macdonald I.2): with m_i(lam) the
+number of parts i of lam,
 
     (p_lam / z_lam)(p_mu / z_mu) = prod_i C(m_i(lam) + m_i(mu), m_i(lam))
                                    * p_(lam u mu) / z_(lam u mu).
@@ -129,50 +130,45 @@ def merge(lam: Partition, mu: Partition) -> Partition:
 
 
 @lru_cache(maxsize=None)
-def _product_key(lam: Partition, mu: Partition, zpart: bool) -> tuple[Partition, int]:
+def _product_key(lam: Partition, mu: Partition, basis: str) -> tuple[Partition, int]:
     """The partition of b_lam * b_mu and its integer structure constant: 1 in
     a multiplicative basis, and prod_i C(m_i(lam) + m_i(mu), m_i(mu)) against
     p / z, which is z_(lam u mu) / (z_lam * z_mu).
 
-    >>> _product_key((2, 1), (1,), True)
+    >>> _product_key((2, 1), (1,), "p/z")
     ((2, 1, 1), 2)
     """
     mult = 1
-    if zpart:
+    if basis == "p/z":
         for part in set(mu):
             m = mu.count(part)
             mult *= math.comb(lam.count(part) + m, m)
     return merge(lam, mu), mult
 
 
-_BASES = ("e", "h", "p")
+_BASES = ("e", "h", "p", "p/z")
 
 
 class SymFun(Combination):
     """Homogeneous symmetric function with LaurentPoly coefficients.
 
-    ``zpart`` applies to the p basis only and records that coefficients are
-    stored relative to p_lam / z_lam rather than p_lam.  Products stay in a
-    common multiplicative basis (e, h, plain p, or p / z with its binomial
-    structure constants).
+    The basis ``p/z`` stores coefficients relative to p_lam / z_lam rather
+    than p_lam.  Products stay in a common basis (e, h, plain p, or p/z with
+    its binomial structure constants).
     """
 
-    __slots__ = ("basis", "degree", "zpart")
+    __slots__ = ("basis", "degree")
 
     def __init__(
         self,
         basis: str,
         degree: int,
         terms: Mapping[Partition, LaurentPoly | Scalar] | None = None,
-        zpart: bool = False,
     ):
         if basis not in _BASES:
             raise ValueError(f"unknown basis {basis!r}")
-        if zpart and basis != "p":
-            raise ValueError("zpart applies to the p basis only")
         self.basis = basis
         self.degree = degree
-        self.zpart = zpart
         self._store(terms)
 
     def _key(self, lam) -> Partition:
@@ -184,27 +180,18 @@ class SymFun(Combination):
         return lam
 
     def _shape(self) -> tuple:
-        return (self.basis, self.zpart, self.degree)
+        return (self.basis, self.degree)
 
     def _copy_shape(self, out: "SymFun") -> None:
-        out.basis, out.degree, out.zpart = self.basis, self.degree, self.zpart
+        out.basis, out.degree = self.basis, self.degree
 
     def _mul_key(self, lam: Partition, mu: Partition) -> tuple[Partition, int]:
-        return _product_key(lam, mu, self.zpart)
+        return _product_key(lam, mu, self.basis)
 
     def _product_shape(self, other: "SymFun") -> "SymFun":
-        if self.basis != other.basis or self.zpart != other.zpart:
-            raise ValueError("products require a common multiplicative basis")
-        return SymFun(self.basis, self.degree + other.degree, zpart=self.zpart)
-
-    @classmethod
-    def zero(cls, basis: str, degree: int, zpart: bool = False) -> "SymFun":
-        return cls(basis, degree, zpart=zpart)
-
-    @classmethod
-    def scalar(cls, basis: str, zpart: bool = False) -> "SymFun":
-        """The constant 1."""
-        return cls(basis, 0, {(): 1}, zpart)
+        if self.basis != other.basis:
+            raise ValueError("products require a common basis")
+        return SymFun(self.basis, self.degree + other.degree)
 
     @classmethod
     def generator(cls, basis: str, n: int, c: LaurentPoly | Scalar = 1) -> "SymFun":
@@ -217,32 +204,28 @@ class SymFun(Combination):
             return SymFun("h", self.degree, self.terms)
         if self.basis == "h":
             return SymFun("e", self.degree, self.terms)
-        return SymFun(
-            "p", self.degree, {l: c * omega_sign(l) for l, c in self.terms.items()}, self.zpart
-        )
+        return self._like({l: c * omega_sign(l) for l, c in self.terms.items()})
 
     def from_zpart(self) -> "SymFun":
-        if not self.zpart:
-            raise ValueError("from_zpart requires zpart coefficients")
-        return SymFun(
-            "p", self.degree, {l: c / z_of(l) for l, c in self.terms.items()}
-        )
+        """The same function in plain p."""
+        if self.basis != "p/z":
+            raise ValueError("from_zpart requires the p/z basis")
+        return SymFun("p", self.degree, {l: c / z_of(l) for l, c in self.terms.items()})
 
     def valuation(self) -> int | None:
         vals = [c.valuation() for c in self.terms.values()]
         return min(vals) if vals else None
 
     def pretty(self) -> str:
-        name = self.basis + ("/z" if self.zpart else "")
         return _aligned(
-            (f"{name}[{','.join(map(str, lam))}]", self.terms[lam].pretty())
+            (f"{self.basis}[{','.join(map(str, lam))}]", self.terms[lam].pretty())
             for lam in partitions_of(self.degree)
             if lam in self.terms
         )
 
     def to_json_obj(self) -> dict:
         return {
-            "basis": self.basis + ("/z" if self.zpart else ""),
+            "basis": self.basis,
             "degree": self.degree,
             "terms": [
                 {"partition": list(lam), "coeff": self.terms[lam].to_json_obj()}
@@ -252,7 +235,7 @@ class SymFun(Combination):
         }
 
     def __repr__(self) -> str:
-        return f"SymFun({self.basis}{'/z' if self.zpart else ''}, deg={self.degree})"
+        return f"SymFun({self.basis}, deg={self.degree})"
 
 
 class QsymTable(Combination):
@@ -279,10 +262,6 @@ class QsymTable(Combination):
 
     def _copy_shape(self, out: "QsymTable") -> None:
         out.nvars = self.nvars
-
-    @classmethod
-    def zero(cls, nvars: int) -> "QsymTable":
-        return cls(nvars)
 
     def total_degree(self) -> int | None:
         degs = {sum(key) for key in self.terms}
@@ -403,11 +382,13 @@ def _orbit(values: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 
 def _m_sums(f: SymFun, k: int) -> dict[Partition, LaurentPoly]:
     """The nonzero coefficients of m_mu in f for the partitions mu with at
-    most k parts: the sum of c_lam times ``_m_coeff(basis, lam, mu)`` (over
-    z_lam for ``zpart``; each z_lam divides n!, so such a sum is taken in
-    integers over n! and divided once)."""
+    most k parts: the sum of c_lam times ``_m_coeff(basis, lam, mu)`` (the
+    p count over z_lam for ``p/z``; each z_lam divides n!, so such a sum is
+    taken in integers over n! and divided once)."""
     if k < 1:
         raise ValueError("need at least one variable")
+    over_z = f.basis == "p/z"
+    basis = "p" if over_z else f.basis
     denom = math.factorial(f.degree)
     out: dict[Partition, LaurentPoly] = {}
     for mu in partitions_of(f.degree):
@@ -415,11 +396,11 @@ def _m_sums(f: SymFun, k: int) -> dict[Partition, LaurentPoly]:
             continue
         c = ZERO
         for lam, coeff in f.terms.items():
-            mult = _m_coeff(f.basis, lam, mu)
+            mult = _m_coeff(basis, lam, mu)
             if mult:
-                c = c + coeff * (mult * denom // z_of(lam) if f.zpart else mult)
+                c = c + coeff * (mult * denom // z_of(lam) if over_z else mult)
         if c:
-            out[mu] = c / denom if f.zpart else c
+            out[mu] = c / denom if over_z else c
     return out
 
 
@@ -432,7 +413,7 @@ def expand_at_compositions(f: SymFun, k: int) -> QsymTable:
     {(2,): LaurentPoly(1), (1, 1): LaurentPoly(1)}
     """
     terms = {alpha: c for mu, c in _m_sums(f, k).items() for alpha in _orbit(mu)}
-    return QsymTable.zero(k)._like(terms)
+    return QsymTable(k)._like(terms)
 
 
 def _orbit_size(mu: Partition) -> int:
@@ -470,7 +451,7 @@ def monomial_to_e(table: QsymTable, n: int | None = None) -> SymFun:
     if table.nvars < n:
         raise ValueError("need at least as many variables as the degree")
     if not table:
-        return SymFun.zero("e", n)
+        return SymFun("e", n)
 
     orbit_coeff: dict[Partition, LaurentPoly] = {}
     orbit_count: dict[Partition, int] = {}
@@ -508,38 +489,31 @@ def monomial_to_e(table: QsymTable, n: int | None = None) -> SymFun:
 
 class SymSeries:
     """Graded z-series whose coefficient at z^n is homogeneous of degree n,
-    all in one basis (``zpart`` as for ``SymFun``)."""
+    all in the basis of its constant term."""
 
-    __slots__ = ("basis", "zpart", "order", "coeffs")
+    __slots__ = ("basis", "order", "coeffs")
 
-    def __init__(self, basis: str, coeffs: list[SymFun], zpart: bool = False):
+    def __init__(self, coeffs: list[SymFun]):
+        if not coeffs:
+            raise ValueError("a series needs a constant term")
+        basis = coeffs[0].basis
         for n, f in enumerate(coeffs):
-            if f.basis != basis or f.degree != n or f.zpart != zpart:
+            if f.basis != basis or f.degree != n:
                 raise ValueError("coefficient grading mismatch")
         self.basis = basis
-        self.zpart = zpart
         self.order = len(coeffs) - 1
         self.coeffs = list(coeffs)
 
     @classmethod
-    def one(cls, basis: str, order: int, zpart: bool = False) -> "SymSeries":
-        coeffs = [SymFun.scalar(basis, zpart)]
-        coeffs += [SymFun.zero(basis, n, zpart) for n in range(1, order + 1)]
-        return cls(basis, coeffs, zpart)
+    def one(cls, basis: str, order: int) -> "SymSeries":
+        return cls([SymFun.generator(basis, 0)] + [SymFun(basis, n) for n in range(1, order + 1)])
 
     @classmethod
     def from_weights(
         cls, order: int, weight: Callable[[int], LaurentPoly | Scalar | None], basis: str = "e"
     ) -> "SymSeries":
         """Series sum_i w(i) * g_i z^i with g_i the degree-i generator."""
-        coeffs = []
-        for i in range(order + 1):
-            w = weight(i)
-            if w is None or not w:
-                coeffs.append(SymFun.zero(basis, i))
-            else:
-                coeffs.append(SymFun.generator(basis, i, w))
-        return cls(basis, coeffs)
+        return cls([SymFun.generator(basis, i, weight(i) or 0) for i in range(order + 1)])
 
     @classmethod
     def generating(cls, basis: str, order: int) -> "SymSeries":
@@ -550,11 +524,9 @@ class SymSeries:
     def h_series_p(cls, order: int) -> "SymSeries":
         """The complete homogeneous series against p / z: h_n is the sum of
         p_lam / z_lam over the partitions of n, every coefficient 1."""
-        coeffs = [
-            SymFun("p", n, {lam: ONE for lam in partitions_of(n)}, zpart=True)
-            for n in range(order + 1)
-        ]
-        return cls("p", coeffs, zpart=True)
+        return cls(
+            [SymFun("p/z", n, dict.fromkeys(partitions_of(n), ONE)) for n in range(order + 1)]
+        )
 
     def __getitem__(self, n: int) -> SymFun:
         return self.coeffs[n]
@@ -562,62 +534,54 @@ class SymSeries:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SymSeries):
             return NotImplemented
-        return (
-            self.basis == other.basis
-            and self.zpart == other.zpart
-            and self.order == other.order
-            and self.coeffs == other.coeffs
-        )
+        return self.coeffs == other.coeffs  # each SymFun compares its basis and degree
 
     __hash__ = None
 
     def _check_basis(self, other: "SymSeries") -> None:
-        if (self.basis, self.zpart) != (other.basis, other.zpart):
+        if self.basis != other.basis:
             raise ValueError("mismatched bases")
-
-    def _like(self, coeffs: list[SymFun]) -> "SymSeries":
-        return SymSeries(self.basis, coeffs, self.zpart)
 
     def __add__(self, other: "SymSeries") -> "SymSeries":
         self._check_basis(other)
         if self.order != other.order:
             raise ValueError("mismatched series")
-        return self._like([a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return SymSeries([a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __neg__(self) -> "SymSeries":
-        return self._like([-a for a in self.coeffs])
+        return SymSeries([-a for a in self.coeffs])
 
     def __sub__(self, other: "SymSeries") -> "SymSeries":
         return self + (-other)
 
     def scale(self, c: LaurentPoly | Scalar) -> "SymSeries":
-        return self._like([a.scale(c) for a in self.coeffs])
+        return SymSeries([a.scale(c) for a in self.coeffs])
 
     def grade_scale_t(self) -> "SymSeries":
         """z -> tz: the coefficient of z^n is multiplied by t^n."""
-        return self._like([a.scale(LaurentPoly.t_power(n)) for n, a in enumerate(self.coeffs)])
+        return SymSeries([a.scale(LaurentPoly.t_power(n)) for n, a in enumerate(self.coeffs)])
 
     def dt(self) -> "SymSeries":
         """Coefficientwise d/dt."""
-        return self._like([a.map_coeffs(lambda p: p.derivative()) for a in self.coeffs])
+        return SymSeries([a.map_coeffs(lambda p: p.derivative()) for a in self.coeffs])
 
     def mul(self, other: "SymSeries") -> "SymSeries":
         """Graded product, to the smaller of the two orders."""
         self._check_basis(other)
         coeffs = []
         for n in range(min(self.order, other.order) + 1):
-            acc = SymFun.zero(self.basis, n, self.zpart)
+            acc = SymFun(self.basis, n)
             for j in range(n + 1):
                 if self.coeffs[j] and other.coeffs[n - j]:
                     acc = acc + self.coeffs[j] * other.coeffs[n - j]
             coeffs.append(acc)
-        return self._like(coeffs)
+        return SymSeries(coeffs)
 
     def div(self, other: "SymSeries") -> "SymSeries":
         """Graded division, to the smaller of the two orders; the divisor
         must have constant term 1."""
         self._check_basis(other)
-        if other.coeffs[0] != SymFun.scalar(self.basis, self.zpart):
+        if other.coeffs[0] != SymFun.generator(self.basis, 0):
             raise ValueError("divisor must have constant term 1")
         coeffs: list[SymFun] = []
         for n in range(min(self.order, other.order) + 1):
@@ -626,7 +590,7 @@ class SymSeries:
                 if other.coeffs[j] and coeffs[n - j]:
                     acc = acc - other.coeffs[j] * coeffs[n - j]
             coeffs.append(acc)
-        return self._like(coeffs)
+        return SymSeries(coeffs)
 
 
 def product_equal_at_point(a: SymSeries, b: SymSeries, rhs: SymSeries) -> bool:
@@ -650,9 +614,9 @@ def product_equal_at_point(a: SymSeries, b: SymSeries, rhs: SymSeries) -> bool:
     (True, False)
     """
     a._check_basis(b)
-    zpart = a.zpart
+    basis = a.basis
     size = min(a.order, b.order) + 1
-    if (rhs.basis, rhs.zpart, rhs.order) != (a.basis, zpart, size - 1):
+    if (rhs.basis, rhs.order) != (basis, size - 1):
         return False
     shapes = []  # per series: (lowest t-exponent, l1 norm per degree)
     for s in (a, b, rhs):
@@ -664,7 +628,10 @@ def product_equal_at_point(a: SymSeries, b: SymSeries, rhs: SymSeries) -> bool:
     (a_low, a_l1), (b_low, b_l1), (rhs_low, rhs_l1) = shapes
     w = digit_width(
         max(
-            sum((math.comb(n, j) if zpart else 1) * a_l1[j] * b_l1[n - j] for j in range(n + 1))
+            sum(
+                (math.comb(n, j) if basis == "p/z" else 1) * a_l1[j] * b_l1[n - j]
+                for j in range(n + 1)
+            )
             + rhs_l1[n]
             for n in range(size)
         )
@@ -681,7 +648,7 @@ def product_equal_at_point(a: SymSeries, b: SymSeries, rhs: SymSeries) -> bool:
         for j in range(n + 1):
             for lam, u in x[j].items():
                 for mu, v in y[n - j].items():
-                    nu, mult = key(lam, mu, zpart)
+                    nu, mult = key(lam, mu, basis)
                     acc[nu] = acc.get(nu, 0) + u * v * mult
         got = {lam: u << shift_lhs for lam, u in acc.items() if u}
         if got != {lam: u << shift_rhs for lam, u in want[n].items()}:

@@ -239,7 +239,7 @@ def _powersum_extraction(n: int) -> SymFun:
     denom = [None] + [
         H[j].scale(LaurentPoly.t_power(j) - T) for j in range(1, n + 1)
     ]
-    series: list[SymFun] = [SymFun.scalar("p", zpart=True)]
+    series: list[SymFun] = [SymFun.generator("p/z", 0)]
     for m in range(1, n + 1):
         acc = H[m].scale(one_minus_t)
         for j in range(1, m + 1):
@@ -250,7 +250,7 @@ def _powersum_extraction(n: int) -> SymFun:
 
 def suite_f(max_n: int) -> list[dict]:
     records = []
-    kind_of = {"W": "Ades", "Wless": "Aless", "Wtilde": "Atilde"}
+    kind_of = {variant: kind for kind, (variant, stat) in en.Q_RULES.items() if stat == "des"}
     for variant in en.F_VARIANTS:
         for n in range(1, max_n + 1):
             fe = en.f_expansion(variant, n)
@@ -478,17 +478,15 @@ def suite_series(order: int) -> list[dict]:
     below = None  # the closed ratio^(power - 1)
     for power in range(1, 4):
         coeffs = [
-            SymFun("p", n, {lam: c * power ** len(lam) for lam, c in row}, zpart=True)
+            SymFun("p/z", n, {lam: c * power ** len(lam) for lam, c in row})
             for n, row in enumerate(products)
         ]
-        closed = SymSeries("p", coeffs, zpart=True)
+        closed = SymSeries(coeffs)
         ok = ratio == closed if below is None else product_equal_at_point(ratio, below, closed)
         below = closed
         records.append(_record("h-ratio-power", {"power": power, "order": order}, ok, True))
     ps_series = SymSeries(
-        "p",
-        [SymFun.scalar("p", zpart=True)] + [en.powersum_form("W", n) for n in range(1, order + 1)],
-        zpart=True,
+        [SymFun.generator("p/z", 0)] + [en.powersum_form("W", n) for n in range(1, order + 1)]
     )
     denom = Htz - H.scale(T)
     ok = product_equal_at_point(ps_series, denom, H.scale(ONE - T))

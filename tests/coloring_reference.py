@@ -120,7 +120,7 @@ def chromatic_qsym(g: Digraph, k: int) -> QsymTable:
         frontier = [grown[i] for i in kept]
     # the frontier ends empty, so each content is one state
     coeffs = {alpha: LaurentPoly(packed_coeffs(p, width)) for (alpha, _), p in layer.items()}
-    return QsymTable.zero(k)._like(coeffs)
+    return QsymTable(k)._like(coeffs)
 
 
 def colorings_by_content(g: Digraph, k: int) -> MonomialTable:

@@ -6,6 +6,7 @@ import importlib.util
 import inspect
 import json
 import os
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -420,8 +421,8 @@ class TestVerify:
 
         def h_series_p(order):
             coeffs = original(order).coeffs
-            coeffs[2] = coeffs[2] + SymFun("p", 2, {(2,): 1}, zpart=True)
-            return SymSeries("p", coeffs, zpart=True)
+            coeffs[2] = coeffs[2] + SymFun("p/z", 2, {(2,): 1})
+            return SymSeries(coeffs)
 
         monkeypatch.setattr(SymSeries, "h_series_p", staticmethod(h_series_p))
         code, out, _ = run_cli(capsys, "verify", "--suite", "series", "--format", "json")
@@ -436,7 +437,7 @@ class TestVerify:
         # prod_i C(m_i(lam) + m_i(mu), m_i(lam)); a product without it must
         # fail the power sum series checks
         monkeypatch.setattr(
-            symfun, "_product_key", lambda lam, mu, zpart: (symfun.merge(lam, mu), 1)
+            symfun, "_product_key", lambda lam, mu, basis: (symfun.merge(lam, mu), 1)
         )
         code, out, _ = run_cli(capsys, "verify", "--suite", "series", "--format", "json")
         assert code == 1
@@ -453,7 +454,7 @@ class TestVerify:
         def powersum_form(variant, n):
             out = original(variant, n)
             if (variant, n) == ("Wtildeneq", 4):
-                return out + SymFun("p", 4, {(2, 2): 4}, zpart=True)
+                return out + SymFun("p/z", 4, {(2, 2): 4})
             return out
 
         monkeypatch.setattr(en, "powersum_form", powersum_form)
@@ -803,9 +804,12 @@ class TestUsageErrors:
         ],
     )
     def test_bad_root_order(self, capsys, verb, k, message):
-        code = cli.main([verb, "--variant", "Ades", "--n", "8", "--q-root", k])
-        assert code == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        with pytest.raises(SystemExit) as info:
+            cli.main([verb, "--variant", "Ades", "--n", "8", "--q-root", k])
+        assert info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith(f"error: --q-root: {message}\n")
 
     @pytest.mark.parametrize("verb", ["roots", "qeuler"])
     @pytest.mark.parametrize("n", ["0", "1"])
@@ -900,6 +904,18 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "3*t^2"
+
+    def test_readme_examples_run(self, capsys):
+        # every command of the README's "Command line" block, so a renamed
+        # verb or flag cannot leave the README stale
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+        commands = [argv[1:] for argv in commands if argv[:1] == ["smirnov"]]
+        assert len(commands) == 8
+        for argv in commands:
+            assert cli.main(argv) == 0, argv
+            assert capsys.readouterr().out
 
     def test_cold_start_loads_no_dataclasses(self):
         # dataclasses imports inspect, about 10 ms of every process start;

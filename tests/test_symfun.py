@@ -2,6 +2,7 @@
 
 import json
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
@@ -78,7 +79,7 @@ class TestCombination:
         with pytest.raises(ValueError):
             f + SymFun("h", 2, {(2,): 1})
         with pytest.raises(ValueError):
-            f * SymFun("p", 1, {(1,): 1}, zpart=True)
+            f * SymFun("p/z", 1, {(1,): 1})
         with pytest.raises(ValueError):
             MonomialTable.one(2) - MonomialTable.one(3)
         with pytest.raises(TypeError):
@@ -93,7 +94,7 @@ class TestCombination:
             if isinstance(v, QtPoly):
                 return QtPoly(v.terms)
             if isinstance(v, SymFun):
-                return SymFun(v.basis, v.degree, v.terms, v.zpart)
+                return SymFun(v.basis, v.degree, v.terms)
             return type(v)(v.nvars, v.terms)
 
         values = [
@@ -185,7 +186,7 @@ class TestExpansion:
         assert not expand_in_variables(SymFun.generator("e", 3), 2)
 
     def test_zpart_scaling(self):
-        f = SymFun("p", 2, {(2,): 1}, zpart=True)
+        f = SymFun("p/z", 2, {(2,): 1})
         assert expand_in_variables(f, 2) == MonomialTable(
             2, {(2, 0): Fraction(1, 2), (0, 2): Fraction(1, 2)}
         )
@@ -235,7 +236,7 @@ def reference_table(basis, lam, k):
 def reference_expansion(f, k):
     out = MonomialTable.zero(k)
     for lam, c in f.terms.items():
-        scale = c * Fraction(1, z_of(lam)) if f.zpart else c
+        scale = c * Fraction(1, z_of(lam)) if f.basis == "p/z" else c
         out = out + reference_table(f.basis, lam, k).scale(scale)
     return out
 
@@ -246,12 +247,8 @@ def dominated(mu, nu):
 
 
 class TestTransitionCounts:
-    @pytest.mark.parametrize(
-        "basis, zpart",
-        [("e", False), ("h", False), ("p", False), ("p", True)],
-        ids=["e", "h", "p", "p-zpart"],
-    )
-    def test_expansion_matches_products_of_unit_tables(self, basis, zpart):
+    @pytest.mark.parametrize("basis", ["e", "h", "p", "p/z"], ids=["e", "h", "p", "p-zpart"])
+    def test_expansion_matches_products_of_unit_tables(self, basis):
         for n in range(7):
             lams = partitions_of(n)
             for k in range(1, n + 2):
@@ -259,9 +256,9 @@ class TestTransitionCounts:
                 for i, lam in enumerate(lams):
                     c = LaurentPoly({i: 1, i + 1: -2 - i})
                     total[lam] = c
-                    f = SymFun(basis, n, {lam: c}, zpart)
+                    f = SymFun(basis, n, {lam: c})
                     assert expand_in_variables(f, k) == reference_expansion(f, k), (lam, k)
-                f = SymFun(basis, n, total, zpart)
+                f = SymFun(basis, n, total)
                 assert expand_in_variables(f, k) == reference_expansion(f, k), (n, k)
 
     def test_e_and_h_counts_are_symmetric(self):
@@ -438,8 +435,9 @@ class TestOmega:
         assert f.omega().omega() == f
 
     def test_p_basis_sign(self):
-        assert SymFun.generator("p", 3).omega() == SymFun.generator("p", 3)
-        assert SymFun.generator("p", 2).omega() == SymFun("p", 2, {(2,): -1})
+        for basis in ("p", "p/z"):
+            assert SymFun.generator(basis, 3).omega() == SymFun.generator(basis, 3)
+            assert SymFun.generator(basis, 2).omega() == SymFun(basis, 2, {(2,): -1})
 
     def test_m_basis_rejected(self):
         # the monomial basis is reached through QsymTable, not as a SymFun
@@ -456,6 +454,23 @@ class TestOmega:
 
 
 class TestSeries:
+    def test_basis_is_read_from_the_coefficients(self):
+        for basis in ("e", "h", "p", "p/z"):
+            coeffs = [SymFun.generator(basis, n, n + T) for n in range(4)]
+            series = SymSeries(coeffs)
+            assert series.basis == basis and series.order == 3 and series.coeffs == coeffs
+            assert SymSeries.one(basis, 3).basis == basis
+
+    def test_coefficients_must_fit_one_basis_and_grading(self):
+        with pytest.raises(ValueError):
+            SymSeries([])
+        with pytest.raises(ValueError):
+            SymSeries([SymFun.generator("p", 0), SymFun.generator("p/z", 1)])
+        with pytest.raises(ValueError):
+            SymSeries([SymFun.generator("p/z", 0), SymFun.generator("p", 1)])
+        with pytest.raises(ValueError):
+            SymSeries([SymFun.generator("e", 0), SymFun.generator("e", 2)])
+
     def test_omega_exchanges_generating_series(self):
         E = SymSeries.generating("e", 8)
         H = SymSeries.generating("h", 8)
@@ -487,7 +502,7 @@ class TestSeries:
             return ONE if i == 0 else (T if i >= 2 else None)
 
         def truncated(series, order):
-            return SymSeries(series.basis, series.coeffs[: order + 1])
+            return SymSeries(series.coeffs[: order + 1])
 
         A, A_short = SymSeries.generating("e", 6), SymSeries.generating("e", 4)
         D, D_short = SymSeries.from_weights(6, weight), SymSeries.from_weights(4, weight)
@@ -509,35 +524,44 @@ class TestPowerSumsOverZ:
     def test_products_agree_with_the_plain_power_sum_basis(self):
         for a in range(9):
             for b in range(9 - a):
-                f_all = SymFun("p", a, {lam: i + T for i, lam in enumerate(partitions_of(a))}, True)
-                g_all = SymFun("p", b, {mu: 1 - i * T for i, mu in enumerate(partitions_of(b))}, True)
+                f_all = SymFun("p/z", a, {lam: i + T for i, lam in enumerate(partitions_of(a))})
+                g_all = SymFun("p/z", b, {mu: 1 - i * T for i, mu in enumerate(partitions_of(b))})
                 pairs = [(f_all, g_all)]
                 pairs += [
-                    (SymFun("p", a, {lam: ONE}, True), SymFun("p", b, {mu: ONE}, True))
+                    (SymFun("p/z", a, {lam: ONE}), SymFun("p/z", b, {mu: ONE}))
                     for lam in partitions_of(a)
                     for mu in partitions_of(b)
                 ]
                 for f, g in pairs:
                     product = f * g
-                    assert product.zpart and product.degree == a + b
+                    assert product.basis == "p/z" and product.degree == a + b
                     assert product.from_zpart() == f.from_zpart() * g.from_zpart(), (f, g)
 
     def test_structure_constants_are_integers(self):
-        f = SymFun("p", 2, {(1, 1): ONE}, True)
+        f = SymFun("p/z", 2, {(1, 1): ONE})
         assert (f * f).terms == {(1, 1, 1, 1): LaurentPoly.const(6)}
-        assert (f * SymFun("p", 1, {(1,): ONE}, True)).terms == {(1, 1, 1): LaurentPoly.const(3)}
+        assert (f * SymFun("p/z", 1, {(1,): ONE})).terms == {(1, 1, 1): LaurentPoly.const(3)}
 
     def test_mixed_forms_do_not_multiply(self):
-        with pytest.raises(ValueError):
-            SymFun("p", 1, {(1,): 1}, zpart=True) * SymFun("p", 1, {(1,): 1})
+        over_z, plain = SymFun("p/z", 1, {(1,): 1}), SymFun("p", 1, {(1,): 1})
+        assert over_z.from_zpart() == plain  # one value, in two bases
+        assert over_z != plain and plain != over_z
+        for op in (operator.mul, operator.add, operator.sub):
+            with pytest.raises(ValueError):
+                op(over_z, plain)
         with pytest.raises(ValueError):
             SymSeries.h_series_p(3).mul(SymSeries.one("p", 3))
+        with pytest.raises(ValueError):
+            SymSeries.h_series_p(3) + SymSeries.one("p", 3)
+        assert SymSeries.h_series_p(0) != SymSeries.one("p", 0)
+        with pytest.raises(ValueError):
+            plain.from_zpart()
 
     def test_h_series_is_all_ones(self):
         H = SymSeries.h_series_p(8)
-        assert H.zpart and H.order == 8
+        assert H.basis == "p/z" and H.order == 8
         for n, f in enumerate(H.coeffs):
-            assert f.zpart and set(f.terms) == set(partitions_of(n))
+            assert f.basis == "p/z" and set(f.terms) == set(partitions_of(n))
             assert all(c == ONE for c in f.terms.values())
         for n in range(1, 7):
             assert expand_in_variables(H[n], n) == expand_in_variables(SymFun.generator("h", n), n)
@@ -558,27 +582,27 @@ series_coeffs = st.dictionaries(st.integers(-3, 4), st.integers(-40, 40), max_si
 
 @st.composite
 def sym_series(draw, basis: str, order: int):
-    """A random series to the given order: e, or p against p / z."""
-    zpart = basis == "p"
-    coeffs = [
-        SymFun(basis, n, {lam: draw(series_coeffs) for lam in partitions_of(n)}, zpart)
-        for n in range(order + 1)
-    ]
-    return SymSeries(basis, coeffs, zpart)
+    """A random series to the given order, in the basis e or p/z."""
+    return SymSeries(
+        [
+            SymFun(basis, n, {lam: draw(series_coeffs) for lam in partitions_of(n)})
+            for n in range(order + 1)
+        ]
+    )
 
 
 @st.composite
 def series_pair(draw):
     """Two random series of one basis, each to an order up to 4."""
-    basis = draw(st.sampled_from(["e", "p"]))
+    basis = draw(st.sampled_from(["e", "p/z"]))
     return [draw(sym_series(basis, draw(st.integers(0, 4)))) for _ in range(2)]
 
 
 def with_coeff(series, n, lam, c):
     """The series with c added to its coefficient at degree n and partition lam."""
     coeffs = list(series.coeffs)
-    coeffs[n] = coeffs[n] + SymFun(series.basis, n, {lam: c}, series.zpart)
-    return SymSeries(series.basis, coeffs, series.zpart)
+    coeffs[n] = coeffs[n] + SymFun(series.basis, n, {lam: c})
+    return SymSeries(coeffs)
 
 
 class TestProductEqualAtPoint:
@@ -614,7 +638,7 @@ class TestProductEqualAtPoint:
         pair[i] = with_coeff(pair[i], 0, (), half)
         product = pair[0].mul(pair[1])
         assert not symfun.product_equal_at_point(*pair, product)
-        one = SymSeries.one(pair[i].basis, pair[i].order, pair[i].zpart)
+        one = SymSeries.one(pair[i].basis, pair[i].order)
         assert not symfun.product_equal_at_point(pair[i], one, pair[i])
 
     def test_orders_and_bases(self):
@@ -642,8 +666,7 @@ class TestProductEqualAtPoint:
         # p_1 / z times p_(1^7) / z is 8 p_(1^8) / z, all l1 norms 1: a bound
         # without C(8, 1) gives 3-bit digits, where 8 * t^0 would meet t^1
         def single(lam, c=ONE):
-            coeffs = [SymFun("p", n, {lam: c} if n == sum(lam) else {}, True) for n in range(9)]
-            return SymSeries("p", coeffs, zpart=True)
+            return SymSeries([SymFun("p/z", n, {lam: c} if n == sum(lam) else {}) for n in range(9)])
 
         a, b, ones = single((1,)), single((1,) * 7), (1,) * 8
         assert a.mul(b) == single(ones, 8)
@@ -659,7 +682,7 @@ class TestReports:
         flag, listing = e_positivity_report(bad)
         assert not flag
         assert [(lam, ok) for lam, _, ok in listing] == [((3,), False), ((2, 1), True)]
-        assert e_positivity_report(SymFun.zero("e", 2))[0]
+        assert e_positivity_report(SymFun("e", 2))[0]
 
     def test_fractional_coefficient_is_not_positive(self):
         f = SymFun("e", 1, {(1,): LaurentPoly.const(Fraction(1, 2))})
@@ -701,6 +724,6 @@ class TestJson:
         assert json.dumps(f.to_json_obj()) == json.dumps(f.to_json_obj())
 
     def test_zpart_marker(self):
-        f = SymFun("p", 2, {(2,): T}, zpart=True)
+        f = SymFun("p/z", 2, {(2,): T})
         obj = f.to_json_obj()
         assert obj["basis"] == "p/z"
