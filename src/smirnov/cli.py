@@ -4,9 +4,18 @@ Each verb runs one function, chosen through ``set_defaults``; ``powersum``
 and ``fexpand`` are ``expand`` with the basis preset to p and F.  Ranges
 read their upper bound from ``enumerators.LIMITS``, and the verify flags
 and defaults come from ``verify.BOUNDS``.  Every answer is printed by
-``_emit``, with JSON through the one encoder ``verify.dumps``; the JSON
+``_emit``, with JSON through the one encoder ``exact.dumps``; the JSON
 line of a verify run is written by ``verify.records_json``, which owns the
 record layout.
+
+A process runs only the modules its verb needs.  ``symfun`` and ``verify``
+are registered in ``sys.modules`` (and on the package) by ``_deferred``
+before anything imports them, and each compiles and runs its source when
+one of its attributes is first read (``importlib.util.LazyLoader``).
+``qeuler``, ``roots`` and ``fexpand`` run only ``exact``, ``combinat`` and
+``enumerators``; ``expand`` and ``powersum`` also run ``symfun``, and
+``verify`` runs every module.  The parser reads ``verify`` only when the
+verb, always the first argument, is ``verify``.
 
 Output is byte-deterministic for fixed flags: partitions are listed in a
 fixed order and JSON objects are built in insertion order.  Exit codes are 0
@@ -17,11 +26,34 @@ for usage errors.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import sys
 
+from .exact import dumps
+
+
+def _deferred(name: str):
+    """The module ``smirnov.<name>``: the one already imported, or else one
+    registered in ``sys.modules`` and on the package whose source runs when
+    an attribute of it is first read.  Binding it on the package keeps a
+    later ``from . import <name>`` from loading it at once."""
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        setattr(sys.modules[__package__], name, module)
+        spec.loader.exec_module(module)
+    return module
+
+
+# registered before enumerators and combinat import symfun
+symfun = _deferred("symfun")
+verify = _deferred("verify")
+
 from . import enumerators as en
-from . import verify
-from .symfun import expand_at_compositions
 
 # lower-cased --variant -> tag: every tag, and the paper's symbols
 VARIANT_ALIASES = {tag.lower(): tag for tag in en.VARIANTS} | {
@@ -56,7 +88,7 @@ def _emit(args, value, obj=None) -> None:
     if args.format == "json":
         if obj is None:
             obj = value.to_json_obj()
-        print(obj if isinstance(obj, str) else verify.dumps(obj))
+        print(obj if isinstance(obj, str) else dumps(obj))
     else:
         print(value if isinstance(value, str) else value.pretty())
 
@@ -65,7 +97,10 @@ def _flag(bound: str) -> str:
     return "--" + bound.replace("_", "-")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(verb_name: str | None) -> argparse.ArgumentParser:
+    """The parser of every verb.  The verify flags read ``verify``, so they
+    are added only when ``verb_name``, the first argument, is ``verify``; no
+    help, usage line or error of another verb shows them."""
     parser = argparse.ArgumentParser(
         prog="smirnov",
         description="Exact Smirnov word enumerators by descents and cyclic descents.",
@@ -99,9 +134,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run verification suites")
     p.set_defaults(run=_cmd_verify)
-    p.add_argument("--suite", choices=("all",) + verify.SUITES, default="all")
-    for bound in verify.BOUNDS:
-        p.add_argument(_flag(bound), type=int)
+    if verb_name == "verify":
+        p.add_argument("--suite", choices=("all",) + verify.SUITES, default="all")
+        for bound in verify.BOUNDS:
+            p.add_argument(_flag(bound), type=int)
 
     for p in sub.choices.values():
         p.add_argument("--format", choices=("json", "text"), default="text")
@@ -117,7 +153,8 @@ def _check(parser: argparse.ArgumentParser, flag: str, check, *args) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     try:
         return args.run(parser, args)
@@ -139,11 +176,13 @@ def _cmd_expand(parser, args) -> int:
         if variant not in en.F_VARIANTS:
             parser.error(f"--variant: no fundamental expansion for {variant}")
         _emit(args, en.f_expansion(variant, args.n))
-    elif args.vars is not None:
-        _check(parser, "--vars", en.check_limit, "vars", args.vars)
-        _emit(args, expand_at_compositions(en.closed_form(variant, args.n), args.vars))
     else:
-        _emit(args, en.closed_form(variant, args.n))
+        _check(parser, "--n", en.check_degree, variant, args.n)
+        if args.vars is None:
+            _emit(args, en.closed_form(variant, args.n))
+        else:
+            _check(parser, "--vars", en.check_limit, "vars", args.vars)
+            _emit(args, symfun.expand_at_compositions(en.closed_form(variant, args.n), args.vars))
     return 0
 
 

@@ -37,7 +37,7 @@ from itertools import permutations
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .exact import LaurentPoly, QtPoly
-from .symfun import QsymTable
+from . import symfun
 
 
 def packed_coeffs(poly: int, width: int) -> dict[int, int]:
@@ -159,7 +159,7 @@ def _insertion_ends(n: int) -> tuple[int, dict[tuple[int, ...], dict[str, int]]]
     return width, ends
 
 
-def brute_enumerator(variant: str, n: int, k: int) -> QsymTable:
+def brute_enumerator(variant: str, n: int, k: int) -> symfun.QsymTable:
     """Sum of t^stat(w) x_w over the filtered Smirnov words over k letters.
 
     Relabelling letters in increasing order keeps adjacency, descents, the
@@ -177,10 +177,10 @@ def brute_enumerator(variant: str, n: int, k: int) -> QsymTable:
         alpha: LaurentPoly(packed_coeffs(endpoint_sum(variant, by_class.items(), width), width))
         for alpha, by_class in ends.items() if len(alpha) <= k
     }
-    return QsymTable(k)._like(coeffs)  # drops the zero coefficients
+    return symfun.QsymTable(k)._like(coeffs)  # drops the zero coefficients
 
 
-def ring_colorings(max_n: int, k: int) -> dict[tuple[str, int], QsymTable]:
+def ring_colorings(max_n: int, k: int) -> dict[tuple[str, int], symfun.QsymTable]:
     """Proper-coloring enumerators over colors 1..k weighted by t^des, of the
     path 1 - 2 - ... - n for n <= max_n and, for n >= 2, of the labeled and
     the directed cycle on 1..n, keyed ("path", n), ("cycle", n) and
@@ -201,8 +201,8 @@ def ring_colorings(max_n: int, k: int) -> dict[tuple[str, int], QsymTable]:
     if k < 1:
         raise ValueError("need at least one color")
     width = math.factorial(max_n).bit_length()  # no coefficient exceeds n!
-    zero = QsymTable(k)
-    tables: dict[tuple[str, int], QsymTable] = {}
+    zero = symfun.QsymTable(k)
+    tables: dict[tuple[str, int], symfun.QsymTable] = {}
     layer: dict[tuple[tuple[int, ...], int, int], int] = {((1,), 0, 0): 1}
     for m in range(1, max_n + 1):
         if m > 1:

@@ -46,15 +46,7 @@ from .exact import (
     sums_equal_at_point,
     t_quantum,
 )
-from . import combinat
-from .symfun import (
-    Partition,
-    QsymTable,
-    SymFun,
-    SymSeries,
-    partitions_of,
-    product_equal_at_point,
-)
+from . import combinat, symfun
 
 VARIANTS = ("W", "Wless", "Wgreater", "Wequal", "Wneq", "Wtilde", "Wtildeneq", "XC")
 POWERSUM_VARIANTS = ("W", "Wless", "Wgreater", "Wtilde", "Wtildeneq")
@@ -99,6 +91,13 @@ def check_root_order(n: int, k: int) -> None:
         raise ValueError(f"k must be positive, got {k}")
     if n % k:
         raise ValueError(f"k must divide n, got k = {k} and n = {n}")
+
+
+def check_degree(variant: str, n: int) -> None:
+    """Raise ValueError if n is below the smallest degree of the variant:
+    2 for Wneq and XC, 1 for the others."""
+    if variant in ("Wneq", "XC") and n < 2:
+        raise ValueError(f"{variant} requires n >= 2")
 
 
 def abc(i: int) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
@@ -154,22 +153,22 @@ def denominator_weight(i: int) -> LaurentPoly:
 
 
 @lru_cache(maxsize=None)
-def numerator_series(variant: str, order: int) -> SymSeries:
-    return SymSeries.from_weights(order, lambda i: numerator_weight(variant, i))
+def numerator_series(variant: str, order: int) -> symfun.SymSeries:
+    return symfun.SymSeries.from_weights(order, lambda i: numerator_weight(variant, i))
 
 
 @lru_cache(maxsize=None)
-def denominator_series(order: int) -> SymSeries:
-    return SymSeries.from_weights(order, denominator_weight)
+def denominator_series(order: int) -> symfun.SymSeries:
+    return symfun.SymSeries.from_weights(order, denominator_weight)
 
 
 @lru_cache(maxsize=None)
-def closed_series(variant: str, order: int) -> SymSeries:
+def closed_series(variant: str, order: int) -> symfun.SymSeries:
     return numerator_series(variant, order).div(denominator_series(order))
 
 
 @lru_cache(maxsize=None)
-def closed_form(variant: str, n: int) -> SymFun:
+def closed_form(variant: str, n: int) -> symfun.SymFun:
     """The degree-n enumerator in the elementary basis.
 
     >>> closed_form("Wless", 2).coeff((2,)).pretty()
@@ -178,8 +177,7 @@ def closed_form(variant: str, n: int) -> SymFun:
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     check_limit("n", n)
-    if variant in ("Wneq", "XC") and n < 2:
-        raise ValueError(f"{variant} requires n >= 2")
+    check_degree(variant, n)
     out = closed_series(variant, LIMITS["n"])[n]
     val = out.valuation()
     if val is not None and val < 0:
@@ -197,34 +195,34 @@ def cleared_form_check(variant: str, order: int) -> bool:
     """
     if variant not in CLEARED_VARIANTS:
         raise ValueError(f"no cleared form for {variant!r}")
-    E = SymSeries.generating("e", order)
+    E = symfun.SymSeries.generating("e", order)
     denom = E.grade_scale_t() - E.scale(T)
     one_minus_t = ONE - T
     lhs = closed_series(variant, order)
     if variant == "W":
-        lhs = SymSeries.one("e", order) + lhs
+        lhs = symfun.SymSeries.one("e", order) + lhs
         rhs = E.scale(one_minus_t)
     elif variant == "Wtilde":
         rhs = E.grade_scale_t().dt().scale(one_minus_t)
     elif variant == "Wless":
-        rhs = SymSeries.from_weights(
+        rhs = symfun.SymSeries.from_weights(
             order, lambda i: t_quantum(i).derivative() * one_minus_t if i >= 2 else None
         )
     else:  # Wgreater
-        rhs = SymSeries.from_weights(
+        rhs = symfun.SymSeries.from_weights(
             order, lambda i: abc(i)[1] * one_minus_t if i >= 2 else None
         )
-    return product_equal_at_point(lhs, denom, rhs)
+    return symfun.product_equal_at_point(lhs, denom, rhs)
 
 
 def quotient_form_check(variant: str, order: int) -> bool:
     """Numerator = denominator * series, for every variant's quotient."""
     series, denom = closed_series(variant, order), denominator_series(order)
-    return product_equal_at_point(series, denom, numerator_series(variant, order))
+    return symfun.product_equal_at_point(series, denom, numerator_series(variant, order))
 
 
 @lru_cache(maxsize=None)
-def _quantum_product(lam: Partition) -> LaurentPoly:
+def _quantum_product(lam: symfun.Partition) -> LaurentPoly:
     """The product of the t-analogs [part]_t over the parts of lam, shared
     by the power sum forms of every variant."""
     prod = ONE
@@ -234,7 +232,7 @@ def _quantum_product(lam: Partition) -> LaurentPoly:
 
 
 @lru_cache(maxsize=None)
-def powersum_form(variant: str, n: int) -> SymFun:
+def powersum_form(variant: str, n: int) -> symfun.SymFun:
     """Coefficients of p_lam / z_lam in the omega image of the enumerator.
 
     Every coefficient is asserted to be an honest polynomial even though the
@@ -243,8 +241,8 @@ def powersum_form(variant: str, n: int) -> SymFun:
     if variant not in POWERSUM_VARIANTS:
         raise ValueError(f"no power sum form for {variant!r}")
     check_limit("n", n)
-    terms: dict[Partition, LaurentPoly] = {}
-    for lam in partitions_of(n):
+    terms: dict[symfun.Partition, LaurentPoly] = {}
+    for lam in symfun.partitions_of(n):
         ell = len(lam)
         prod = _quantum_product(lam)
         if variant == "W":
@@ -269,7 +267,7 @@ def powersum_form(variant: str, n: int) -> SymFun:
         if val is not None and val < 0:
             raise AssertionError("power sum coefficient is not a polynomial")
         terms[lam] = c
-    return SymFun("p/z", n, terms)
+    return symfun.SymFun("p/z", n, terms)
 
 
 def powersum_top_coefficient(variant: str, n: int) -> LaurentPoly:
@@ -281,8 +279,7 @@ def powersum_top_coefficient(variant: str, n: int) -> LaurentPoly:
     """
     if variant not in TOP_VARIANTS:
         raise ValueError(f"no top coefficient formula for {variant!r}")
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    check_degree(variant, n)
     if variant == "Wneq":
         return t_quantum(n) + n * T * t_quantum(n - 2)
     return t_quantum(2) * t_quantum(n) + n * LaurentPoly.t_power(2) * t_quantum(n - 3)
@@ -316,7 +313,7 @@ class FExpansion(NamedTuple):
         )
         return cls(n, items)
 
-    def to_table(self, k: int) -> QsymTable:
+    def to_table(self, k: int) -> symfun.QsymTable:
         """The expansion over k variables, by the M_alpha rule (Gessel 1984;
         Stanley, EC2 7.19): in the weakly decreasing convention, F_{n,S} has
         coefficient [S within the cuts of alpha] at a composition alpha, the
@@ -333,7 +330,7 @@ class FExpansion(NamedTuple):
             packed = below[sum(1 << (c - 1) for c in accumulate(reversed(alpha[1:])))]
             if packed:
                 coeffs[alpha] = LaurentPoly(combinat.packed_coeffs(packed, width))
-        return QsymTable(k)._like(coeffs)
+        return symfun.QsymTable(k)._like(coeffs)
 
     def principal_numerator(self) -> QtPoly:
         """Stable principal specialization numerator over the implicit

@@ -20,7 +20,9 @@ primitive root of unity without leaving exact arithmetic.
 point, exactly, without forming the products; ``symfun.product_equal_at_point``
 does the same for the product of two graded series.  Both read one shape
 (``int_span``), one digit width with its proof (``digit_width``) and one
-packing of a ``LaurentPoly`` at t = 2^w (``at_point``).
+packing of a ``LaurentPoly`` at t = 2^w (``at_point``).  ``dumps`` is the
+one compact JSON encoder, of the command line's answers and of ``verify``'s
+records.
 
 Everything in this module is immutable after construction and every operation
 is a pure function, so values are safe to share between concurrent workers.
@@ -28,6 +30,7 @@ is a pure function, so values are safe to share between concurrent workers.
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -74,6 +77,12 @@ def _coeff_to_json(c: Scalar):
     if isinstance(c, int):
         return c
     return f"{c.numerator}/{c.denominator}"
+
+
+# The compact JSON encoder of every answer the command line prints.  What it
+# encodes is built by ``to_json_obj`` and ``verify``'s records and has no
+# cycles, so it keeps no markers against them.
+dumps = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 
 
 class LaurentPoly:

@@ -20,7 +20,6 @@ route to agree, ``cycle-even-corrected`` adds the direct chain test, and
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 from itertools import groupby
@@ -35,6 +34,7 @@ from .exact import (
     LaurentPoly,
     QtPoly,
     divisors,
+    dumps,
     euler_series_check,
     eulerian,
     palindrome_unimodal,
@@ -85,12 +85,6 @@ def _record(
         "lhs": shown,
         "rhs": shown if same else _present(rhs),  # equal values present identically
     }
-
-
-# The compact JSON encoder of every answer the command line prints.  What it
-# encodes is built by ``to_json_obj`` and ``_record`` and has no cycles, so
-# it keeps no markers against them.
-dumps = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 
 
 def records_json(records: list[dict]) -> str:

@@ -5,6 +5,7 @@ import hashlib
 import importlib.util
 import inspect
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -208,6 +209,20 @@ class TestQEuler:
 
 
 class TestVerify:
+    def test_help_lists_the_verify_flags_and_bad_suites_are_usage_errors(self, capsys):
+        # the parser adds these only for the verify verb
+        with pytest.raises(SystemExit) as info:
+            cli.main(["verify", "-h"])
+        assert info.value.code == 0
+        out = capsys.readouterr().out
+        assert "--suite {all," + ",".join(verify.SUITES) + "}" in out
+        for flag in ("--max-n MAX_N", "--vars VARS", "--max-order MAX_ORDER"):
+            assert flag in out
+        with pytest.raises(SystemExit) as info:
+            cli.main(["verify", "--suite", "bogus"])
+        assert info.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
     def test_transfer_suite_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "transfer")
         assert code == 0
@@ -784,9 +799,14 @@ class TestUsageErrors:
         assert "--n" in err and "LIMITS[" in err
 
     def test_library_range_error_is_exit_two(self, capsys):
-        code = cli.main(["expand", "--variant", "Wneq", "--n", "1"])
-        assert code == 2
-        assert "error" in capsys.readouterr().err
+        # a variant's smallest n is the library's rule, named as --n
+        for variant, *more in (("Wneq",), ("XC",), ("Wneq", "--vars", "3")):
+            with pytest.raises(SystemExit) as info:
+                cli.main(["expand", "--variant", variant, "--n", "1", *more])
+            assert info.value.code == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.endswith(f"smirnov: error: --n: {variant} requires n >= 2\n")
 
     def test_max_order_above_supported_range(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -935,6 +955,51 @@ class TestEntryPoint:
         for module in ("dataclasses", "inspect"):
             assert module not in cli or module in bare, module
 
+    @pytest.mark.parametrize(
+        "argv, ran",
+        [
+            (["qeuler", "--variant", "Aless", "--n", "5"], []),
+            (["qeuler", "--variant", "Atilde", "--n", "4", "--q-root", "2"], []),
+            (["roots", "--variant", "Ades", "--n", "4", "--q-root", "2"], []),
+            (["fexpand", "--variant", "W", "--n", "4"], []),
+            (["expand", "--variant", "W", "--n", "4", "--vars", "3"], ["symfun"]),
+            (["verify", "--suite", "transfer"], ["symfun", "verify"]),
+        ],
+        ids=["qeuler", "qeuler-q-root", "roots", "fexpand", "expand", "verify"],
+    )
+    def test_a_verb_runs_only_the_modules_it_needs(self, argv, ran):
+        # symfun and verify are in sys.modules from the start but run their
+        # source at first use.  object.__getattribute__ reads a module's
+        # namespace without loading it; -X importtime does not see a
+        # deferred load.
+        code = textwrap.dedent(
+            f"""
+            import contextlib, io, sys
+            from smirnov import cli
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main({argv!r})
+            defines = {{"symfun": "SymFun", "verify": "run_suite"}}
+            ran = [m for m, name in defines.items()
+                   if name in object.__getattribute__(sys.modules["smirnov." + m], "__dict__")]
+            print(code, *ran)
+            """
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", *ran]
+
+    def test_a_module_imported_before_cli_is_kept(self):
+        # one symfun module, so the values enumerators builds are instances
+        # of the classes a library user imported
+        code = (
+            "import sys, smirnov.symfun as s; import smirnov.cli; from smirnov import enumerators as en; "
+            "print(sys.modules['smirnov.symfun'] is s, smirnov.cli.symfun is s, "
+            "isinstance(en.closed_form('W', 3), s.SymFun))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True", "True", "True"]
+
     # each module imports only modules before it here
     LAYERS = ("exact", "symfun", "combinat", "enumerators", "verify", "cli")
 
@@ -949,24 +1014,39 @@ class TestEntryPoint:
 
 
 class TestTracerRun:
-    ARGV = ["verify", "--suite", "oracle", "--max-n", "3", "--vars", "3", "--format", "json"]
-
-    @pytest.mark.parametrize("mode", ["time", "count"])
-    def test_traced_output_equals_untraced(self, capsys, mode):
-        # perfbench/tracer.py wraps the modules that smirnov.cli loads; a
-        # change under src/ that it cannot wrap fails here, not only in CI
-        code, expected, _ = run_cli(capsys, *self.ARGV)
+    def traced(self, capsys, mode, argv) -> dict:
+        """The report of ``argv`` run through perfbench/tracer.py in
+        ``mode``, which must exit 0 with the untraced CLI's stdout."""
+        code, expected, _ = run_cli(capsys, *argv)
         assert code == 0
         proc = subprocess.run(
-            [sys.executable, str(REFERENCE.parent / "tracer.py"), mode, "--", *self.ARGV],
+            [sys.executable, str(REFERENCE.parent / "tracer.py"), mode, "--", *argv],
             capture_output=True,
             text=True,
         )
         assert proc.returncode == 0, proc.stderr
         out, report = proc.stdout.rstrip("\n").rsplit("\n", 1)
         assert out + "\n" == expected
-        report = json.loads(report)
+        return json.loads(report)
+
+    @pytest.mark.parametrize("mode", ["time", "count"])
+    def test_traced_output_equals_untraced(self, capsys, mode):
+        # perfbench/tracer.py wraps the modules that smirnov.cli loads; a
+        # change under src/ that it cannot wrap fails here, not only in CI
+        argv = ["verify", "--suite", "oracle", "--max-n", "3", "--vars", "3", "--format", "json"]
+        report = self.traced(capsys, mode, argv)
         if mode == "time":
             assert report["spans"]
         else:
             assert report["counts"]["combinat.words_kept"] > 0
+
+    @pytest.mark.parametrize("mode", ["time", "count"])
+    def test_traced_qeuler_wraps_its_walk(self, capsys, mode):
+        # qeuler leaves symfun and verify unrun; the tracer still reads all
+        # six layers from sys.modules and wraps them
+        argv = ["qeuler", "--variant", "Aless", "--n", "5", "--format", "json"]
+        report = self.traced(capsys, mode, argv)
+        if mode == "time":
+            assert "enumerators.q_eulerian" in report["spans"]
+        else:
+            assert report["counts"]["enumerators.perms_swept"] == math.factorial(5)
