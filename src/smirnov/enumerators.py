@@ -1,12 +1,12 @@
 """Closed forms for the Smirnov word enumerators and their companions.
 
-Each enumerator variant is the graded coefficient of a quotient of
-elementary-basis generating series sharing one denominator.  This module
-builds those quotients, the power sum and fundamental quasisymmetric
-expansions, the q-Eulerian polynomials with their q-exponential identities
-and root-of-unity evaluations, and the weighted-walk determinant identity.
+Each enumerator variant is the graded coefficient of a quotient N(z)/D(z) of
+e-basis generating series sharing one denominator.  This module builds each
+degree as N times the geometric expansion of 1/D, the power sum and fundamental
+quasisymmetric expansions, the q-Eulerian polynomials with their q-exponential
+identities, root-of-unity evaluations, and the weighted-walk determinant identity.
 
-The numerator, denominator and closed series, ``closed_form``,
+The denominator and closed series, ``geometric_form``, ``closed_form``,
 ``powersum_form`` with the t-analog products it shares between variants,
 ``f_expansion``, ``q_eulerian`` and the q walks are cached, so each argument
 is computed once per process.
@@ -127,9 +127,7 @@ def numerator_weight(variant: str, i: int) -> LaurentPoly:
     if variant == "Wgreater":
         return abc(i)[1] if i >= 2 else ZERO
     if variant == "Wequal":
-        if i == 1:
-            return ONE
-        return -abc(i)[2] if i >= 2 else ZERO
+        return ONE if i == 1 else -abc(i)[2] if i >= 2 else ZERO
     if variant == "Wneq":
         return t_quantum(i) + i * T * t_quantum(i - 2) if i >= 2 else ZERO
     if variant == "Wtilde":
@@ -153,18 +151,37 @@ def denominator_weight(i: int) -> LaurentPoly:
 
 
 @lru_cache(maxsize=None)
-def numerator_series(variant: str, order: int) -> symfun.SymSeries:
-    return symfun.SymSeries.from_weights(order, lambda i: numerator_weight(variant, i))
-
-
-@lru_cache(maxsize=None)
 def denominator_series(order: int) -> symfun.SymSeries:
     return symfun.SymSeries.from_weights(order, denominator_weight)
 
 
 @lru_cache(maxsize=None)
+def geometric_form(m: int) -> symfun.SymFun:
+    """The degree-m coefficient of 1/D(z) = sum over k of (1 - D(z))^k: at
+    e_mu, the orderings of mu's parts (``symfun.orbit_size``) times the
+    product of -d_j over them (zero if a part is 1, as d_1 = 0)."""
+    terms = {}
+    for mu in symfun.partitions_of(m):
+        weights = math.prod((-denominator_weight(j) for j in mu), start=ONE)
+        terms[mu] = symfun.orbit_size(mu) * weights
+    return symfun.SymFun("e", m, terms)
+
+
+def _closed_degree(variant: str, n: int) -> symfun.SymFun:
+    """Degree n of N(z)/D(z): the sum of w_i e_i ``geometric_form(n - i)``."""
+    terms: dict[symfun.Partition, LaurentPoly] = {}
+    for i in range(1, n + 1):
+        w = numerator_weight(variant, i)
+        if w:
+            for mu, c in geometric_form(n - i).terms.items():
+                lam = symfun.merge((i,), mu)
+                terms[lam] = terms.get(lam, ZERO) + w * c
+    return symfun.SymFun("e", n, terms)
+
+
+@lru_cache(maxsize=None)
 def closed_series(variant: str, order: int) -> symfun.SymSeries:
-    return numerator_series(variant, order).div(denominator_series(order))
+    return symfun.SymSeries([_closed_degree(variant, n) for n in range(order + 1)])
 
 
 @lru_cache(maxsize=None)
@@ -178,7 +195,7 @@ def closed_form(variant: str, n: int) -> symfun.SymFun:
         raise ValueError(f"unknown variant {variant!r}")
     check_limit("n", n)
     check_degree(variant, n)
-    out = closed_series(variant, LIMITS["n"])[n]
+    out = _closed_degree(variant, n)
     val = out.valuation()
     if val is not None and val < 0:
         raise AssertionError("negative t-valuation leaked into a closed form")
@@ -217,18 +234,16 @@ def cleared_form_check(variant: str, order: int) -> bool:
 
 def quotient_form_check(variant: str, order: int) -> bool:
     """Numerator = denominator * series, for every variant's quotient."""
+    numerator = symfun.SymSeries.from_weights(order, lambda i: numerator_weight(variant, i))
     series, denom = closed_series(variant, order), denominator_series(order)
-    return symfun.product_equal_at_point(series, denom, numerator_series(variant, order))
+    return symfun.product_equal_at_point(series, denom, numerator)
 
 
 @lru_cache(maxsize=None)
 def _quantum_product(lam: symfun.Partition) -> LaurentPoly:
     """The product of the t-analogs [part]_t over the parts of lam, shared
     by the power sum forms of every variant."""
-    prod = ONE
-    for part in lam:
-        prod = prod * t_quantum(part)
-    return prod
+    return math.prod(map(t_quantum, lam), start=ONE)
 
 
 @lru_cache(maxsize=None)
@@ -268,21 +283,6 @@ def powersum_form(variant: str, n: int) -> symfun.SymFun:
             raise AssertionError("power sum coefficient is not a polynomial")
         terms[lam] = c
     return symfun.SymFun("p/z", n, terms)
-
-
-def powersum_top_coefficient(variant: str, n: int) -> LaurentPoly:
-    """Coefficient of p_n / n in the omega image; equals the coefficient of
-    the degree-n elementary generator in the e-expansion.
-
-    >>> powersum_top_coefficient("Wneq", 3).pretty()
-    '1 + 4*t + t^2'
-    """
-    if variant not in TOP_VARIANTS:
-        raise ValueError(f"no top coefficient formula for {variant!r}")
-    check_degree(variant, n)
-    if variant == "Wneq":
-        return t_quantum(n) + n * T * t_quantum(n - 2)
-    return t_quantum(2) * t_quantum(n) + n * LaurentPoly.t_power(2) * t_quantum(n - 3)
 
 
 def _subset_sums(values: list[int]) -> list[int]:

@@ -14,10 +14,11 @@ degree; a composition), what two values must share (basis and degree; the
 variable count) and how two keys multiply (``merge``).  A ``SymSeries`` is
 a graded sequence of ``SymFun`` values indexed by the power of a formal
 variable z, all in the basis of its constant term; the grading and the
-x-degree always coincide here.  ``SymSeries.mul`` and ``div`` form products
-and quotients; ``product_equal_at_point`` checks that the product of two
-series is a given series without forming it: the partitions stay keys, and
-every coefficient is one integer, its value at t = 2^w (``exact.at_point``).
+x-degree always coincide here.  ``SymSeries.mul`` forms products (no series
+is divided: a quotient identity is checked as a product);
+``product_equal_at_point`` checks that the product of two series is a given
+series without forming it: the partitions stay keys, and every coefficient
+is one integer, its value at t = 2^w (``exact.at_point``).
 
 Power sums are kept in the ``p/z`` basis, against p_lam / z_lam, where
 products have integer structure constants (Macdonald I.2): with m_i(lam) the
@@ -416,7 +417,7 @@ def expand_at_compositions(f: SymFun, k: int) -> QsymTable:
     return QsymTable(k)._like(terms)
 
 
-def _orbit_size(mu: Partition) -> int:
+def orbit_size(mu: Partition) -> int:
     """Distinct rearrangements of mu."""
     size = math.factorial(len(mu))
     for v in set(mu):
@@ -464,7 +465,7 @@ def monomial_to_e(table: QsymTable, n: int | None = None) -> SymFun:
             raise NotSymmetricError(f"orbit of {mu} has unequal coefficients")
         orbit_count[mu] = orbit_count.get(mu, 0) + 1
     for mu, count in orbit_count.items():
-        if count != _orbit_size(mu):
+        if count != orbit_size(mu):
             raise NotSymmetricError(f"orbit of {mu} is incomplete")
 
     residual = dict(orbit_coeff)
@@ -574,21 +575,6 @@ class SymSeries:
             for j in range(n + 1):
                 if self.coeffs[j] and other.coeffs[n - j]:
                     acc = acc + self.coeffs[j] * other.coeffs[n - j]
-            coeffs.append(acc)
-        return SymSeries(coeffs)
-
-    def div(self, other: "SymSeries") -> "SymSeries":
-        """Graded division, to the smaller of the two orders; the divisor
-        must have constant term 1."""
-        self._check_basis(other)
-        if other.coeffs[0] != SymFun.generator(self.basis, 0):
-            raise ValueError("divisor must have constant term 1")
-        coeffs: list[SymFun] = []
-        for n in range(min(self.order, other.order) + 1):
-            acc = self.coeffs[n]
-            for j in range(1, n + 1):
-                if other.coeffs[j] and coeffs[n - j]:
-                    acc = acc - other.coeffs[j] * coeffs[n - j]
             coeffs.append(acc)
         return SymSeries(coeffs)
 

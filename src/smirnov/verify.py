@@ -203,9 +203,10 @@ def suite_powersum(max_n: int) -> list[dict]:
             if len(lam) > 1:  # the weight t*A_(l-1)*prod [part]_t, over n
                 s = expected / n
                 records.append(_record("powersum-weight-palindromic", params, s, s.reverse(n)))
-    for variant in en.TOP_VARIANTS:
+    for variant in en.TOP_VARIANTS:  # Wneq = Wless + Wgreater, XC = Wless + t*Wgreater
         for n in range(2, SWEEP_N + 1):
-            lhs = en.powersum_top_coefficient(variant, n)
+            less, greater = (en.powersum_form(v, n).coeff((n,)) for v in ("Wless", "Wgreater"))
+            lhs = less + (T if variant == "XC" else ONE) * greater
             rhs = en.closed_form(variant, n).coeff((n,))
             records.append(_record("top-coefficient", {"variant": variant, "n": n}, lhs, rhs))
     for i in range(2, 11):
@@ -443,9 +444,8 @@ def suite_series(order: int) -> list[dict]:
     for variant in en.CLEARED_VARIANTS:
         ok = en.cleared_form_check(variant, order)
         records.append(_record("series-cleared", {"variant": variant, "order": order}, ok, True))
-    D = en.denominator_series(order)
-    inv = SymSeries.one("e", order).div(D)
-    ok = product_equal_at_point(D, inv, SymSeries.one("e", order))
+    G = SymSeries([en.geometric_form(m) for m in range(order + 1)])  # 1 / D, explicitly
+    ok = product_equal_at_point(en.denominator_series(order), G, SymSeries.one("e", order))
     records.append(_record("series-geometric-inverse", {"order": order}, ok, True))
     for n in range(2, order + 1):
         less = en.closed_form("Wless", n)
@@ -462,22 +462,26 @@ def suite_series(order: int) -> list[dict]:
             records.append(_record(name, {"n": n}, lhs, rhs))
     H = SymSeries.h_series_p(order)
     Htz = H.grade_scale_t()
-    ratio = H.div(Htz)
-    # ratio^power has coefficient power^l(lam) * prod_i (1 - t^lam_i) at p_lam / z_lam
+    # (H(z) / H(tz))^power has coefficient power^l(lam) * prod_i (1 - t^lam_i)
+    # at p_lam / z_lam
     factor = {part: ONE - LaurentPoly.t_power(part) for part in range(1, order + 1)}
     products = [
         [(lam, math.prod(map(factor.get, lam), start=ONE)) for lam in partitions_of(n)]
         for n in range(order + 1)
     ]
-    below = None  # the closed ratio^(power - 1)
-    for power in range(1, 4):
-        coeffs = [
-            SymFun("p/z", n, {lam: c * power ** len(lam) for lam, c in row})
-            for n, row in enumerate(products)
-        ]
-        closed = SymSeries(coeffs)
-        ok = ratio == closed if below is None else product_equal_at_point(ratio, below, closed)
-        below = closed
+    closed = {
+        power: SymSeries(
+            [
+                SymFun("p/z", n, {lam: c * power ** len(lam) for lam, c in row})
+                for n, row in enumerate(products)
+            ]
+        )
+        for power in range(1, 4)
+    }
+    for power, rhs in closed.items():
+        # power 1: closed(1) * H(tz) = H(z); then closed(1) * closed(p - 1) = closed(p)
+        lhs, rhs = (Htz, H) if power == 1 else (closed[power - 1], rhs)
+        ok = product_equal_at_point(closed[1], lhs, rhs)
         records.append(_record("h-ratio-power", {"power": power, "order": order}, ok, True))
     ps_series = SymSeries(
         [SymFun.generator("p/z", 0)] + [en.powersum_form("W", n) for n in range(1, order + 1)]

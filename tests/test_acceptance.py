@@ -100,11 +100,15 @@ def test_criterion_04_power_sum_expansions():
             ok = ok and T * c_less + c_greater == expected
             if ell > 1:
                 ok = ok and all(s.coeff(i) == s.coeff(n - i) for i in range(1, n))
-    for variant in en.TOP_VARIANTS:
-        for n in range(2, 9):
-            ok = ok and en.powersum_top_coefficient(variant, n) == en.closed_form(
-                variant, n
-            ).coeff((n,))
+    for n in range(2, 9):  # the p_n / n coefficients of omega(Wneq) and omega(XC)
+        c_less, c_greater = (en.powersum_form(v, n).coeff((n,)) for v in ("Wless", "Wgreater"))
+        expected = {
+            "Wneq": t_quantum(n) + n * T * t_quantum(n - 2),
+            "XC": t_quantum(2) * t_quantum(n) + n * T**2 * t_quantum(n - 3),
+        }
+        ok = ok and c_less + c_greater == expected["Wneq"]
+        ok = ok and c_less + T * c_greater == expected["XC"]
+        ok = ok and all(en.closed_form(v, n).coeff((n,)) == c for v, c in expected.items())
     for i in range(2, 11):
         a, b, c = en.abc(i)
         ok = ok and a + b - c == t_quantum(i)

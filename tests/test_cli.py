@@ -239,13 +239,16 @@ class TestVerify:
         assert set(records[0]) == {"check", "params", "status", "lhs", "rhs"}
 
     def test_mutated_formula_flips_exit_code(self, capsys, monkeypatch):
-        monkeypatch.setattr(
-            en, "powersum_top_coefficient", lambda variant, n: LaurentPoly.one()
-        )
+        # top-coefficient reads Wneq and XC's p_n / n coefficients from the
+        # power sum forms of Wless and Wgreater
+        old = "(n - i) * s.coeff(n - i)"
+        mutated = recompiled(en.powersum_form.__wrapped__, old, "(n - i + 1) * s.coeff(n - i)")
+        monkeypatch.setattr(en, "powersum_form", mutated)
         code, out, _ = run_cli(
-            capsys, "verify", "--suite", "powersum", "--max-n", "2"
+            capsys, "verify", "--suite", "powersum", "--max-n", "2", "--format", "json"
         )
         assert code == 1
+        assert "top-coefficient" in {r["check"] for r in json.loads(out) if r["status"] == "fail"}
 
     def oracle_suite_exit_code(self, capsys):
         code, out, _ = run_cli(
@@ -445,7 +448,7 @@ class TestVerify:
         failed = [r for r in json.loads(out) if r["status"] == "fail"]
         assert {r["check"] for r in failed} == {"h-ratio-power", "eulerian-powersum-series"}
         powers = [r["params"]["power"] for r in failed if r["check"] == "h-ratio-power"]
-        assert powers == [1, 2, 3]  # each power is checked on its own
+        assert powers == [1]  # only power 1 reads H; powers 2 and 3 multiply closed powers
 
     def test_dropped_binomial_factor_fails_series(self, capsys, monkeypatch, fresh_caches):
         # products against p / z carry the structure constant
@@ -460,6 +463,39 @@ class TestVerify:
         assert {r["check"] for r in failed} == {"h-ratio-power", "eulerian-powersum-series"}
         powers = [r["params"]["power"] for r in failed if r["check"] == "h-ratio-power"]
         assert powers == [1, 2, 3]
+
+    def series_failures(self, capsys) -> set:
+        code, out, _ = run_cli(capsys, "verify", "--suite", "series", "--format", "json")
+        failed = {r["check"] for r in json.loads(out) if r["status"] == "fail"}
+        assert (code == 1) == bool(failed)
+        return failed
+
+    @pytest.mark.parametrize(
+        "name, old, new",
+        [
+            ("numerator_weight", "return abc(i)[0] if", "return abc(i)[1] if"),
+            ("denominator_weight", "T * t_quantum(i - 1)", "T * t_quantum(i)"),
+        ],
+        ids=["numerator", "denominator"],
+    )
+    def test_wrong_weight_fails_oracle_and_cleared_forms(
+        self, capsys, monkeypatch, fresh_caches, name, old, new
+    ):
+        # the quotient identities read the weights on both of their sides, so
+        # a wrong weight must show against the words and the cleared forms
+        monkeypatch.setattr(en, name, recompiled(getattr(en, name), old, new))
+        assert self.oracle_suite_exit_code(capsys) == 1
+        assert "series-cleared" in self.series_failures(capsys)
+
+    def test_wrong_multinomial_fails_geometric_inverse_and_quotient(
+        self, capsys, monkeypatch, fresh_caches
+    ):
+        # l(mu)! orderings without dividing by the repeats: e_2 e_2 counted twice
+        mutated = recompiled(
+            en.geometric_form.__wrapped__, "symfun.orbit_size(mu)", "math.factorial(len(mu))"
+        )
+        monkeypatch.setattr(en, "geometric_form", mutated)
+        assert {"series-geometric-inverse", "series-quotient"} <= self.series_failures(capsys)
 
     def test_stray_end_term_fails_weight_palindromic(self, monkeypatch, fresh_caches):
         # 4 at (2, 2) adds t^0 to the weight s = c / 4 and no t^4: its
@@ -598,7 +634,7 @@ class TestVerify:
 
     def test_enumerator_caches_are_all_known(self):
         names = {fn.__name__ for fn in ENUMERATOR_CACHES}
-        series = {"numerator_series", "denominator_series", "closed_series", "closed_form"}
+        series = {"denominator_series", "geometric_form", "closed_series", "closed_form"}
         forms = {"_quantum_product", "powersum_form", "f_expansion"}
         assert names == series | forms | {"q_eulerian", "_q_walk"}
 
@@ -867,6 +903,18 @@ class TestLimits:
         message = str(info.value)
         assert f"LIMITS[{key!r}]" in message and str(value) in message
 
+    def test_closed_form_reads_no_cap(self, monkeypatch, fresh_caches):
+        # a closed form is built at its own degree, whatever LIMITS allows
+        expected = en.closed_form("XC", 4)
+        en.closed_form.cache_clear()
+        monkeypatch.setitem(en.LIMITS, "n", 20)
+        built = []
+        original = en.geometric_form
+        monkeypatch.setattr(en, "geometric_form", lambda m: built.append(m) or original(m))
+        assert en.closed_form("XC", 4) == expected
+        assert built and max(built) <= 3
+        assert en.closed_series.cache_info().currsize == 0
+
     def test_unknown_bound_is_rejected(self):
         with pytest.raises(ValueError, match="bogus"):
             verify.run_suite("f", bogus=1)
@@ -894,10 +942,12 @@ class TestTracerNames:
         names = [("exact", dotted) for dotted in tracer.OPERATORS]
         names += [(layer, dotted) for layer, group in tracer.LAYERS.items() for dotted in group]
         qualified = [(layer, dotted.split(".")) for layer, dotted in names if "." in dotted]
-        assert {"QtPoly.__mul__", "SymSeries.div"} <= {".".join(parts) for _, parts in qualified}
+        assert {"QtPoly.__mul__", "SymSeries.mul"} <= {".".join(parts) for _, parts in qualified}
         modules = {"exact": exact, "symfun": symfun}
         for layer, (owner, attr) in qualified:
-            assert attr in vars(getattr(modules[layer], owner)), f"{owner}.{attr}"
+            cls = getattr(modules[layer], owner)
+            if hasattr(cls, attr):  # the tracer skips a name the program no longer defines
+                assert attr in vars(cls), f"{owner}.{attr}"
 
     def test_run_suites_calls_the_module_global_with_the_name_first(self, monkeypatch):
         # the tracer wraps verify.run_suite and names each span

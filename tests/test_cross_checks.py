@@ -1,9 +1,10 @@
 """Independent cross-module routes to the same values.
 
 These checks never reuse the code path they validate: closed forms are
-recomputed by direct composition enumeration instead of series division,
-power sum coefficients are recombined across variants, and root-of-unity
-evaluations are matched against rectangular power sum coefficients.
+recomputed by direct composition enumeration instead of the geometric
+expansion of 1/D over partitions, power sum coefficients are recombined
+across variants, and root-of-unity evaluations are matched against
+rectangular power sum coefficients.
 """
 
 from functools import lru_cache
@@ -49,6 +50,8 @@ def composition_form(variant, n):
 class TestCompositionOracle:
     @pytest.mark.parametrize("variant", en.VARIANTS)
     def test_matches_series_division(self, variant):
+        # the composition coefficients of N(z) / D(z), against the partition
+        # form sum_i w_i e_i geometric_form(n - i) of closed_form
         lo = 2 if variant in ("Wneq", "XC") else 1
         for n in range(lo, 9):
             assert composition_form(variant, n) == en.closed_form(variant, n), (variant, n)
@@ -74,11 +77,12 @@ class TestPowersumCombinations:
                 assert c_both.coeff(lam) == T * c_less.coeff(lam) + c_greater.coeff(lam)
 
     def test_top_coefficients_from_endpoint_pair(self):
+        # the p_n / n coefficient of each omega image is its e_n coefficient
         for n in range(2, 9):
             c_less = en.powersum_form("Wless", n).coeff((n,))
             c_greater = en.powersum_form("Wgreater", n).coeff((n,))
-            assert en.powersum_top_coefficient("Wneq", n) == c_less + c_greater
-            assert en.powersum_top_coefficient("XC", n) == c_less + T * c_greater
+            assert en.closed_form("Wneq", n).coeff((n,)) == c_less + c_greater
+            assert en.closed_form("XC", n).coeff((n,)) == c_less + T * c_greater
 
 
 class TestEvaluationEqualsRectangleCoefficient:

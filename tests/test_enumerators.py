@@ -128,15 +128,16 @@ class TestPowersum:
             assert lhs == combinat.brute_enumerator(variant, n, n), (variant, n)
 
     def test_top_coefficient_examples(self):
-        assert en.powersum_top_coefficient("Wneq", 3) == ONE + 4 * T + T**2
-        assert en.powersum_top_coefficient("XC", 3) == (ONE + T) * (ONE + T + T**2)
+        less, greater = (en.powersum_form(v, 3).coeff((3,)) for v in ("Wless", "Wgreater"))
+        assert less + greater == ONE + 4 * T + T**2  # Wneq
+        assert less + T * greater == (ONE + T) * (ONE + T + T**2)  # XC
 
     def test_top_coefficient_matches_e_expansion(self):
+        # D(z) has no degree-1 term and w_0 = 0, so the e_n coefficient of
+        # N(z) / D(z) is the numerator weight w_n
         for variant in en.TOP_VARIANTS:
             for n in range(2, 9):
-                assert en.powersum_top_coefficient(variant, n) == en.closed_form(
-                    variant, n
-                ).coeff((n,))
+                assert en.closed_form(variant, n).coeff((n,)) == en.numerator_weight(variant, n)
 
     def test_all_coefficients_nonnegative_valuation(self):
         for variant in en.POWERSUM_VARIANTS:

@@ -481,21 +481,11 @@ class TestSeries:
             return -(T * t_quantum(i - 1)) if i >= 2 else (ONE if i == 0 else None)
 
         D = SymSeries.from_weights(6, weight)
-        inv = SymSeries.one("e", 6).div(D)
+        inv = SymSeries([en.geometric_form(m) for m in range(7)])
         assert D.mul(inv) == SymSeries.one("e", 6)
         # first two displayed coefficients of the expansion
         assert inv[2] == SymFun("e", 2, {(2,): T})
         assert inv[4] == SymFun("e", 4, {(4,): T * t_quantum(3), (2, 2): T * T})
-
-    def test_division_requires_unit_constant_term(self):
-        bad = SymSeries.from_weights(3, lambda i: ONE - T if i == 0 else None)
-        with pytest.raises(ValueError):
-            SymSeries.one("e", 3).div(bad)
-
-    def test_mul_div_round_trip(self):
-        A = SymSeries.generating("e", 5)
-        D = SymSeries.from_weights(5, lambda i: ONE if i == 0 else (T if i >= 2 else None))
-        assert A.div(D).mul(D) == A
 
     def test_unequal_orders_work_to_the_smaller(self):
         def weight(i):
@@ -508,7 +498,6 @@ class TestSeries:
         D, D_short = SymSeries.from_weights(6, weight), SymSeries.from_weights(4, weight)
         for a, d in ((A_short, D), (A, D_short)):
             assert a.mul(d) == d.mul(a) == truncated(A.mul(D), 4)
-            assert a.div(d) == truncated(A.div(D), 4)
 
     def test_grade_scale_and_dt(self):
         E = SymSeries.generating("e", 4)
@@ -567,8 +556,14 @@ class TestPowerSumsOverZ:
             assert expand_in_variables(H[n], n) == expand_in_variables(SymFun.generator("h", n), n)
 
     def test_series_identities_run_in_integers(self):
+        def factor(lam):  # the coefficient of H(z) / H(tz) at p_lam / z_lam
+            return math.prod((1 - T**part for part in lam), start=ONE)
+
         H = SymSeries.h_series_p(8)
-        ratio = H.div(H.grade_scale_t())
+        ratio = SymSeries(
+            [SymFun("p/z", n, {lam: factor(lam) for lam in partitions_of(n)}) for n in range(9)]
+        )
+        assert ratio.mul(H.grade_scale_t()) == H
         for f in ratio.mul(ratio).coeffs:
             assert all(type(c) is int for p in f.terms.values() for c in p.terms.values())
 
