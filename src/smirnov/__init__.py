@@ -5,7 +5,7 @@ adjacent letters.  This package computes their symmetric-function
 enumerators in closed form (elementary, power sum, and fundamental
 quasisymmetric expansions), the associated q-Eulerian polynomials with
 exact root-of-unity evaluations, and verifies everything against
-combinatorial oracles in exact rational arithmetic.
+combinatorial oracles in exact integer arithmetic.
 
 The package namespace holds no names; import the modules, as in
 ``from smirnov.enumerators import closed_form``.  Importing one module loads

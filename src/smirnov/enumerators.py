@@ -335,10 +335,11 @@ class FExpansion(NamedTuple):
     def principal_numerator(self) -> QtPoly:
         """Stable principal specialization numerator over the implicit
         (1-q)...(1-q^n) denominator: multiplicities land at q^(sum S) t^e."""
-        out = QtPoly.zero()
+        rows: dict[int, dict[int, int]] = {}
         for e, S, mult in self.terms:
-            out = out + QtPoly.q_power(sum(S), LaurentPoly.t_power(e, mult))
-        return out
+            row = rows.setdefault(sum(S), {})
+            row[e] = row.get(e, 0) + mult
+        return QtPoly({a: LaurentPoly(row) for a, row in rows.items()})
 
     def to_json_obj(self) -> dict:
         return {

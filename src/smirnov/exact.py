@@ -1,11 +1,10 @@
 """Exact coefficient arithmetic.
 
-``LaurentPoly`` is a sparse Laurent polynomial in ``t`` with arbitrary
-precision rational coefficients; it keeps its own arithmetic, as the scalar
-ring and the hot kernel.  The kernel is int-first: a coefficient is a plain
-``int`` wherever it is integral, a quotient is a ``Fraction`` only when it
-is not, and dispatch tests exact types before any ``isinstance`` against
-``Fraction``, whose ABC check runs in Python.  Results of arithmetic are
+``LaurentPoly`` is a sparse Laurent polynomial in ``t`` with plain ``int``
+coefficients; it keeps its own arithmetic, as the scalar ring and the hot
+kernel.  Every enumerator here is integral, so no coefficient is ever a
+fraction: the validating constructor rejects one with TypeError, and ``/``
+divides by an int exactly or raises ValueError.  Results of arithmetic are
 built by ``_canonical`` or ``_trusted``, not by the validating constructor.
 ``Combination`` is the one arithmetic core for finite sums of keyed
 ``LaurentPoly`` coefficients: equality, sums, differences, scaling,
@@ -32,51 +31,24 @@ from __future__ import annotations
 
 import json
 import math
-from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
-
-Scalar = Union[int, Fraction]
-
-
-def _clean(c: Scalar) -> Scalar:
-    """Collapse integral fractions to plain ints."""
-    if type(c) is Fraction and c.denominator == 1:
-        return c.numerator
-    return c
-
-
-def _quotient(a: Scalar, b: Scalar) -> Scalar:
-    """a / b exactly: an int when both are ints and b divides a."""
-    if type(a) is int and type(b) is int:
-        q, r = divmod(a, b)
-        if not r:
-            return q
-    return _clean(Fraction(a, b))
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 
 def _canonical(terms: dict) -> "LaurentPoly":
     """A LaurentPoly from int exponents and coefficients that arithmetic
-    produced: zeros are dropped and integral fractions collapsed, nothing
-    else is checked."""
+    produced: zeros are dropped, nothing else is checked."""
     p = object.__new__(LaurentPoly)
-    p.terms = {e: c if type(c) is int else _clean(c) for e, c in terms.items() if c}
+    p.terms = {e: c for e, c in terms.items() if c}
     return p
 
 
 def _trusted(terms: dict) -> "LaurentPoly":
-    """A LaurentPoly from terms already canonical: int exponents, nonzero
-    coefficients, no integral fraction."""
+    """A LaurentPoly from terms already canonical: int exponents and
+    nonzero int coefficients."""
     p = object.__new__(LaurentPoly)
     p.terms = terms
     return p
-
-
-def _coeff_to_json(c: Scalar):
-    c = _clean(c)
-    if isinstance(c, int):
-        return c
-    return f"{c.numerator}/{c.denominator}"
 
 
 # The compact JSON encoder of every answer the command line prints.  What it
@@ -86,10 +58,10 @@ dumps = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 
 
 class LaurentPoly:
-    """Sparse Laurent polynomial in t over the rationals.
+    """Sparse Laurent polynomial in t over the integers.
 
     Terms are kept canonical: no zero coefficients are stored, and equality is
-    termwise.
+    termwise.  A coefficient that is not an int is a TypeError.
 
     >>> LaurentPoly({0: 1, 1: 4, 2: 1}).pretty()
     '1 + 4*t + t^2'
@@ -99,12 +71,12 @@ class LaurentPoly:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[int, Scalar] | None = None):
-        cleaned: dict[int, Scalar] = {}
+    def __init__(self, terms: Mapping[int, int] | None = None):
+        cleaned: dict[int, int] = {}
         if terms:
             for e, c in terms.items():
-                if type(c) is not int:
-                    c = _clean(c)
+                if not isinstance(c, int):
+                    raise TypeError(f"coefficients are ints, not {type(c).__name__}")
                 if c:
                     cleaned[int(e)] = c
         self.terms = cleaned
@@ -118,17 +90,17 @@ class LaurentPoly:
         return cls({0: 1})
 
     @classmethod
-    def const(cls, c: Scalar) -> "LaurentPoly":
+    def const(cls, c: int) -> "LaurentPoly":
         return cls({0: c})
 
     @classmethod
-    def t_power(cls, e: int, c: Scalar = 1) -> "LaurentPoly":
+    def t_power(cls, e: int, c: int = 1) -> "LaurentPoly":
         return cls({e: c})
 
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def coeff(self, e: int) -> Scalar:
+    def coeff(self, e: int) -> int:
         return self.terms.get(e, 0)
 
     def degree(self) -> int | None:
@@ -142,7 +114,7 @@ class LaurentPoly:
     def __eq__(self, other) -> bool:
         if isinstance(other, LaurentPoly):
             return self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return self.terms == LaurentPoly.const(other).terms
         return NotImplemented
 
@@ -150,7 +122,7 @@ class LaurentPoly:
 
     def _operand(self, other):
         """A non-LaurentPoly operand as a LaurentPoly, or NotImplemented."""
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return LaurentPoly.const(other)
         return other if isinstance(other, LaurentPoly) else NotImplemented
 
@@ -166,7 +138,7 @@ class LaurentPoly:
             if not c:
                 del out[e]
             else:
-                out[e] = c if type(c) is int else _clean(c)
+                out[e] = c
         return _trusted(out)
 
     __radd__ = __add__
@@ -186,11 +158,11 @@ class LaurentPoly:
 
     def __mul__(self, other) -> "LaurentPoly":
         if type(other) is not LaurentPoly:
-            if isinstance(other, (int, Fraction)):
+            if isinstance(other, int):
                 return _canonical({e: c * other for e, c in self.terms.items()})
             if not isinstance(other, LaurentPoly):
                 return NotImplemented
-        out: dict[int, Scalar] = {}
+        out: dict[int, int] = {}
         get = out.get
         other_terms = other.terms.items()
         for e1, c1 in self.terms.items():
@@ -213,39 +185,20 @@ class LaurentPoly:
             n >>= 1
         return out
 
-    def __truediv__(self, other) -> "LaurentPoly":
-        """Exact division; raises ValueError when the quotient is not Laurent."""
-        if type(other) is not LaurentPoly:
-            if isinstance(other, (int, Fraction)):
-                if other == 0:
-                    raise ZeroDivisionError("division by zero")
-                return _trusted({e: _quotient(c, other) for e, c in self.terms.items()})
-            if not isinstance(other, LaurentPoly):
-                return NotImplemented
+    def __truediv__(self, other: int) -> "LaurentPoly":
+        """Exact division by an int; ValueError when a coefficient is not a
+        multiple of it."""
+        if not isinstance(other, int):
+            return NotImplemented
         if not other:
-            raise ZeroDivisionError("division by the zero polynomial")
-        if not self:
-            return LaurentPoly.zero()
-        min_shift = self.valuation() - other.valuation()
-        gdeg = other.degree()
-        glc = other.terms[gdeg]
-        rem = dict(self.terms)
-        quo: dict[int, Scalar] = {}
-        while rem:
-            rdeg = max(rem)
-            shift = rdeg - gdeg
-            if shift < min_shift:
-                raise ValueError("not divisible")
-            c = _quotient(rem[rdeg], glc)
-            quo[shift] = c
-            for e, gc in other.terms.items():
-                tgt = e + shift
-                nc = rem.get(tgt, 0) - c * gc
-                if nc:
-                    rem[tgt] = nc
-                else:
-                    rem.pop(tgt, None)
-        return _trusted(quo)
+            raise ZeroDivisionError("division by zero")
+        out = {}
+        for e, c in self.terms.items():
+            q, r = divmod(c, other)
+            if r:
+                raise ValueError(f"{self!r} is not divisible by {other}")
+            out[e] = q
+        return _trusted(out)
 
     def reverse(self, n: int) -> "LaurentPoly":
         """t^n * p(1/t)."""
@@ -258,13 +211,13 @@ class LaurentPoly:
         return _trusted({e: c for e, c in self.terms.items() if e <= max_exp})
 
     # no library caller; perfbench/tracer.py counts words_kept as table.sum_coeffs().at_one()
-    def at_one(self) -> Scalar:
+    def at_one(self) -> int:
         """Evaluate at t = 1."""
-        return _clean(sum(self.terms.values(), 0))
+        return sum(self.terms.values())
 
     def in_nat_t(self) -> bool:
-        """True iff all exponents are >= 0 and all coefficients are nonnegative integers."""
-        return all(e >= 0 and isinstance(c, int) and c >= 0 for e, c in self.terms.items())
+        """True iff all exponents and all coefficients are nonnegative."""
+        return all(e >= 0 and c >= 0 for e, c in self.terms.items())
 
     def pretty(self) -> str:
         if not self.terms:
@@ -285,7 +238,7 @@ class LaurentPoly:
         return " ".join(parts)
 
     def to_json_obj(self) -> dict:
-        return {str(e): _coeff_to_json(self.terms[e]) for e in sorted(self.terms)}
+        return {str(e): self.terms[e] for e in sorted(self.terms)}
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.pretty()})"
@@ -358,13 +311,14 @@ def palindrome_unimodal(p: LaurentPoly, center) -> tuple[bool, bool]:
     and then weakly fall.  The zero polynomial passes both tests for every
     center.
 
+    >>> from fractions import Fraction
     >>> palindrome_unimodal(LaurentPoly({0: 1, 1: 2, 2: 2, 3: 1}), Fraction(3, 2))
     (True, True)
     >>> palindrome_unimodal(LaurentPoly({2: 1, 4: 1}), 3)
     (True, False)
     """
-    twice = Fraction(center) * 2
-    if twice.denominator != 1:
+    twice = 2 * center
+    if twice != int(twice):
         raise ValueError("center must be a half-integer")
     twice = int(twice)
     if not p:
@@ -476,7 +430,7 @@ class Combination:
     def __rsub__(self, other):
         return (-self) + other
 
-    def scale(self, c: LaurentPoly | Scalar):
+    def scale(self, c: LaurentPoly | int):
         return self._like({key: v * c for key, v in self.terms.items()})
 
     def map_coeffs(self, fn: Callable[[LaurentPoly], LaurentPoly]):
@@ -485,7 +439,7 @@ class Combination:
     def __mul__(self, other):
         """A scalar or LaurentPoly scales; two values multiply bilinearly."""
         if not isinstance(other, type(self)):
-            if isinstance(other, (LaurentPoly, int, Fraction)):
+            if isinstance(other, (LaurentPoly, int)):
                 return self.scale(other)
             return NotImplemented
         shape = self._product_shape(other)
@@ -516,7 +470,7 @@ class QtPoly(Combination):
 
     __slots__ = ()
 
-    def __init__(self, terms: Mapping[int, LaurentPoly | Scalar] | None = None):
+    def __init__(self, terms: Mapping[int, LaurentPoly | int] | None = None):
         self._store(terms)
 
     def _key(self, e) -> int:
@@ -531,7 +485,7 @@ class QtPoly(Combination):
     def _lift(self, other):
         if isinstance(other, QtPoly):
             return other
-        if isinstance(other, (LaurentPoly, int, Fraction)):
+        if isinstance(other, (LaurentPoly, int)):
             return QtPoly({0: other})
         return NotImplemented
 
@@ -549,7 +503,7 @@ class QtPoly(Combination):
         return cls({0: ONE})
 
     @classmethod
-    def q_power(cls, e: int, c: LaurentPoly | Scalar = 1) -> "QtPoly":
+    def q_power(cls, e: int, c: LaurentPoly | int = 1) -> "QtPoly":
         return cls({e: c})
 
     @classmethod
@@ -609,17 +563,14 @@ def qt_divmod(f: QtPoly, g: QtPoly) -> tuple[QtPoly, QtPoly]:
     return f._like(quo), f._like(rem)
 
 
-def int_span(polys: Iterable[LaurentPoly]) -> tuple[int, int, int] | None:
+def int_span(polys: Iterable[LaurentPoly]) -> tuple[int, int, int]:
     """(lowest t-exponent, highest t-exponent, sum of l1 norms) of nonzero
-    polynomials, (0, 0, 0) for none, or None when a coefficient is not an
-    int: the shape that ``at_point`` and ``digit_width`` need."""
+    polynomials, or (0, 0, 0) for none: the shape that ``at_point`` and
+    ``digit_width`` need."""
     exps, l1 = [], 0
     for p in polys:
-        for b, x in p.terms.items():
-            if type(x) is not int:
-                return None
-            exps.append(b)
-            l1 += abs(x)
+        exps += p.terms
+        l1 += sum(map(abs, p.terms.values()))
     return min(exps, default=0), max(exps, default=0), l1
 
 
@@ -664,8 +615,7 @@ def sums_equal_at_point(identities: Iterable[tuple[Sequence[Sequence[QtPoly]], Q
     of the shifted sides, so distinct monomials q^a t^b land on distinct
     powers 2^(w (s a + b)).  w comes from the l1 norms (``digit_width``), so
     a difference is zero at the point exactly when it is zero as a
-    polynomial.  Only integer coefficients are compared: a Fraction anywhere
-    gives False.
+    polynomial.
 
     >>> f = QtPoly({0: LaurentPoly({-1: 1}), 2: T})
     >>> sums_equal_at_point([([(f, f), (f,)], f * f + f)])
@@ -680,10 +630,7 @@ def sums_equal_at_point(identities: Iterable[tuple[Sequence[Sequence[QtPoly]], Q
     for products, rhs in identities:
         for f in (rhs, *(f for factors in products for f in factors)):
             if id(f) not in shapes:
-                shape = int_span(f.terms.values())
-                if shape is None:
-                    return False
-                shapes[id(f)] = (*shape, f)
+                shapes[id(f)] = (*int_span(f.terms.values()), f)
         low, high, total, _ = shapes[id(rhs)]
         lows = []
         for factors in products:

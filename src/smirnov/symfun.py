@@ -28,9 +28,11 @@ number of parts i of lam,
                                    * p_(lam u mu) / z_(lam u mu).
 
 So the complete homogeneous series is sum_lam p_lam / z_lam with every
-coefficient 1, and the power sum identities run in integers.  ``Fraction``
-coefficients appear only at the output edge: ``from_zpart`` (plain p
-coefficients), and expansions whose values are not integral.
+coefficient 1, and the power sum identities run in integers.  No
+coefficient is ever divided: every ``LaurentPoly`` holds ints.  A function
+against p / z is not expanded into variables, where its values need not be
+integral; n! times it is, written in plain p (c n! / z_lam at p_lam, an
+integer since z_lam divides n!).
 
 Both directions between a ``SymFun`` and a ``QsymTable`` go through the
 monomial basis.  The coefficient of m_mu in e_lam, h_lam or p_lam is an
@@ -56,7 +58,6 @@ from .exact import (
     ZERO,
     Combination,
     LaurentPoly,
-    Scalar,
     at_point,
     digit_width,
     int_span,
@@ -164,7 +165,7 @@ class SymFun(Combination):
         self,
         basis: str,
         degree: int,
-        terms: Mapping[Partition, LaurentPoly | Scalar] | None = None,
+        terms: Mapping[Partition, LaurentPoly | int] | None = None,
     ):
         if basis not in _BASES:
             raise ValueError(f"unknown basis {basis!r}")
@@ -195,7 +196,7 @@ class SymFun(Combination):
         return SymFun(self.basis, self.degree + other.degree)
 
     @classmethod
-    def generator(cls, basis: str, n: int, c: LaurentPoly | Scalar = 1) -> "SymFun":
+    def generator(cls, basis: str, n: int, c: LaurentPoly | int = 1) -> "SymFun":
         """c * e_n (or h_n, p_n); n = 0 gives the scalar c."""
         return cls(basis, n, {((n,) if n else ()): c})
 
@@ -206,12 +207,6 @@ class SymFun(Combination):
         if self.basis == "h":
             return SymFun("e", self.degree, self.terms)
         return self._like({l: c * omega_sign(l) for l, c in self.terms.items()})
-
-    def from_zpart(self) -> "SymFun":
-        """The same function in plain p."""
-        if self.basis != "p/z":
-            raise ValueError("from_zpart requires the p/z basis")
-        return SymFun("p", self.degree, {l: c / z_of(l) for l, c in self.terms.items()})
 
     def valuation(self) -> int | None:
         vals = [c.valuation() for c in self.terms.values()]
@@ -246,7 +241,7 @@ class QsymTable(Combination):
 
     __slots__ = ("nvars",)
 
-    def __init__(self, nvars: int, terms: Mapping[tuple, LaurentPoly | Scalar] | None = None):
+    def __init__(self, nvars: int, terms: Mapping[tuple, LaurentPoly | int] | None = None):
         if nvars < 1:
             raise ValueError("need at least one variable")
         self.nvars = nvars
@@ -383,25 +378,23 @@ def _orbit(values: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 
 def _m_sums(f: SymFun, k: int) -> dict[Partition, LaurentPoly]:
     """The nonzero coefficients of m_mu in f for the partitions mu with at
-    most k parts: the sum of c_lam times ``_m_coeff(basis, lam, mu)`` (the
-    p count over z_lam for ``p/z``; each z_lam divides n!, so such a sum is
-    taken in integers over n! and divided once)."""
+    most k parts: the sum of c_lam times ``_m_coeff(basis, lam, mu)``.  The
+    basis is e, h or plain p; against p / z a value need not be integral."""
     if k < 1:
         raise ValueError("need at least one variable")
-    over_z = f.basis == "p/z"
-    basis = "p" if over_z else f.basis
-    denom = math.factorial(f.degree)
+    if f.basis == "p/z":
+        raise ValueError("p / z does not expand into variables; write n! times it in plain p")
     out: dict[Partition, LaurentPoly] = {}
     for mu in partitions_of(f.degree):
         if len(mu) > k:
             continue
         c = ZERO
         for lam, coeff in f.terms.items():
-            mult = _m_coeff(basis, lam, mu)
+            mult = _m_coeff(f.basis, lam, mu)
             if mult:
-                c = c + coeff * (mult * denom // z_of(lam) if over_z else mult)
+                c = c + coeff * mult
         if c:
-            out[mu] = c / denom if over_z else c
+            out[mu] = c
     return out
 
 
@@ -511,7 +504,7 @@ class SymSeries:
 
     @classmethod
     def from_weights(
-        cls, order: int, weight: Callable[[int], LaurentPoly | Scalar | None], basis: str = "e"
+        cls, order: int, weight: Callable[[int], LaurentPoly | int | None], basis: str = "e"
     ) -> "SymSeries":
         """Series sum_i w(i) * g_i z^i with g_i the degree-i generator."""
         return cls([SymFun.generator(basis, i, weight(i) or 0) for i in range(order + 1)])
@@ -555,7 +548,7 @@ class SymSeries:
     def __sub__(self, other: "SymSeries") -> "SymSeries":
         return self + (-other)
 
-    def scale(self, c: LaurentPoly | Scalar) -> "SymSeries":
+    def scale(self, c: LaurentPoly | int) -> "SymSeries":
         return SymSeries([a.scale(c) for a in self.coeffs])
 
     def grade_scale_t(self) -> "SymSeries":
@@ -593,7 +586,6 @@ def product_equal_at_point(a: SymSeries, b: SymSeries, rhs: SymSeries) -> bool:
     factors times C(n, j) against p / z (a structure constant
     prod_i C(m_i(lam) + m_i(mu), m_i(mu)) is at most
     C(l(lam) + l(mu), l(mu)) <= C(n, j)), and times 1 in e, h or plain p.
-    Only integer coefficients are compared: a Fraction anywhere gives False.
 
     >>> E = SymSeries.generating("e", 3)
     >>> product_equal_at_point(E, E, E.mul(E)), product_equal_at_point(E, E, E)
@@ -607,8 +599,6 @@ def product_equal_at_point(a: SymSeries, b: SymSeries, rhs: SymSeries) -> bool:
     shapes = []  # per series: (lowest t-exponent, l1 norm per degree)
     for s in (a, b, rhs):
         spans = [int_span(f.terms.values()) for f in s.coeffs[:size]]
-        if None in spans:
-            return False
         low = min((lo for lo, _, l1 in spans if l1), default=0)  # l1 is 0 only at a zero degree
         shapes.append((low, [l1 for _, _, l1 in spans]))
     (a_low, a_l1), (b_low, b_l1), (rhs_low, rhs_l1) = shapes

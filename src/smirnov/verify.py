@@ -13,9 +13,14 @@ at least the degree, or else as k-variable tables.
 A record passes exactly when its two shown sides are equal as values.  Five
 checks have a condition wider than the sides they show, and pass it as
 ``ok``: ``powersum-vs-brute`` and ``f-vs-closed`` show the expansion but
-compare its values at compositions, ``root-of-unity`` also needs the recursion
+compare its values at compositions (``powersum-vs-brute`` n! times each
+side, so that both are integral), ``root-of-unity`` also needs the recursion
 route to agree, ``cycle-even-corrected`` adds the direct chain test, and
 ``cyclic-coefficient-*`` adds the shape's own palindromic-unimodal test.
+
+Every value compared has integer coefficients.  A ``Fraction`` appears only
+in what is shown: the half-integer centers of the unimodality params, and
+the plain p sides of ``powersum-extraction`` (``_in_plain_p``).
 """
 
 from __future__ import annotations
@@ -51,6 +56,7 @@ from .symfun import (
     monomial_to_e,
     partitions_of,
     product_equal_at_point,
+    z_of,
 )
 
 
@@ -186,7 +192,10 @@ def suite_powersum(max_n: int) -> list[dict]:
         for n in range(1, max_n + 1):
             form = en.powersum_form(variant, n)
             rhs = combinat.brute_enumerator(variant, n, n)
-            ok = expand_at_compositions(form.omega(), n) == rhs
+            # n! times each side, where the form is integral in plain p
+            scale = math.factorial(n)
+            plain = {lam: c * (scale // z_of(lam)) for lam, c in form.omega().terms.items()}
+            ok = expand_at_compositions(SymFun("p", n, plain), n) == rhs.scale(scale)
             params = {"variant": variant, "n": n}
             records.append(_record("powersum-vs-brute", params, form, rhs, ok))
     for n in range(1, SWEEP_N + 1):
@@ -201,8 +210,11 @@ def suite_powersum(max_n: int) -> list[dict]:
             combo = T * c_less + c_greater
             records.append(_record("powersum-cyclic-combination", params, combo, expected))
             if len(lam) > 1:  # the weight t*A_(l-1)*prod [part]_t, over n
-                s = expected / n
-                records.append(_record("powersum-weight-palindromic", params, s, s.reverse(n)))
+                try:
+                    s, ok = expected / n, None
+                except ValueError:  # no integral weight: a wrong form fails, not errors
+                    s, ok = expected, False
+                records.append(_record("powersum-weight-palindromic", params, s, s.reverse(n), ok))
     for variant in en.TOP_VARIANTS:  # Wneq = Wless + Wgreater, XC = Wless + t*Wgreater
         for n in range(2, SWEEP_N + 1):
             less, greater = (en.powersum_form(v, n).coeff((n,)) for v in ("Wless", "Wgreater"))
@@ -219,8 +231,8 @@ def suite_powersum(max_n: int) -> list[dict]:
         for name, lhs, rhs in checks:
             records.append(_record(name, {"i": i}, lhs, rhs))
     for n in range(1, min(max_n, 6) + 1):
-        lhs = _powersum_extraction(n)
-        rhs = en.powersum_form("W", n).from_zpart()
+        lhs = _in_plain_p(_powersum_extraction(n))
+        rhs = _in_plain_p(en.powersum_form("W", n))
         records.append(_record("powersum-extraction", {"n": n}, lhs, rhs))
     return records
 
@@ -228,7 +240,7 @@ def suite_powersum(max_n: int) -> list[dict]:
 def _powersum_extraction(n: int) -> SymFun:
     """Solve the cross-multiplied homogeneous-series identity for the power
     sum coefficients degree by degree, against p / z; each step divides
-    exactly by 1 - t.  The result is shown in plain p."""
+    exactly by 1 - t (``_over_one_minus_t``)."""
     H = SymSeries.h_series_p(n)
     one_minus_t = ONE - T
     denom = [None] + [
@@ -239,8 +251,32 @@ def _powersum_extraction(n: int) -> SymFun:
         acc = H[m].scale(one_minus_t)
         for j in range(1, m + 1):
             acc = acc - denom[j] * series[m - j]
-        series.append(acc.map_coeffs(lambda p: p / one_minus_t))
-    return series[n].from_zpart()
+        series.append(acc.map_coeffs(_over_one_minus_t))
+    return series[n]
+
+
+def _over_one_minus_t(p: LaurentPoly) -> LaurentPoly:
+    """p / (1 - t), whose coefficients are the running sums of those of p;
+    ValueError unless the sum of them all, p at t = 1, is 0."""
+    out, run = {}, 0
+    for e in range(p.valuation(), p.degree() + 1) if p else ():
+        run += p.coeff(e)
+        out[e] = run
+    if run:
+        raise ValueError(f"{p!r} is not divisible by 1 - t")
+    return LaurentPoly(out)
+
+
+def _in_plain_p(f: SymFun) -> dict:
+    """How a function against p / z is shown in plain p: the JSON of f with
+    each coefficient over z_lam, an int or the string "p/q" in lowest terms.
+    Only for showing: no check reads a coefficient divided."""
+    obj = f.to_json_obj()
+    obj["basis"] = "p"
+    for term in obj["terms"]:
+        z = z_of(tuple(term["partition"]))
+        term["coeff"] = {e: str(Fraction(c, z)) if c % z else c // z for e, c in term["coeff"].items()}
+    return obj
 
 
 def suite_f(max_n: int) -> list[dict]:

@@ -12,11 +12,12 @@ A ``MonomialTable`` writes its JSON and text by sorting its own vectors, so
 it is a second writer next to the library's cached row layout.
 """
 
+import math
 from itertools import combinations
 from typing import Mapping
 
-from smirnov.exact import Combination, LaurentPoly, Scalar
-from smirnov.symfun import QsymTable, SymFun, _aligned, _m_sums, _orbit
+from smirnov.exact import Combination, LaurentPoly
+from smirnov.symfun import QsymTable, SymFun, _aligned, _m_sums, _orbit, z_of
 
 
 class MonomialTable(Combination):
@@ -24,7 +25,7 @@ class MonomialTable(Combination):
 
     __slots__ = ("nvars",)
 
-    def __init__(self, nvars: int, terms: Mapping[tuple, LaurentPoly | Scalar] | None = None):
+    def __init__(self, nvars: int, terms: Mapping[tuple, LaurentPoly | int] | None = None):
         if nvars < 1:
             raise ValueError("need at least one variable")
         self.nvars = nvars
@@ -108,3 +109,11 @@ def expand_in_variables(f: SymFun, k: int) -> MonomialTable:
     sums = _m_sums(f, k)  # every mu here has at most k parts
     terms = {vec: c for mu, c in sums.items() for vec in _orbit(mu + (0,) * (k - len(mu)))}
     return MonomialTable.zero(k)._like(terms)
+
+
+def times_factorial_in_plain_p(f: SymFun) -> SymFun:
+    """n! times f, held against p / z, in plain p: c n! / z_lam at p_lam,
+    which expands into variables with integer values."""
+    scale = math.factorial(f.degree)
+    assert all(scale % z_of(lam) == 0 for lam in f.terms)
+    return SymFun("p", f.degree, {lam: c * (scale // z_of(lam)) for lam, c in f.terms.items()})

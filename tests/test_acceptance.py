@@ -5,6 +5,7 @@ pytest -s or in the captured output of a failing run).  Every comparison is
 exact; the only tolerances are the stated runtime budgets.
 """
 
+import math
 import time
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from smirnov.symfun import (
     expand_at_compositions,
     partitions_of,
 )
-from monomial_reference import expand_in_variables
+from monomial_reference import expand_in_variables, times_factorial_in_plain_p
 
 
 def _report(num: int, name: str, ok: bool) -> None:
@@ -82,10 +83,10 @@ def test_criterion_04_power_sum_expansions():
     ok = True
     for variant in en.POWERSUM_VARIANTS:
         for n in range(1, 7):
-            form = en.powersum_form(variant, n)
-            ok = ok and expand_in_variables(form.omega(), n) == combinat.brute_enumerator(
-                variant, n, n
-            )
+            # n! times each side, where the form is integral in plain p
+            form = times_factorial_in_plain_p(en.powersum_form(variant, n).omega())
+            brute = combinat.brute_enumerator(variant, n, n).scale(math.factorial(n))
+            ok = ok and expand_in_variables(form, n) == brute
     for n in range(1, 9):
         for lam in partitions_of(n):
             ell = len(lam)

@@ -450,6 +450,45 @@ class TestVerify:
         powers = [r["params"]["power"] for r in failed if r["check"] == "h-ratio-power"]
         assert powers == [1]  # only power 1 reads H; powers 2 and 3 multiply closed powers
 
+    def powersum_failures(self, capsys) -> list[dict]:
+        code, out, _ = run_cli(capsys, "verify", "--suite", "powersum", "--max-n", "3", "--format", "json")
+        failed = [r for r in json.loads(out) if r["status"] == "fail"]
+        assert (code == 1) == bool(failed)
+        return failed
+
+    def test_perturbed_h_series_fails_powersum_extraction(self, capsys, monkeypatch, fresh_caches):
+        # every step's division by 1 - t stays exact, so the wrong H shows
+        # as a wrong power sum form, not as an error
+        original = SymSeries.h_series_p
+
+        def h_series_p(order):
+            coeffs = original(order).coeffs
+            if order >= 2:
+                coeffs[2] = coeffs[2] + SymFun("p/z", 2, {(1, 1): 1})
+            return SymSeries(coeffs)
+
+        monkeypatch.setattr(SymSeries, "h_series_p", staticmethod(h_series_p))
+        failed = self.powersum_failures(capsys)
+        assert [(r["check"], r["params"]) for r in failed] == [
+            ("powersum-extraction", {"n": 2}),
+            ("powersum-extraction", {"n": 3}),
+        ]
+
+    def test_bumped_endpoint_weight_fails_abc_checks(self, capsys, monkeypatch, fresh_caches):
+        original = en.abc
+
+        def abc(i):
+            a, b, c = original(i)
+            return a, b + exact.T if i == 4 else b, c
+
+        monkeypatch.setattr(en, "abc", abc)
+        failed = [r for r in self.powersum_failures(capsys) if r["check"].startswith("abc-")]
+        assert [(r["check"], r["params"]) for r in failed] == [
+            ("abc-sum", {"i": 4}),
+            ("abc-cyclic-sum", {"i": 4}),
+            ("abc-reversal", {"i": 4}),
+        ]
+
     def test_dropped_binomial_factor_fails_series(self, capsys, monkeypatch, fresh_caches):
         # products against p / z carry the structure constant
         # prod_i C(m_i(lam) + m_i(mu), m_i(lam)); a product without it must
@@ -499,22 +538,24 @@ class TestVerify:
 
     def test_stray_end_term_fails_weight_palindromic(self, monkeypatch, fresh_caches):
         # 4 at (2, 2) adds t^0 to the weight s = c / 4 and no t^4: its
-        # interior coefficients stay palindromic, but its shown sides differ
+        # interior coefficients stay palindromic, but its shown sides differ.
+        # 1 there leaves c with no integral weight c / 4: a failed record too
         original = en.powersum_form
+        for stray in (4, 1):
 
-        def powersum_form(variant, n):
-            out = original(variant, n)
-            if (variant, n) == ("Wtildeneq", 4):
-                return out + SymFun("p/z", 4, {(2, 2): 4})
-            return out
+            def powersum_form(variant, n):
+                out = original(variant, n)
+                if (variant, n) == ("Wtildeneq", 4):
+                    return out + SymFun("p/z", 4, {(2, 2): stray})
+                return out
 
-        monkeypatch.setattr(en, "powersum_form", powersum_form)
-        [record] = [
-            r
-            for r in verify.suite_powersum(1)
-            if r["check"] == "powersum-weight-palindromic" and r["params"] == {"n": 4, "partition": [2, 2]}
-        ]
-        assert record["lhs"] != record["rhs"] and record["status"] == "fail"
+            monkeypatch.setattr(en, "powersum_form", powersum_form)
+            [record] = [
+                r
+                for r in verify.suite_powersum(1)
+                if r["check"] == "powersum-weight-palindromic" and r["params"] == {"n": 4, "partition": [2, 2]}
+            ]
+            assert record["lhs"] != record["rhs"] and record["status"] == "fail", stray
 
     def test_perturbed_cyclic_form_fails_unimodal(self, capsys, monkeypatch):
         original = en.closed_form
@@ -1037,6 +1078,24 @@ class TestEntryPoint:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["0", *ran]
+
+    def test_integer_arithmetic_loads_no_fractions(self):
+        # exact holds ints only; fractions, with decimal and numbers, costs
+        # a few ms of every process start
+        code = textwrap.dedent(
+            """
+            import contextlib, io, sys
+            import smirnov.exact
+            loaded = ["fractions" in sys.modules]
+            from smirnov import cli
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(["qeuler", "--variant", "Ades", "--n", "8"])
+            print(code, *loaded, "fractions" in sys.modules)
+            """
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "False", "False"]
 
     def test_a_module_imported_before_cli_is_kept(self):
         # one symfun module, so the values enumerators builds are instances

@@ -1,5 +1,6 @@
 """Closed forms against oracles, q-Eulerian identities, determinant check."""
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -10,7 +11,7 @@ from smirnov import combinat
 from smirnov import enumerators as en
 from smirnov import verify
 from smirnov.symfun import SymFun, monomial_to_e, partitions_of
-from monomial_reference import MonomialTable, expand_in_variables
+from monomial_reference import MonomialTable, expand_in_variables, times_factorial_in_plain_p
 
 
 class TestAbc:
@@ -123,9 +124,10 @@ class TestPowersum:
     @pytest.mark.parametrize("variant", en.POWERSUM_VARIANTS)
     def test_against_brute_force(self, variant):
         for n in range(1, 6):
-            form = en.powersum_form(variant, n)
-            lhs = expand_in_variables(form.omega(), n)
-            assert lhs == combinat.brute_enumerator(variant, n, n), (variant, n)
+            # n! times each side, where the form is integral in plain p
+            lhs = expand_in_variables(times_factorial_in_plain_p(en.powersum_form(variant, n).omega()), n)
+            rhs = combinat.brute_enumerator(variant, n, n).scale(math.factorial(n))
+            assert lhs == rhs, (variant, n)
 
     def test_top_coefficient_examples(self):
         less, greater = (en.powersum_form(v, 3).coeff((3,)) for v in ("Wless", "Wgreater"))
@@ -397,8 +399,8 @@ class TestSuites:
     def test_powersum_extraction_route(self):
         for n in range(1, 5):
             lhs = verify._powersum_extraction(n)
-            rhs = en.powersum_form("W", n).from_zpart()
-            assert lhs == rhs
+            rhs = en.powersum_form("W", n)
+            assert lhs.basis == "p/z" and lhs == rhs
 
 
 class TestUnimodalityDetails:

@@ -24,10 +24,7 @@ from smirnov.exact import (
     t_quantum,
 )
 
-coeffs = st.one_of(
-    st.integers(-9, 9),
-    st.fractions(min_value=-5, max_value=5, max_denominator=6),
-)
+coeffs = st.integers(-9, 9)
 laurents = st.dictionaries(st.integers(-4, 6), coeffs, max_size=5).map(LaurentPoly)
 
 
@@ -50,7 +47,11 @@ def brute_excedance_polynomial(n):
 class TestLaurentPoly:
     def test_canonical_no_zero_terms(self):
         assert LaurentPoly({2: 0, 1: 3}).terms == {1: 3}
-        assert LaurentPoly({0: Fraction(2, 2)}).terms == {0: 1}
+
+    def test_coefficients_are_ints(self):
+        for c in (Fraction(1, 2), Fraction(2, 2), 0.5, "1"):
+            with pytest.raises(TypeError):
+                LaurentPoly({0: c})
 
     def test_pretty(self):
         assert (ONE + 4 * T + T * T).pretty() == "1 + 4*t + t^2"
@@ -65,12 +66,16 @@ class TestLaurentPoly:
         assert 2 * p == LaurentPoly({0: 2, 1: 2})
 
     def test_exact_division(self):
-        num = t_quantum(6) * t_quantum(4)
-        assert num / t_quantum(4) == t_quantum(6)
-        shifted = num * LaurentPoly.t_power(-3)
-        assert shifted / t_quantum(4) == t_quantum(6) * LaurentPoly.t_power(-3)
+        assert (LaurentPoly({0: 6, 1: -4}) / 2).terms == {0: 3, 1: -2}
+        assert (LaurentPoly({-3: 9}) / -3).terms == {-3: -3}
         with pytest.raises(ValueError):
-            (ONE + T) / t_quantum(3)
+            LaurentPoly({0: 3}) / 2
+        with pytest.raises(ValueError):
+            LaurentPoly({0: 6, 1: 4}) / 4
+        with pytest.raises(ZeroDivisionError):
+            ONE / 0
+        with pytest.raises(TypeError):
+            t_quantum(4) / t_quantum(2)
 
     def test_reverse_and_derivative(self):
         p = LaurentPoly({0: 1, 1: 2, 3: 5})
@@ -78,8 +83,8 @@ class TestLaurentPoly:
         assert p.derivative() == LaurentPoly({0: 2, 2: 15})
 
     def test_json_round_trip(self):
-        p = LaurentPoly({-1: 2, 3: Fraction(1, 2)})
-        assert p.to_json_obj() == {"-1": 2, "3": "1/2"}
+        p = LaurentPoly({-1: 2, 3: -7})
+        assert p.to_json_obj() == {"-1": 2, "3": -7}
 
     @given(laurents, laurents, laurents)
     @settings(max_examples=40, deadline=None)
@@ -88,35 +93,24 @@ class TestLaurentPoly:
         assert (a * b) * c == a * (b * c)
         assert a + b == b + a
 
-    @given(laurents, laurents)
+    @given(laurents, coeffs.filter(bool))
     @settings(max_examples=40, deadline=None)
-    def test_division_inverts_multiplication(self, a, b):
-        if b:
-            assert (a * b) / b == a
-
-    def test_integral_results_are_ints(self):
-        half = LaurentPoly({0: Fraction(1, 2), 1: Fraction(3, 2)})
-        for p in (half + half, half * 2, half - (-half), (2 * T) * half, half.derivative() * 2):
-            assert all(type(c) is int for c in p.terms.values()), p.terms
-        assert (LaurentPoly({0: 6, 1: 4}) / 2).terms == {0: 3, 1: 2}
-        assert (LaurentPoly({0: 3}) / 2).terms == {0: Fraction(3, 2)}
+    def test_division_inverts_multiplication(self, a, c):
+        assert (a * c) / c == a
 
     @given(laurents, laurents, coeffs)
     @settings(max_examples=60, deadline=None)
     def test_arithmetic_stores_canonical_terms(self, a, b, c):
         # results of arithmetic skip the constructor; each must hold int
-        # exponents and nonzero coefficients, never a Fraction with
-        # denominator 1, and equal its rebuilding through the constructor
+        # exponents and nonzero int coefficients, and equal its rebuilding
+        # through the constructor
         results = [a + b, a - b, a * b, -a, a * c, c * a, a + c, c - a]
         results += [a.derivative(), a.reverse(3), a.truncated(2), a**2]
         if c:
-            results.append(a / c)
-        if b:
-            results.append((a * b) / b)
+            results.append((a * c) / c)
         for p in results:
             for e, v in p.terms.items():
-                assert type(e) is int and v
-                assert type(v) is int or (type(v) is Fraction and v.denominator != 1)
+                assert type(e) is int and type(v) is int and v
             assert LaurentPoly(p.terms).terms == p.terms
 
 
@@ -298,12 +292,6 @@ class TestSumsEqualAtPoint:
         assert sums_equal_at_point([([], QtPoly.zero())])
         assert sums_equal_at_point([([(QtPoly.zero(), f)], QtPoly.zero())])
         assert not sums_equal_at_point([([], f)])
-
-    def test_a_fraction_never_passes(self):
-        half = QtPoly.from_t(LaurentPoly.const(Fraction(1, 2)))
-        assert not sums_equal_at_point([([(half,)], half)])
-        quarter = QtPoly.from_t(LaurentPoly.const(Fraction(1, 4)))
-        assert not sums_equal_at_point([([(half, half)], quarter)])
 
     def test_a_t_power_is_not_the_next_q_power(self):
         # with too few digits per power of q, t^b and q t^(b - span) would meet
