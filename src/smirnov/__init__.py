@@ -9,6 +9,6 @@ combinatorial oracles in exact integer arithmetic.
 
 The package namespace holds no names; import the modules, as in
 ``from smirnov.enumerators import closed_form``.  Importing one module loads
-only its import closure: in the order ``exact``, ``symfun``, ``combinat``,
-``enumerators``, ``verify``, ``cli``, each imports only modules before it.
+only its import closure; ``exact``, ``walks``, ``symfun``, ``combinat``,
+``enumerators``, ``verify`` and ``cli`` each import only modules before it.
 """

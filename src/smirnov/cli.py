@@ -2,20 +2,20 @@
 
 Each verb runs one function, chosen through ``set_defaults``; ``powersum``
 and ``fexpand`` are ``expand`` with the basis preset to p and F.  Ranges
-read their upper bound from ``enumerators.LIMITS``, and the verify flags
+read their upper bound from ``walks.LIMITS``, and the verify flags
 and defaults come from ``verify.BOUNDS``.  Every answer is printed by
 ``_emit``, with JSON through the one encoder ``exact.dumps``; the JSON
 line of a verify run is written by ``verify.records_json``, which owns the
 record layout.
 
-A process runs only the modules its verb needs.  ``symfun`` and ``verify``
-are registered in ``sys.modules`` (and on the package) by ``_deferred``
-before anything imports them, and each compiles and runs its source when
-one of its attributes is first read (``importlib.util.LazyLoader``).
-``qeuler``, ``roots`` and ``fexpand`` run only ``exact``, ``combinat`` and
-``enumerators``; ``expand`` and ``powersum`` also run ``symfun``, and
-``verify`` runs every module.  The parser reads ``verify`` only when the
-verb, always the first argument, is ``verify``.
+A process runs only the modules its verb needs.  ``symfun``, ``combinat``,
+``enumerators`` and ``verify`` are registered in ``sys.modules`` (and on the
+package) by ``_deferred`` before anything imports them, and each compiles
+and runs its source when one of its attributes is first read
+(``importlib.util.LazyLoader``).  ``qeuler``, ``roots`` and ``fexpand`` run
+only ``exact`` and ``walks``; ``expand`` and ``powersum`` also run ``symfun``
+and ``enumerators``, and ``verify`` every module its suites read.  The parser
+reads ``verify`` only when the verb, always the first argument, is ``verify``.
 
 Output is byte-deterministic for fixed flags: partitions are listed in a
 fixed order and JSON objects are built in insertion order.  Exit codes are 0
@@ -49,14 +49,19 @@ def _deferred(name: str):
     return module
 
 
-# registered before enumerators and combinat import symfun
+# registered before any of them loads, so that enumerators leaves combinat unrun
 symfun = _deferred("symfun")
+_deferred("combinat")
+en = _deferred("enumerators")
 verify = _deferred("verify")
 
-from . import enumerators as en
+from .walks import (  # by name, so that a tool that rebinds names here sees each call
+    F_VARIANTS, Q_EULERIAN_KINDS, ROOT_FAMILIES, VARIANTS, check_limit, check_root_order,
+    f_expansion, q_eulerian, root_of_unity, root_of_unity_parts,
+)
 
 # lower-cased --variant -> tag: every tag, and the paper's symbols
-VARIANT_ALIASES = {tag.lower(): tag for tag in en.VARIANTS} | {
+VARIANT_ALIASES = {tag.lower(): tag for tag in VARIANTS} | {
     "w<": "Wless",
     "w>": "Wgreater",
     "w=": "Wequal",
@@ -66,7 +71,7 @@ VARIANT_ALIASES = {tag.lower(): tag for tag in en.VARIANTS} | {
     "xcn": "XC",
     "x_cn": "XC",
 }
-QEULER_ALIASES = {kind.lower(): kind for kind in en.Q_EULERIAN_KINDS} | {
+QEULER_ALIASES = {kind.lower(): kind for kind in Q_EULERIAN_KINDS} | {
     "a": "Ades",
     "a<": "Aless",
     "a~": "Atilde",
@@ -165,7 +170,7 @@ def main(argv=None) -> int:
 
 def _cmd_expand(parser, args) -> int:
     variant = _alias(parser, VARIANT_ALIASES, "enumerator variant", args.variant)
-    _check(parser, "--n", en.check_limit, "n", args.n)
+    _check(parser, "--n", check_limit, "n", args.n)
     if args.vars is not None and args.basis != "e":
         parser.error(f"--vars: basis {args.basis} does not expand into variables; use --basis e")
     if args.basis == "p":
@@ -173,40 +178,40 @@ def _cmd_expand(parser, args) -> int:
             parser.error(f"--variant: no power sum expansion for {variant}")
         _emit(args, en.powersum_form(variant, args.n))
     elif args.basis == "F":
-        if variant not in en.F_VARIANTS:
+        if variant not in F_VARIANTS:
             parser.error(f"--variant: no fundamental expansion for {variant}")
-        _emit(args, en.f_expansion(variant, args.n))
+        _emit(args, f_expansion(variant, args.n))
     else:
         _check(parser, "--n", en.check_degree, variant, args.n)
         if args.vars is None:
             _emit(args, en.closed_form(variant, args.n))
         else:
-            _check(parser, "--vars", en.check_limit, "vars", args.vars)
+            _check(parser, "--vars", check_limit, "vars", args.vars)
             _emit(args, symfun.expand_at_compositions(en.closed_form(variant, args.n), args.vars))
     return 0
 
 
 def _cmd_qeuler(parser, args) -> int:
     kind = _alias(parser, QEULER_ALIASES, "q-Eulerian kind", args.variant)
-    _check(parser, "--n", en.check_limit, "n", args.n, 0 if args.q_root is None else 2)
+    _check(parser, "--n", check_limit, "n", args.n, 0 if args.q_root is None else 2)
     if args.q_root is None:
-        _emit(args, en.q_eulerian(kind, args.n))
+        _emit(args, q_eulerian(kind, args.n))
         return 0
-    if kind not in en.ROOT_FAMILIES:
+    if kind not in ROOT_FAMILIES:
         parser.error(f"--q-root: no closed root-of-unity form for {kind}")
-    _check(parser, "--q-root", en.check_root_order, args.n, args.q_root)
-    value = en.root_of_unity(kind, args.n, args.q_root)
+    _check(parser, "--q-root", check_root_order, args.n, args.q_root)
+    value = root_of_unity(kind, args.n, args.q_root)
     _emit(args, value, {"t_polynomial": value.to_json_obj()})
     return 0
 
 
 def _cmd_roots(parser, args) -> int:
     kind = _alias(parser, QEULER_ALIASES, "q-Eulerian kind", args.variant)
-    if kind not in en.ROOT_FAMILIES:
+    if kind not in ROOT_FAMILIES:
         parser.error(f"--variant: no closed root-of-unity form for {kind}")
-    _check(parser, "--n", en.check_limit, "n", args.n, 2)
-    _check(parser, "--q-root", en.check_root_order, args.n, args.q_root)
-    parts, agree = en.root_of_unity_parts(kind, args.n, args.q_root)
+    _check(parser, "--n", check_limit, "n", args.n, 2)
+    _check(parser, "--q-root", check_root_order, args.n, args.q_root)
+    parts, agree = root_of_unity_parts(kind, args.n, args.q_root)
     obj = {"agree": agree, **{name: poly.to_json_obj() for name, poly in parts.items()}}
     lines = [f"{name}: {poly.pretty()}" for name, poly in parts.items()]
     _emit(args, "\n".join(lines + [f"agree: {str(agree).lower()}"]), obj)
@@ -222,7 +227,7 @@ def _cmd_verify(parser, args) -> int:
             continue
         if bound not in reads:
             parser.error(f"{_flag(bound)}: suite {args.suite} does not read this flag")
-        _check(parser, _flag(bound), en.check_limit, key, value)
+        _check(parser, _flag(bound), check_limit, key, value)
         bounds[bound] = value
     names = verify.SUITES if args.suite == "all" else (args.suite,)
     records = verify.run_suites(names, **bounds)

@@ -11,20 +11,19 @@ The word and coloring enumerators are quasisymmetric, so each is a
 composition of n from one insertion DP per n shared by all seven variants
 (``_insertion_ends``: each letter's copies go into the gaps of the word so
 far, in the insertion argument behind Carlitz-Scoville-Vaughan counts)
-under the endpoint table ``ENDPOINT_RULES``, which the walks read too, and
-``ring_colorings`` the colorings of the path, the labeled cycle and the
-directed cycle at every n from one transfer-matrix walk (Stanley, EC1 4.7)
-along the path with the colors standardised to ranks.  ``perm_walk`` is a
-prefix DP over permutations that ``enumerators.f_expansion`` and
-``enumerators.q_eulerian`` run with their own step rules.  Everything else
-here enumerates objects one at a time, ``permutations_of``, ``perm_stats``,
-``inverse_perm`` and ``fundamental_F`` included; ``fundamental_F`` returns
-its counts by exponent vector as a plain dict.  The word by word
-enumeration, a prefix word DP over (first, last, content), the general
-digraph coloring DPs (by ranks and by content vector) and the table by
-exponent vectors they are compared as are reference modules of the tests.
-The trust chain is closed form <-> DP or M_alpha rule
-(``enumerators.FExpansion.to_table``), compared at the compositions by
+under the endpoint table ``ENDPOINT_RULES``, and ``ring_colorings`` the
+colorings of the path, the labeled cycle and the directed cycle at every n
+from one transfer-matrix walk (Stanley, EC1 4.7) along the path with the
+colors standardised to ranks.  The endpoint table, ``packed_coeffs`` and the
+permutation prefix DP ``perm_walk`` live in ``walks`` and are bound here too.
+Everything else here enumerates objects one at a time, ``permutations_of``,
+``perm_stats``, ``inverse_perm`` and ``fundamental_F`` included;
+``fundamental_F`` returns its counts by exponent vector as a plain dict.
+The word by word enumeration, a prefix word DP over (first, last, content),
+the general digraph coloring DPs (by ranks and by content vector) and the
+table by exponent vectors they are compared as are reference modules of the
+tests.  The trust chain is closed form <-> DP or M_alpha rule
+(``walks.FExpansion.to_table``), compared at the compositions by
 ``verify`` and the acceptance tests, and DP or M_alpha rule <-> per-object
 enumeration or reference DP, compared by the unit tests at small n.
 """
@@ -34,53 +33,11 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import permutations
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .exact import LaurentPoly, QtPoly
 from . import symfun
-
-
-def packed_coeffs(poly: int, width: int) -> dict[int, int]:
-    """The nonzero coefficients of a polynomial packed ``width`` bits per
-    slot, keyed by slot (slot 0 in the lowest bits).  The DPs here add such
-    polynomials as ints and multiply one by t^d as a shift by d * width."""
-    mask = (1 << width) - 1
-    coeffs = {}
-    slot = 0
-    while poly:
-        if poly & mask:
-            coeffs[slot] = poly & mask
-        poly >>= width
-        slot += 1
-    return coeffs
-
-
-def endpoint_class(first: int, last: int) -> str:
-    """'<', '>' or '=' as the first value is below, above or equal to the last."""
-    if first < last:
-        return "<"
-    if first > last:
-        return ">"
-    return "="
-
-
-# variant tag -> {endpoint class: the power of t it adds, one for the cyclic
-# wrap descent last > first}; a class left out is filtered out
-ENDPOINT_RULES = {
-    "W": {"<": 0, ">": 0, "=": 0},
-    "Wless": {"<": 0},
-    "Wgreater": {">": 0},
-    "Wequal": {"=": 0},
-    "Wneq": {"<": 0, ">": 0},
-    "Wtilde": {"<": 1, ">": 0, "=": 0},
-    "Wtildeneq": {"<": 1, ">": 0},
-}
-
-
-def endpoint_sum(variant: str, by_class: Iterable[tuple[str, int]], width: int) -> int:
-    """Sum (endpoint class, packed polynomial) pairs by ``ENDPOINT_RULES[variant]``."""
-    rule = ENDPOINT_RULES[variant]
-    return sum(poly << rule[cls] * width for cls, poly in by_class if cls in rule)
+from .walks import ENDPOINT_RULES, endpoint_class, endpoint_sum, packed_coeffs, perm_walk
 
 
 def compositions(n: int, k: int) -> list[tuple[int, ...]]:
@@ -287,51 +244,6 @@ def perm_stats(sigma: Sequence[int]) -> PermStats:
 
 def permutations_of(n: int) -> Iterator[Perm]:
     return permutations(range(1, n + 1))
-
-
-def perm_walk(
-    n: int, width: int, step: Callable[[int, int, int, int], int | None], keep_first: bool = False
-) -> dict[tuple[int, int], int]:
-    """Prefix DP over the permutations of 1..n in one-line notation.
-
-    A state is (the values used so far, value v at bit v - 1; the last
-    value) and carries one polynomial packed ``width`` bits per slot
-    (``packed_coeffs``), or with ``keep_first`` one per first value, as a
-    dict first -> polynomial.  ``step(p, used, last, v)`` decides everything
-    about appending v at position p from that state (``last`` is 0 when
-    p = 1): it returns how many slots the append moves a polynomial up, or
-    None to forbid it.  It does not see the first value, so it is called
-    once per state and v, and its shift applies to all of the state's
-    polynomials.  The result maps (first, last) of the complete
-    permutations to their sum, first being 0 unless ``keep_first``.
-    """
-    layer: dict = {(0, 0): {0: 1} if keep_first else 1}
-    for p in range(1, n + 1):
-        nxt: dict = {}
-        for (used, last), poly in layer.items():
-            for v in range(1, n + 1):
-                bit = 1 << (v - 1)
-                if used & bit:
-                    continue
-                slots = step(p, used, last, v)
-                if slots is None:
-                    continue
-                key = (used | bit, v)
-                shift = slots * width
-                if not keep_first:
-                    nxt[key] = nxt.get(key, 0) + (poly << shift)
-                elif p == 1:  # the first value is the one value placed
-                    nxt[key] = {v: poly[0] << shift}
-                elif key not in nxt:
-                    nxt[key] = {first: c << shift for first, c in poly.items()}
-                else:
-                    by_first = nxt[key]
-                    for first, c in poly.items():
-                        by_first[first] = by_first.get(first, 0) + (c << shift)
-        layer = nxt
-    if keep_first:
-        return {(first, last): c for (_, last), by in layer.items() for first, c in by.items()}
-    return {(0, last): poly for (_, last), poly in layer.items()}
 
 
 def fundamental_F(n: int, S: Iterable[int], k: int) -> dict[tuple, int]:

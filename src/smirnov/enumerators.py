@@ -2,95 +2,42 @@
 
 Each enumerator variant is the graded coefficient of a quotient N(z)/D(z) of
 e-basis generating series sharing one denominator.  This module builds each
-degree as N times the geometric expansion of 1/D, the power sum and fundamental
-quasisymmetric expansions, the q-Eulerian polynomials with their q-exponential
-identities, root-of-unity evaluations, and the weighted-walk determinant identity.
+degree as N times the geometric expansion of 1/D, the power sum expansions,
+the q-exponential identities of the q-Eulerian polynomials, and the
+weighted-walk determinant identity.  The fundamental expansions, the
+q-Eulerian polynomials, their root-of-unity evaluations and ``LIMITS`` live
+in ``walks`` and are bound here too.
 
-The denominator and closed series, ``geometric_form``, ``closed_form``,
-``powersum_form`` with the t-analog products it shares between variants,
-``f_expansion``, ``q_eulerian`` and the q walks are cached, so each argument
-is computed once per process.
+The denominator and closed series, ``geometric_form``, the degrees of the
+closed forms, which ``closed_form`` and ``closed_series`` share, and
+``powersum_form`` with the t-analog products it shares between variants are
+cached, so each argument is computed once per process.
 ``quotient_form_check`` and ``cleared_form_check`` compare each product of
 two series at one integer point (``symfun.product_equal_at_point``).
-
-``f_expansion`` and ``q_eulerian`` run the permutation prefix DP
-``combinat.perm_walk`` with their own step rules (``F_RULES``, ``Q_RULES``)
-and a word variant's endpoint rule (``combinat.ENDPOINT_RULES``): the first
-over sigma^-1, the second over sigma, so ``verify``'s f-principal-numerator
-check compares two independent walks.  The q walks are cached by step rule
-and whether they keep the first value (``_q_walk``), so Aless and Atilde
-share one walk per n.  The unit tests check each walk against a sweep over
-every permutation, and ``FExpansion.to_table`` (the M_alpha rule) against
-``combinat.fundamental_F``.  ``q_exp_identity_check`` compares each degree
-of an identity at one integer point (``exact.sums_equal_at_point``) instead
-of multiplying q-polynomials.  The transfer-matrix checks compare monomial
-coefficients as plain dicts, e_j being the sum of its squarefree monomials.
+``q_exp_identity_check`` compares each degree of an identity at one integer
+point (``exact.sums_equal_at_point``) instead of multiplying q-polynomials.
+The transfer-matrix checks compare monomial coefficients as plain dicts, e_j
+being the sum of its squarefree monomials.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import accumulate, combinations, permutations
-from typing import Mapping, NamedTuple
+from itertools import combinations, permutations
 
-from .exact import (
-    ONE,
-    T,
-    ZERO,
-    LaurentPoly,
-    QtPoly,
-    eulerian,
-    eval_at_root_of_unity,
-    q_binomial,
-    sums_equal_at_point,
-    t_quantum,
-)
+from .exact import ONE, T, ZERO, LaurentPoly, QtPoly, eulerian, q_binomial, sums_equal_at_point, t_quantum
 from . import combinat, symfun
+from .walks import VARIANTS, check_limit, q_eulerian
+from .walks import (  # bound here too, for the callers of this module
+    F_RULES, F_VARIANTS, LIMITS, Q_EULERIAN_KINDS, Q_RULES, ROOT_FAMILIES, FExpansion,
+    check_root_order, f_expansion, root_of_unity, root_of_unity_parts,
+)
 
-VARIANTS = ("W", "Wless", "Wgreater", "Wequal", "Wneq", "Wtilde", "Wtildeneq", "XC")
 POWERSUM_VARIANTS = ("W", "Wless", "Wgreater", "Wtilde", "Wtildeneq")
 CLEARED_VARIANTS = ("W", "Wless", "Wgreater", "Wtilde")
 TOP_VARIANTS = ("Wneq", "XC")
-ROOT_FAMILIES = ("Ades", "Aless", "Atilde")
 QEXP_IDENTITIES = ("A", "Aless", "Atilde")
-
-# f_expansion walks tau = sigma^-1 under the endpoint rule of the variant
-# (combinat.ENDPOINT_RULES): variant -> the gaps of tau whose positions form S
-F_RULES = {"W": "drops", "Wless": "drops", "Wgreater": "rises", "Wtilde": "drops"}
-F_VARIANTS = tuple(F_RULES)
-
-# q_eulerian walks sigma: kind -> (variant whose endpoint rule it takes, step rule)
-Q_RULES = {
-    "Amajexc": ("W", "majexc"),
-    "Ades": ("W", "des"),
-    "Aless": ("Wless", "des"),
-    "Atilde": ("Wtilde", "des"),
-}
-Q_EULERIAN_KINDS = tuple(Q_RULES)
-
-# The largest sizes a library function computes; the CLI's ranges and
-# verify's flags read them from here.  How far a suite sweeps is its own.
-LIMITS = {
-    "n": 8,  # degree of a closed form, expansion or q-Eulerian polynomial; series order
-    "vars": 8,  # variables of a monomial table
-    "transfer_k": 6,  # alphabet size of the transfer-matrix determinant
-}
-
-
-def check_limit(key: str, value: int, lo: int = 1) -> None:
-    """Raise ValueError, naming the key, unless lo <= value <= LIMITS[key]."""
-    if not lo <= value <= LIMITS[key]:
-        raise ValueError(f"{value} is out of range: LIMITS[{key!r}] allows {lo} to {LIMITS[key]}")
-
-
-def check_root_order(n: int, k: int) -> None:
-    """Raise ValueError unless k, the order of a root of unity, is a
-    positive divisor of n."""
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    if n % k:
-        raise ValueError(f"k must divide n, got k = {k} and n = {n}")
 
 
 def check_degree(variant: str, n: int) -> None:
@@ -167,8 +114,11 @@ def geometric_form(m: int) -> symfun.SymFun:
     return symfun.SymFun("e", m, terms)
 
 
+@lru_cache(maxsize=None)
 def _closed_degree(variant: str, n: int) -> symfun.SymFun:
-    """Degree n of N(z)/D(z): the sum of w_i e_i ``geometric_form(n - i)``."""
+    """Degree n of N(z)/D(z): the sum of w_i e_i ``geometric_form(n - i)``.
+    The one cache of the degrees, which ``closed_form`` and ``closed_series``
+    read, so that no degree is built twice."""
     terms: dict[symfun.Partition, LaurentPoly] = {}
     for i in range(1, n + 1):
         w = numerator_weight(variant, i)
@@ -176,7 +126,11 @@ def _closed_degree(variant: str, n: int) -> symfun.SymFun:
             for mu, c in geometric_form(n - i).terms.items():
                 lam = symfun.merge((i,), mu)
                 terms[lam] = terms.get(lam, ZERO) + w * c
-    return symfun.SymFun("e", n, terms)
+    out = symfun.SymFun("e", n, terms)
+    val = out.valuation()
+    if val is not None and val < 0:
+        raise AssertionError("negative t-valuation leaked into a closed form")
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -184,7 +138,6 @@ def closed_series(variant: str, order: int) -> symfun.SymSeries:
     return symfun.SymSeries([_closed_degree(variant, n) for n in range(order + 1)])
 
 
-@lru_cache(maxsize=None)
 def closed_form(variant: str, n: int) -> symfun.SymFun:
     """The degree-n enumerator in the elementary basis.
 
@@ -195,11 +148,11 @@ def closed_form(variant: str, n: int) -> symfun.SymFun:
         raise ValueError(f"unknown variant {variant!r}")
     check_limit("n", n)
     check_degree(variant, n)
-    out = _closed_degree(variant, n)
-    val = out.valuation()
-    if val is not None and val < 0:
-        raise AssertionError("negative t-valuation leaked into a closed form")
-    return out
+    return _closed_degree(variant, n)
+
+
+# clearing closed_form's cache clears the degrees that it reads
+closed_form.cache_clear = _closed_degree.cache_clear
 
 
 def cleared_form_check(variant: str, order: int) -> bool:
@@ -285,177 +238,6 @@ def powersum_form(variant: str, n: int) -> symfun.SymFun:
     return symfun.SymFun("p/z", n, terms)
 
 
-def _subset_sums(values: list[int]) -> list[int]:
-    """Each entry replaced by the sum of the entries at its bit subsets, one
-    pass per bit (the zeta transform of the subset lattice).
-
-    >>> _subset_sums([1, 2, 4, 8])
-    [1, 3, 5, 15]
-    """
-    out = list(values)
-    for bit in range((len(out) - 1).bit_length()):
-        for c in range(len(out)):
-            if c >> bit & 1:
-                out[c] += out[c ^ 1 << bit]
-    return out
-
-
-class FExpansion(NamedTuple):
-    """A sum of t^e F_{n,S} terms with positive integer multiplicities."""
-
-    degree: int
-    terms: tuple[tuple[int, tuple[int, ...], int], ...]  # (t-exponent, S, multiplicity)
-
-    @classmethod
-    def from_counts(cls, n: int, counts: Mapping[tuple[int, tuple[int, ...]], int]) -> "FExpansion":
-        items = tuple(
-            (e, S, counts[(e, S)]) for e, S in sorted(counts) if counts[(e, S)]
-        )
-        return cls(n, items)
-
-    def to_table(self, k: int) -> symfun.QsymTable:
-        """The expansion over k variables, by the M_alpha rule (Gessel 1984;
-        Stanley, EC2 7.19): in the weakly decreasing convention, F_{n,S} has
-        coefficient [S within the cuts of alpha] at a composition alpha, the
-        cuts being the partial sums of alpha read from its last part.  So the
-        coefficient at alpha is a subset sum at its cut set."""
-        n = self.degree
-        width = sum(mult for _, _, mult in self.terms).bit_length()
-        by_set = [0] * (1 << (n - 1))
-        for e, S, mult in self.terms:
-            by_set[sum(1 << (i - 1) for i in S)] += mult << e * width
-        below = _subset_sums(by_set)
-        coeffs = {}
-        for alpha in combinat.compositions(n, k):
-            packed = below[sum(1 << (c - 1) for c in accumulate(reversed(alpha[1:])))]
-            if packed:
-                coeffs[alpha] = LaurentPoly(combinat.packed_coeffs(packed, width))
-        return symfun.QsymTable(k)._like(coeffs)
-
-    def principal_numerator(self) -> QtPoly:
-        """Stable principal specialization numerator over the implicit
-        (1-q)...(1-q^n) denominator: multiplicities land at q^(sum S) t^e."""
-        rows: dict[int, dict[int, int]] = {}
-        for e, S, mult in self.terms:
-            row = rows.setdefault(sum(S), {})
-            row[e] = row.get(e, 0) + mult
-        return QtPoly({a: LaurentPoly(row) for a, row in rows.items()})
-
-    def to_json_obj(self) -> dict:
-        return {
-            "degree": self.degree,
-            "terms": [
-                {"t": e, "set": list(S), "mult": mult} for e, S, mult in self.terms
-            ],
-        }
-
-    def pretty(self) -> str:
-        if not self.terms:
-            return "0"
-        rows = []
-        for e, S, mult in self.terms:
-            sset = "{" + ",".join(map(str, S)) + "}"
-            coeff = "" if mult == 1 else f"{mult}*"
-            tpow = "" if e == 0 else ("t*" if e == 1 else f"t^{e}*")
-            rows.append(f"{coeff}{tpow}F[{self.degree},{sset}]")
-        return " + ".join(rows)
-
-
-@lru_cache(maxsize=None)
-def f_expansion(variant: str, n: int) -> FExpansion:
-    """Fundamental quasisymmetric expansion of the omega image, as a sum
-    over permutations weighted by descent or cyclic descent.
-
-    A walk over tau = sigma^-1 (``combinat.perm_walk``) with slot
-    S_bits * (n + 1) + e.  Appending value v to tau is a descent of sigma at
-    v when v + 1 is already placed; the gap between the last value and v
-    puts position p - 1 into S.  Placing n fixes sigma's endpoint class
-    ('<' if 1 is placed, '=' if n = 1, else '>'), and the variant's endpoint
-    rule (``combinat.ENDPOINT_RULES``) forbids that placement or adds its t.
-    """
-    if variant not in F_VARIANTS:
-        raise ValueError(f"no fundamental expansion for {variant!r}")
-    check_limit("n", n)
-    rule = combinat.ENDPOINT_RULES[variant]
-    drops = F_RULES[variant] == "drops"
-    cols = n + 1
-
-    def step(p: int, used: int, last: int, v: int) -> int | None:
-        e = used >> v & 1
-        if v == n:
-            cls = "=" if n == 1 else "<" if used & 1 else ">"
-            if cls not in rule:
-                return None
-            e += rule[cls]
-        gap = last - v if drops else v - last
-        if p > 1 and gap >= 2:
-            return (1 << (p - 2)) * cols + e
-        return e
-
-    width = math.factorial(n).bit_length()  # no coefficient exceeds n!
-    total = sum(combinat.perm_walk(n, width, step).values())
-    counts: dict[tuple[int, tuple[int, ...]], int] = {}
-    for slot, c in combinat.packed_coeffs(total, width).items():
-        bits, e = divmod(slot, cols)
-        counts[(e, tuple(i + 1 for i in range(n - 1) if bits >> i & 1))] = c
-    return FExpansion.from_counts(n, counts)
-
-
-@lru_cache(maxsize=None)
-def _q_walk(n: int, rule: str, keep_first: bool) -> tuple[int, dict[tuple[int, int], int]]:
-    """(width, ``combinat.perm_walk`` over sigma packed ``width`` bits per
-    slot) with q_eulerian's step rule for ``rule``: "majexc" (slot
-    maj * (n + 1) + exc) or "des" (slot q-weight * (n + 1) + des).  Cached,
-    so Aless and Atilde, whose rule is "des" and which both keep the first
-    value, share one walk per n."""
-    cols = n + 1
-    width = math.factorial(n).bit_length()  # no coefficient exceeds n!
-
-    def step(p: int, used: int, last: int, v: int) -> int:
-        if rule == "majexc":
-            return (p - 1) * cols * (last > v) + (v > p)
-        q = v if used >> v & 1 and last != v + 1 else 0
-        return q * cols + (last > v)
-
-    return width, combinat.perm_walk(n, width, step, keep_first)
-
-
-@lru_cache(maxsize=None)
-def q_eulerian(kind: str, n: int) -> QtPoly:
-    """The q-Eulerian polynomials and their endpoint/cyclic variations.
-
-    Amajexc weights by q^(maj-exc) t^exc.  The others weight t by des or
-    cdes and q by the sum of the positions where the inverse permutation
-    drops by at least two; that statistic, rather than the rising-gap sum,
-    is the one compatible with the principal specialization (the rising-gap
-    reading is kept available through q_statistic_diagnostic).
-
-    A walk over sigma itself (``_q_walk``), independent of the walk over
-    sigma^-1 in ``f_expansion``.  Appending v at position p after ``last``
-    is a descent when last > v, adds v to the q-weight when v + 1 is
-    already placed but not just before v, and for Amajexc adds p - 1 to maj
-    on a descent and 1 to exc when v > p.  The endpoint rule of the kind's
-    variant (``combinat.endpoint_sum``) is applied to the complete
-    permutations, so Aless and Atilde read one walk that keeps the first
-    value; W's rule keeps every class with no t, so Ades and Amajexc need not.
-    At n = 0 the one empty walk has class '=', which Aless leaves out.
-    """
-    if kind not in Q_EULERIAN_KINDS:
-        raise ValueError(f"unknown kind {kind!r}")
-    check_limit("n", n, lo=0)
-    variant, rule = Q_RULES[kind]
-    width, walk = _q_walk(n, rule, variant != "W")
-    ends = ((combinat.endpoint_class(first, last), poly) for (first, last), poly in walk.items())
-    total = combinat.endpoint_sum(variant, ends, width)
-    cols = n + 1
-    out: dict[int, dict[int, int]] = {}
-    for slot, c in combinat.packed_coeffs(total, width).items():
-        a, b = divmod(slot, cols)
-        qe, te = (a - b, b) if rule == "majexc" else (a, b)
-        out.setdefault(qe, {})[te] = c
-    return QtPoly({qe: LaurentPoly(poly) for qe, poly in out.items()})
-
-
 def q_statistic_diagnostic(n: int) -> dict:
     """Whether the drop-gap and rise-gap position sums of the inverse give
     the same q-refinement; they agree under the des weighting but not under
@@ -507,56 +289,6 @@ def q_exp_identity_check(kind: str, order: int) -> bool:
             rhs = QtPoly.from_t((ONE - T) * LaurentPoly.t_power(n - 1, n))
         identities.append((products, rhs))
     return sums_equal_at_point(identities)
-
-
-def _eulerian_at_root(n: int, k: int) -> LaurentPoly:
-    """Exact value of the q-Eulerian polynomial at a primitive k-th root of
-    unity; the degenerate n = 0 value is t^-1, matching the convention that
-    makes the closed products polynomial."""
-    if n == 0:
-        return eulerian(0)
-    return eval_at_root_of_unity(q_eulerian("Ades", n), k)
-
-
-def root_of_unity_parts(kind: str, n: int, k: int) -> tuple[dict, bool]:
-    """Root-of-unity evaluation both ways: exact cyclotomic reduction of the
-    q-polynomial, the closed product formula, and the step-k recursion, by
-    route name, and whether every route agrees with ``via_eval``."""
-    if kind not in ROOT_FAMILIES:
-        raise ValueError(f"unknown family {kind!r}")
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    check_root_order(n, k)
-    m = n // k
-    via_eval = eval_at_root_of_unity(q_eulerian(kind, n), k)
-    qk = t_quantum(k)
-    if kind == "Ades":
-        closed = eulerian(m) * qk**m
-    elif kind == "Aless":
-        closed = (T * eulerian(m - 1) * qk**m).derivative()
-    else:
-        closed = LaurentPoly.t_power(k, n) * eulerian(m - 1) * qk ** (m - 1)
-    parts = {"via_eval": via_eval, "closed": closed}
-    if kind != "Ades":
-        prev = _eulerian_at_root(n - k, k)
-        if kind == "Aless":
-            parts["recursion"] = (T * qk * prev).derivative()
-        else:
-            parts["recursion"] = LaurentPoly.t_power(k, n) * prev
-    return parts, all(v == via_eval for v in parts.values())
-
-
-def root_of_unity(kind: str, n: int, k: int) -> LaurentPoly:
-    """Evaluate a q-Eulerian variant at a primitive k-th root of unity,
-    asserting that reduction and the closed formulas agree.
-
-    >>> root_of_unity("Atilde", 3, 3).pretty()
-    '3*t^2'
-    """
-    parts, agree = root_of_unity_parts(kind, n, k)
-    if not agree:
-        raise AssertionError(f"root-of-unity routes disagree for {kind}, n={n}, k={k}")
-    return parts["via_eval"]
 
 
 def transfer_matrix_check(k: int) -> bool:

@@ -29,7 +29,6 @@ is a pure function, so values are safe to share between concurrent workers.
 
 from __future__ import annotations
 
-import json
 import math
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -51,17 +50,20 @@ def _trusted(terms: dict) -> "LaurentPoly":
     return p
 
 
-# The compact JSON encoder of every answer the command line prints.  What it
-# encodes is built by ``to_json_obj`` and ``verify``'s records and has no
-# cycles, so it keeps no markers against them.
-dumps = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
+def dumps(obj) -> str:
+    """The compact JSON of every answer the command line prints.  What it
+    encodes is built by ``to_json_obj`` and ``verify``'s records and has no
+    cycles, so it keeps no markers against them."""
+    import json  # at the first call, so that a process that prints no JSON loads none
+
+    return json.dumps(obj, separators=(",", ":"), check_circular=False)
 
 
 class LaurentPoly:
     """Sparse Laurent polynomial in t over the integers.
 
     Terms are kept canonical: no zero coefficients are stored, and equality is
-    termwise.  A coefficient that is not an int is a TypeError.
+    termwise.  A coefficient that is not an int, or is a bool, is a TypeError.
 
     >>> LaurentPoly({0: 1, 1: 4, 2: 1}).pretty()
     '1 + 4*t + t^2'
@@ -75,15 +77,11 @@ class LaurentPoly:
         cleaned: dict[int, int] = {}
         if terms:
             for e, c in terms.items():
-                if not isinstance(c, int):
+                if not isinstance(c, int) or isinstance(c, bool):
                     raise TypeError(f"coefficients are ints, not {type(c).__name__}")
                 if c:
                     cleaned[int(e)] = c
         self.terms = cleaned
-
-    @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
 
     @classmethod
     def one(cls) -> "LaurentPoly":
@@ -244,7 +242,7 @@ class LaurentPoly:
         return f"LaurentPoly({self.pretty()})"
 
 
-ZERO = LaurentPoly.zero()
+ZERO = LaurentPoly()
 ONE = LaurentPoly.one()
 T = LaurentPoly.t_power(1)
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from smirnov import cli, combinat, exact, symfun, verify
+from smirnov import cli, combinat, exact, symfun, verify, walks
 from smirnov import enumerators as en
 from smirnov.exact import LaurentPoly, QtPoly, t_quantum
 from smirnov.symfun import QsymTable, SymFun, SymSeries
@@ -39,17 +39,18 @@ def recompiled(fn, old, new):
 
 ENUMERATOR_CACHES = [
     fn
-    for fn in vars(en).values()
-    if hasattr(fn, "cache_clear") and getattr(fn, "__module__", None) == en.__name__
+    for module in (en, walks)
+    for fn in vars(module).values()
+    if hasattr(fn, "cache_clear") and getattr(fn, "__module__", None) == module.__name__
 ]
 
 
 @pytest.fixture
 def fresh_caches():
-    """Every lru_cache of enumerators empty when the test starts and when it
-    ends, so that a value computed under a patch neither hides the patch nor
-    outlives it.  A test that patches anything a cached enumerator calls
-    uses this."""
+    """Every lru_cache of enumerators and walks empty when the test starts
+    and when it ends, so that a value computed under a patch neither hides
+    the patch nor outlives it.  A test that patches anything a cached
+    enumerator calls uses this."""
     for fn in ENUMERATOR_CACHES:
         fn.cache_clear()
     yield
@@ -412,16 +413,16 @@ class TestVerify:
         assert code == 1
 
     def test_shifted_root_value_fails_roots(self, capsys, monkeypatch):
-        original = en.eval_at_root_of_unity
-        monkeypatch.setattr(en, "eval_at_root_of_unity", lambda f, k: original(f, k) + exact.ONE)
+        original = walks.eval_at_root_of_unity
+        monkeypatch.setattr(walks, "eval_at_root_of_unity", lambda f, k: original(f, k) + exact.ONE)
         code, _, _ = run_cli(capsys, "verify", "--suite", "roots")
         assert code == 1
 
     def test_shifted_recursion_alone_fails_roots(self, capsys, monkeypatch):
         # via_eval and closed stay equal, so only the recursion route can
         # fail a record: the verdict over every route must reach each caller
-        original = en._eulerian_at_root
-        monkeypatch.setattr(en, "_eulerian_at_root", lambda n, k: original(n, k) + exact.ONE)
+        original = walks._eulerian_at_root
+        monkeypatch.setattr(walks, "_eulerian_at_root", lambda n, k: original(n, k) + exact.ONE)
         code, out, _ = run_cli(capsys, "verify", "--suite", "roots", "--format", "json")
         assert code == 1
         failed = [r for r in json.loads(out) if r["status"] == "fail"]
@@ -605,8 +606,8 @@ class TestVerify:
     @pytest.mark.parametrize(
         "module, table, variant, rule",
         [
-            (combinat, "ENDPOINT_RULES", "Wtilde", {"<": 0, ">": 0, "=": 0}),
-            (en, "F_RULES", "Wgreater", "drops"),
+            (walks, "ENDPOINT_RULES", "Wtilde", {"<": 0, ">": 0, "=": 0}),
+            (walks, "F_RULES", "Wgreater", "drops"),
         ],
         ids=["wrap-t-dropped", "rises-read-as-drops"],
     )
@@ -624,12 +625,12 @@ class TestVerify:
         # Reading the cuts from alpha's first part instead of its last still
         # passes here, because this suite compares symmetric sums; only
         # TestFExpansion's comparison with fundamental_F pins that orientation.
-        monkeypatch.setattr(en, "_subset_sums", list)
+        monkeypatch.setattr(walks, "_subset_sums", list)
         code, _, _ = run_cli(capsys, "verify", "--suite", "f", "--max-n", "4")
         assert code == 1
 
     def test_dropped_cyclic_wrap_fails_qexp(self, capsys, monkeypatch, fresh_caches):
-        monkeypatch.setitem(en.Q_RULES, "Atilde", ("W", "des"))
+        monkeypatch.setitem(walks.Q_RULES, "Atilde", ("W", "des"))
         code, _, _ = run_cli(capsys, "verify", "--suite", "qexp")
         assert code == 1
 
@@ -660,23 +661,23 @@ class TestVerify:
         ]
 
     def test_qexp_walks_once_per_n_for_aless_and_atilde(self, capsys, monkeypatch, fresh_caches):
-        walks = []
-        original = combinat.perm_walk
+        runs = []
+        original = walks.perm_walk
 
         def counted(n, width, step, keep_first=False):
-            walks.append((n, keep_first))
+            runs.append((n, keep_first))
             return original(n, width, step, keep_first)
 
-        monkeypatch.setattr(combinat, "perm_walk", counted)
+        monkeypatch.setattr(walks, "perm_walk", counted)
         code, _, _ = run_cli(capsys, "verify", "--suite", "qexp")
         assert code == 0
-        kept = sorted(n for n, keep_first in walks if keep_first)
+        kept = sorted(n for n, keep_first in runs if keep_first)
         assert kept == list(range(1, 9))  # one for both kinds at each n
 
     def test_enumerator_caches_are_all_known(self):
         names = {fn.__name__ for fn in ENUMERATOR_CACHES}
-        series = {"denominator_series", "geometric_form", "closed_series", "closed_form"}
-        forms = {"_quantum_product", "powersum_form", "f_expansion"}
+        series = {"denominator_series", "geometric_form", "_closed_degree", "closed_series"}
+        forms = {"closed_form", "_quantum_product", "powersum_form", "f_expansion"}
         assert names == series | forms | {"q_eulerian", "_q_walk"}
 
     def test_all_suites_compute_each_form_once(self, capsys, monkeypatch, fresh_caches):
@@ -1053,14 +1054,19 @@ class TestEntryPoint:
             (["qeuler", "--variant", "Atilde", "--n", "4", "--q-root", "2"], []),
             (["roots", "--variant", "Ades", "--n", "4", "--q-root", "2"], []),
             (["fexpand", "--variant", "W", "--n", "4"], []),
-            (["expand", "--variant", "W", "--n", "4", "--vars", "3"], ["symfun"]),
-            (["verify", "--suite", "transfer"], ["symfun", "verify"]),
+            (["expand", "--variant", "W", "--n", "4", "--vars", "3"], ["symfun", "enumerators"]),
+            (["verify", "--suite", "transfer"], ["symfun", "enumerators", "verify"]),
+            (
+                ["verify", "--suite", "oracle", "--max-n", "3", "--vars", "3"],
+                ["symfun", "combinat", "enumerators", "verify"],
+            ),
         ],
-        ids=["qeuler", "qeuler-q-root", "roots", "fexpand", "expand", "verify"],
+        ids=["qeuler", "qeuler-q-root", "roots", "fexpand", "expand", "verify", "verify-oracle"],
     )
     def test_a_verb_runs_only_the_modules_it_needs(self, argv, ran):
-        # symfun and verify are in sys.modules from the start but run their
-        # source at first use.  object.__getattribute__ reads a module's
+        # symfun, combinat, enumerators and verify are in sys.modules from
+        # the start but run their source at first use; the walk verbs run
+        # only exact and walks.  object.__getattribute__ reads a module's
         # namespace without loading it; -X importtime does not see a
         # deferred load.
         code = textwrap.dedent(
@@ -1069,7 +1075,8 @@ class TestEntryPoint:
             from smirnov import cli
             with contextlib.redirect_stdout(io.StringIO()):
                 code = cli.main({argv!r})
-            defines = {{"symfun": "SymFun", "verify": "run_suite"}}
+            defines = {{"symfun": "SymFun", "combinat": "brute_enumerator",
+                        "enumerators": "closed_form", "verify": "run_suite"}}
             ran = [m for m, name in defines.items()
                    if name in object.__getattribute__(sys.modules["smirnov." + m], "__dict__")]
             print(code, *ran)
@@ -1078,6 +1085,29 @@ class TestEntryPoint:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["0", *ran]
+
+    def test_text_output_loads_no_json(self):
+        # exact.dumps loads json at its first call, so importing exact and a
+        # text answer, as the benchmark's set-up command prints, load none.
+        # -S: a site hook may load json before the program starts
+        code = textwrap.dedent(
+            f"""
+            import contextlib, io, sys
+            sys.path.insert(0, {str(Path(exact.__file__).parents[1])!r})
+            import smirnov.exact
+            loaded = ["json" in sys.modules]
+            from smirnov import cli
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(["qeuler", "--variant", "Ades", "--n", "0"])
+            loaded.append("json" in sys.modules)
+            with contextlib.redirect_stdout(io.StringIO()):
+                cli.main(["qeuler", "--variant", "Ades", "--n", "0", "--format", "json"])
+            print(code, *loaded, "json" in sys.modules)
+            """
+        )
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "False", "False", "True"]
 
     def test_integer_arithmetic_loads_no_fractions(self):
         # exact holds ints only; fractions, with decimal and numbers, costs
@@ -1109,17 +1139,27 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["True", "True", "True"]
 
-    # each module imports only modules before it here
-    LAYERS = ("exact", "symfun", "combinat", "enumerators", "verify", "cli")
+    # each module and the modules it imports, which come before it here;
+    # walks and symfun import only exact, and cli also registers the four
+    # modules that it defers
+    LAYERS = {
+        "exact": (),
+        "walks": ("exact",),
+        "symfun": ("exact",),
+        "combinat": ("exact", "walks", "symfun"),
+        "enumerators": ("exact", "walks", "symfun", "combinat"),
+        "verify": ("exact", "walks", "symfun", "combinat", "enumerators"),
+        "cli": ("exact", "walks", "symfun", "combinat", "enumerators", "verify"),
+    }
 
-    @pytest.mark.parametrize("depth", range(len(LAYERS)), ids=LAYERS)
-    def test_importing_a_module_loads_only_its_imports(self, depth):
+    @pytest.mark.parametrize("layer", LAYERS)
+    def test_importing_a_module_loads_only_its_imports(self, layer):
         # the package __init__ imports nothing, so a fresh interpreter holds
-        # exactly the module and those before it
-        code = f"import sys, smirnov.{self.LAYERS[depth]}; print(*sorted(m for m in sys.modules if m.startswith('smirnov.')))"
+        # exactly the module and those it imports
+        code = f"import sys, smirnov.{layer}; print(*sorted(m for m in sys.modules if m.startswith('smirnov.')))"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == sorted(f"smirnov.{m}" for m in self.LAYERS[: depth + 1])
+        assert proc.stdout.split() == sorted(f"smirnov.{m}" for m in (layer, *self.LAYERS[layer]))
 
 
 class TestTracerRun:

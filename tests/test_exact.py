@@ -49,7 +49,7 @@ class TestLaurentPoly:
         assert LaurentPoly({2: 0, 1: 3}).terms == {1: 3}
 
     def test_coefficients_are_ints(self):
-        for c in (Fraction(1, 2), Fraction(2, 2), 0.5, "1"):
+        for c in (Fraction(1, 2), Fraction(2, 2), 0.5, "1", True, False):
             with pytest.raises(TypeError):
                 LaurentPoly({0: c})
 
