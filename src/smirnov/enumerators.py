@@ -30,7 +30,7 @@ from .exact import ONE, T, ZERO, LaurentPoly, QtPoly, eulerian, q_binomial, sums
 from . import combinat, symfun
 from .walks import VARIANTS, check_limit, q_eulerian
 from .walks import (  # bound here too, for the callers of this module
-    F_RULES, F_VARIANTS, LIMITS, Q_EULERIAN_KINDS, Q_RULES, ROOT_FAMILIES, FExpansion,
+    F_VARIANTS, LIMITS, Q_EULERIAN_KINDS, Q_RULES, ROOT_FAMILIES, FExpansion,
     check_root_order, f_expansion, root_of_unity, root_of_unity_parts,
 )
 

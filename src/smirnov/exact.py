@@ -63,7 +63,7 @@ class LaurentPoly:
     """Sparse Laurent polynomial in t over the integers.
 
     Terms are kept canonical: no zero coefficients are stored, and equality is
-    termwise.  A coefficient that is not an int, or is a bool, is a TypeError.
+    termwise.  A non-int exponent or coefficient, or a bool, is a TypeError.
 
     >>> LaurentPoly({0: 1, 1: 4, 2: 1}).pretty()
     '1 + 4*t + t^2'
@@ -77,10 +77,12 @@ class LaurentPoly:
         cleaned: dict[int, int] = {}
         if terms:
             for e, c in terms.items():
+                if type(e) is not int:
+                    raise TypeError(f"exponents are ints, not {type(e).__name__}")
                 if not isinstance(c, int) or isinstance(c, bool):
                     raise TypeError(f"coefficients are ints, not {type(c).__name__}")
                 if c:
-                    cleaned[int(e)] = c
+                    cleaned[e] = c
         self.terms = cleaned
 
     @classmethod
@@ -115,8 +117,6 @@ class LaurentPoly:
         if isinstance(other, int):
             return self.terms == LaurentPoly.const(other).terms
         return NotImplemented
-
-    __hash__ = None  # mutable mapping inside; never used as a key
 
     def _operand(self, other):
         """A non-LaurentPoly operand as a LaurentPoly, or NotImplemented."""
@@ -339,7 +339,7 @@ class Combination:
     """Finite sum of keyed ``LaurentPoly`` coefficients.
 
     ``terms`` maps each key to a nonzero coefficient.  A subclass supplies
-    ``_key`` (check and normalise a key, raising ValueError), ``_shape``
+    ``_key`` (check and normalise a key, or raise), ``_shape``
     (what two values must share to be added or compared), ``_copy_shape``
     (set those attributes on a new value), ``_mul_key`` (how two keys
     multiply: the product key and an int structure constant) and, where the
@@ -401,8 +401,6 @@ class Combination:
         if other is NotImplemented:
             return NotImplemented
         return self._shape() == other._shape() and self.terms == other.terms
-
-    __hash__ = None  # mutable mapping inside; never used as a key
 
     def __add__(self, other):
         other = self._lift(other)
@@ -472,9 +470,11 @@ class QtPoly(Combination):
         self._store(terms)
 
     def _key(self, e) -> int:
+        if type(e) is not int:
+            raise TypeError(f"q-exponents are ints, not {type(e).__name__}")
         if e < 0:
             raise ValueError("q-exponents must be nonnegative")
-        return int(e)
+        return e
 
     @staticmethod
     def _mul_key(e1: int, e2: int) -> tuple[int, int]:

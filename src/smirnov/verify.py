@@ -49,7 +49,7 @@ from .symfun import (
     QsymTable,
     SymFun,
     SymSeries,
-    e_positivity_report,
+    e_positive,
     e_unimodal_direct,
     e_unimodal_palindromic,
     expand_at_compositions,
@@ -386,7 +386,7 @@ def suite_unimodal() -> list[dict]:
         center = Fraction(n, 2)
         flags = e_unimodal_palindromic(xc, center)
         direct = e_unimodal_direct(xc)
-        positive, _ = e_positivity_report(xc)
+        positive = e_positive(xc)
         if n % 2:
             records.append(
                 _record(

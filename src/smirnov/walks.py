@@ -2,13 +2,13 @@
 what ``qeuler``, ``roots`` and ``fexpand`` run, so that they compile neither
 ``combinat`` nor ``enumerators``, which bind these names too (``LIMITS`` is
 one table).  ``perm_walk`` is a prefix DP over permutations that
-``f_expansion`` and ``q_eulerian`` run with their own step rules
-(``F_RULES``, ``Q_RULES``) and a word variant's endpoint rule
-(``ENDPOINT_RULES``): the first over sigma^-1, the second over sigma, so
+``f_expansion`` runs over sigma^-1 and ``q_eulerian`` over sigma, so
 ``verify``'s f-principal-numerator check compares two independent walks.
-The q walks are cached by step rule and whether they keep the first value
-(``_q_walk``), so Aless and Atilde share one walk per n.  The unit tests
-check each walk against a sweep over every permutation, and
+Both apply a word variant's endpoint rule (``ENDPOINT_RULES``) through
+``endpoint_sum`` to cached walks: F walks per (n, endpoint class), which
+Wgreater reads reversed (``F_REVERSED``), and q walks per step rule
+(``Q_RULES``) and whether they keep the first value.  The unit tests check
+each walk against a sweep over every permutation, and
 ``FExpansion.to_table`` (the M_alpha rule, which imports ``combinat`` and
 ``symfun`` when called) against ``combinat.fundamental_F``.
 """
@@ -66,7 +66,6 @@ def endpoint_sum(variant: str, by_class: Iterable[tuple[str, int]], width: int) 
     return sum(poly << rule[cls] * width for cls, poly in by_class if cls in rule)
 
 
-
 def perm_walk(
     n: int, width: int, step: Callable[[int, int, int, int], int | None], keep_first: bool = False
 ) -> dict[tuple[int, int], int]:
@@ -115,10 +114,9 @@ def perm_walk(
 VARIANTS = ("W", "Wless", "Wgreater", "Wequal", "Wneq", "Wtilde", "Wtildeneq", "XC")
 ROOT_FAMILIES = ("Ades", "Aless", "Atilde")
 
-# f_expansion walks tau = sigma^-1 under the endpoint rule of the variant
-# (ENDPOINT_RULES): variant -> the gaps of tau whose positions form S
-F_RULES = {"W": "drops", "Wless": "drops", "Wgreater": "rises", "Wtilde": "drops"}
-F_VARIANTS = tuple(F_RULES)
+F_VARIANTS = ("W", "Wless", "Wgreater", "Wtilde")
+# variant -> the variant whose F expansion, with t^e read as t^(n-1-e), is its own
+F_REVERSED = {"Wgreater": "Wless"}
 
 # q_eulerian walks sigma: kind -> (variant whose endpoint rule it takes, step rule)
 Q_RULES = {
@@ -229,41 +227,43 @@ class FExpansion(NamedTuple):
 
 
 @lru_cache(maxsize=None)
+def _f_walk(n: int, cls: str) -> int:
+    """``perm_walk`` over tau = sigma^-1 for sigma in endpoint class ``cls``,
+    summed, with slot S_bits * (n + 1) + des(sigma).  Appending v to tau is a
+    descent of sigma at v when v + 1 is placed; a drop of two or more from
+    the last value puts p - 1 into S.  Placing n fixes the class ('<' if 1
+    is placed, '=' if n = 1, else '>'), so the step forbids it elsewhere."""
+
+    def step(p: int, used: int, last: int, v: int) -> int | None:
+        if v == n and cls != ("=" if n == 1 else "<" if used & 1 else ">"):
+            return None
+        e = used >> v & 1
+        return (1 << (p - 2)) * (n + 1) + e if p > 1 and last - v >= 2 else e
+
+    return sum(perm_walk(n, math.factorial(n).bit_length(), step).values())
+
+
+@lru_cache(maxsize=None)
 def f_expansion(variant: str, n: int) -> FExpansion:
     """Fundamental quasisymmetric expansion of the omega image, as a sum
-    over permutations weighted by descent or cyclic descent.
-
-    A walk over tau = sigma^-1 (``perm_walk``) with slot S_bits * (n + 1) + e.
-    Appending value v to tau is a descent of sigma at v when v + 1 is
-    already placed; the gap between the last value and v puts position
-    p - 1 into S.  Placing n fixes sigma's endpoint class
-    ('<' if 1 is placed, '=' if n = 1, else '>'), and the variant's endpoint
-    rule (``ENDPOINT_RULES``) forbids that placement or adds its t.
+    over permutations weighted by descent or cyclic descent: the walks
+    (``_f_walk``) of the endpoint classes the variant keeps ('=' at n = 1,
+    '<' and '>' above), summed by ``endpoint_sum``.  Reversing sigma swaps
+    '<' and '>', sends des to n - 1 - des and turns the drops of sigma^-1
+    into its rises, so Wgreater is Wless with t^e read as t^(n-1-e)
+    (``F_REVERSED``).
     """
     if variant not in F_VARIANTS:
         raise ValueError(f"no fundamental expansion for {variant!r}")
     check_limit("n", n)
-    rule = ENDPOINT_RULES[variant]
-    drops = F_RULES[variant] == "drops"
-    cols = n + 1
-
-    def step(p: int, used: int, last: int, v: int) -> int | None:
-        e = used >> v & 1
-        if v == n:
-            cls = "=" if n == 1 else "<" if used & 1 else ">"
-            if cls not in rule:
-                return None
-            e += rule[cls]
-        gap = last - v if drops else v - last
-        if p > 1 and gap >= 2:
-            return (1 << (p - 2)) * cols + e
-        return e
-
+    source = F_REVERSED.get(variant, variant)
+    rule = ENDPOINT_RULES[source]
     width = math.factorial(n).bit_length()  # no coefficient exceeds n!
-    total = sum(perm_walk(n, width, step).values())
+    by_class = ((cls, _f_walk(n, cls)) for cls in (("=",) if n == 1 else ("<", ">")) if cls in rule)
     counts: dict[tuple[int, tuple[int, ...]], int] = {}
-    for slot, c in packed_coeffs(total, width).items():
-        bits, e = divmod(slot, cols)
+    for slot, c in packed_coeffs(endpoint_sum(source, by_class, width), width).items():
+        bits, e = divmod(slot, n + 1)
+        e = n - 1 - e if source != variant else e
         counts[(e, tuple(i + 1 for i in range(n - 1) if bits >> i & 1))] = c
     return FExpansion.from_counts(n, counts)
 

@@ -607,7 +607,7 @@ class TestVerify:
         "module, table, variant, rule",
         [
             (walks, "ENDPOINT_RULES", "Wtilde", {"<": 0, ">": 0, "=": 0}),
-            (walks, "F_RULES", "Wgreater", "drops"),
+            (walks, "F_REVERSED", "Wgreater", "Wgreater"),  # its own '>' drops walk
         ],
         ids=["wrap-t-dropped", "rises-read-as-drops"],
     )
@@ -674,11 +674,26 @@ class TestVerify:
         kept = sorted(n for n, keep_first in runs if keep_first)
         assert kept == list(range(1, 9))  # one for both kinds at each n
 
+    def test_f_suite_walks_once_per_endpoint_class(self, capsys, monkeypatch, fresh_caches):
+        runs = []
+        original = walks.perm_walk
+
+        def counted(n, width, step, keep_first=False):
+            runs.append(n)
+            return original(n, width, step, keep_first)
+
+        monkeypatch.setattr(walks, "perm_walk", counted)
+        code, _, _ = run_cli(capsys, "verify", "--suite", "f", "--max-n", "8")
+        assert code == 0
+        # F: '=' at n = 1, '<' and '>' at each n >= 2; q: Ades and the
+        # keep-first "des" walk of Aless and Atilde at each n
+        assert len(runs) == (1 + 2 * 7) + 2 * 8 == 31
+
     def test_enumerator_caches_are_all_known(self):
         names = {fn.__name__ for fn in ENUMERATOR_CACHES}
         series = {"denominator_series", "geometric_form", "_closed_degree", "closed_series"}
         forms = {"closed_form", "_quantum_product", "powersum_form", "f_expansion"}
-        assert names == series | forms | {"q_eulerian", "_q_walk"}
+        assert names == series | forms | {"q_eulerian", "_q_walk", "_f_walk"}
 
     def test_all_suites_compute_each_form_once(self, capsys, monkeypatch, fresh_caches):
         # verify --suite all asks for some power sum and F forms several

@@ -51,11 +51,11 @@ class TestClosedForm:
         assert monomial_to_e(table) == en.closed_form("Wtilde", 5)
 
     def test_first_less_degree_three_positive(self):
-        from smirnov.symfun import e_positivity_report
+        from smirnov.symfun import e_positive
 
         f = en.closed_form("Wless", 3)
         assert f == SymFun("e", 3, {(3,): ONE + 2 * T})
-        assert e_positivity_report(f)[0]
+        assert e_positive(f)
 
     def test_equal_class_degree_three(self):
         assert en.closed_form("Wequal", 3) == SymFun("e", 3, {(2, 1): T, (3,): -3 * T})

@@ -53,6 +53,20 @@ class TestLaurentPoly:
             with pytest.raises(TypeError):
                 LaurentPoly({0: c})
 
+    def test_values_are_unhashable(self):
+        # __eq__ compares the terms mapping, so Python leaves __hash__ unset
+        for value in (ONE, QtPoly({1: T})):
+            with pytest.raises(TypeError):
+                hash(value)
+
+    def test_exponents_are_ints(self):
+        # int(e) would truncate 1.5 to t and 2.7 to q^2, and store True as 1
+        for e in (1.5, 2.7, True, False, Fraction(1, 1), "1"):
+            with pytest.raises(TypeError):
+                LaurentPoly({e: 1})
+            with pytest.raises(TypeError):
+                QtPoly({e: 1})
+
     def test_pretty(self):
         assert (ONE + 4 * T + T * T).pretty() == "1 + 4*t + t^2"
         assert LaurentPoly({-1: 1}).pretty() == "t^-1"

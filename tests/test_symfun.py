@@ -21,7 +21,7 @@ from smirnov.symfun import (
     SymFun,
     SymSeries,
     conjugate,
-    e_positivity_report,
+    e_positive,
     e_unimodal_direct,
     e_unimodal_palindromic,
     expand_at_compositions,
@@ -77,6 +77,12 @@ class TestCombination:
             SymFun("e", 3, {(1, 2): 1})
         with pytest.raises(ValueError):
             MonomialTable(2, {(1, 0, 0): 1})
+
+    def test_bool_parts_are_not_ints(self):
+        with pytest.raises(ValueError):
+            SymFun("e", 2, {(True, True): 1})
+        with pytest.raises(ValueError):
+            QsymTable(2, {(True, 1): 1})
 
     def test_shapes_must_agree(self):
         f = SymFun("e", 2, {(2,): 1})
@@ -672,14 +678,12 @@ class TestProductEqualAtPoint:
 
 class TestReports:
     def test_e_positivity(self):
-        good = SymFun("e", 3, {(3,): ONE + 2 * T})
-        flag, listing = e_positivity_report(good)
-        assert flag and listing == [((3,), ONE + 2 * T, True)]
-        bad = SymFun("e", 3, {(3,): -3 * T, (2, 1): T})
-        flag, listing = e_positivity_report(bad)
-        assert not flag
-        assert [(lam, ok) for lam, _, ok in listing] == [((3,), False), ((2, 1), True)]
-        assert e_positivity_report(SymFun("e", 2))[0]
+        assert e_positive(SymFun("e", 3, {(3,): ONE + 2 * T}))
+        assert not e_positive(SymFun("e", 3, {(3,): -3 * T, (2, 1): T}))
+        assert not e_positive(SymFun("e", 2, {(2,): LaurentPoly.t_power(-1)}))
+        assert e_positive(SymFun("e", 2))
+        with pytest.raises(ValueError, match="e basis"):
+            e_positive(SymFun("h", 2, {(2,): ONE}))
 
     def test_unimodal_palindromic_per_coefficient(self):
         f = SymFun("e", 2, {(2,): ONE + T})
