@@ -18,15 +18,14 @@ side, so that both are integral), ``root-of-unity`` also needs the recursion
 route to agree, ``cycle-even-corrected`` adds the direct chain test, and
 ``cyclic-coefficient-*`` adds the shape's own palindromic-unimodal test.
 
-Every value compared has integer coefficients.  A ``Fraction`` appears only
-in what is shown: the half-integer centers of the unimodality params, and
-the plain p sides of ``powersum-extraction`` (``_in_plain_p``).
+Every value compared has integer coefficients.  A ``Fraction``, imported
+where it is made, appears only in what is shown: the half-integer centers of
+the unimodality params and the plain p sides (``_in_plain_p``).
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import groupby
 
 from . import combinat
@@ -271,6 +270,7 @@ def _in_plain_p(f: SymFun) -> dict:
     """How a function against p / z is shown in plain p: the JSON of f with
     each coefficient over z_lam, an int or the string "p/q" in lowest terms.
     Only for showing: no check reads a coefficient divided."""
+    from fractions import Fraction  # here, so that the suites that show none load none
     obj = f.to_json_obj()
     obj["basis"] = "p"
     for term in obj["terms"]:
@@ -355,6 +355,7 @@ def suite_roots() -> list[dict]:
 
 def _shape_palindromic_unimodal(p: LaurentPoly) -> bool:
     """Palindromic about the midpoint of its own support, and unimodal."""
+    from fractions import Fraction
     if not p:
         return True
     center = Fraction(p.valuation() + p.degree(), 2)
@@ -365,6 +366,7 @@ def suite_unimodal() -> list[dict]:
     """Palindromicity/unimodality assertions for every variant with a stated
     center, the even-cycle failure witness, and the special coefficient
     formulas for the cyclic enumerator."""
+    from fractions import Fraction
     records = []
     for n in range(2, SWEEP_N + 1):
         for variant, center in (

@@ -1,21 +1,22 @@
 """The permutation walks and the q-Eulerian polynomials, on ``exact`` alone:
 what ``qeuler``, ``roots`` and ``fexpand`` run, so that they compile neither
 ``combinat`` nor ``enumerators``, which bind these names too (``LIMITS`` is
-one table).  ``perm_walk`` is a prefix DP over permutations that
-``f_expansion`` runs over sigma^-1 and ``q_eulerian`` over sigma, so
-``verify``'s f-principal-numerator check compares two independent walks.
-Both apply a word variant's endpoint rule (``ENDPOINT_RULES``) through
-``endpoint_sum`` to cached walks: F walks per (n, endpoint class), which
-Wgreater reads reversed (``F_REVERSED``), and q walks per step rule
-(``Q_RULES``) and whether they keep the first value.  The unit tests check
-each walk against a sweep over every permutation, and
-``FExpansion.to_table`` (the M_alpha rule, which imports ``combinat`` and
-``symfun`` when called) against ``combinat.fundamental_F``.
+one table).  ``perm_walk`` is a prefix DP over permutations whose step sees
+only whether the last value is below v, v + 1 or above: all that a descent,
+a drop of two or more, or a q-weight asks.  ``f_expansion`` runs it over
+sigma^-1 and ``q_eulerian`` over sigma, so ``verify``'s f-principal-numerator
+check compares two independent walks.  Both apply a word variant's endpoint
+rule (``ENDPOINT_RULES``) through ``endpoint_sum`` to cached walks: F walks
+per (n, endpoint class), which Wgreater reads reversed (``F_REVERSED``), and
+q walks per step rule (``Q_RULES``) and whether they keep the first value.
+Unit tests check each walk against a permutation sweep, and ``to_table``
+(which imports ``combinat`` and ``symfun`` when called) against ``fundamental_F``.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from functools import lru_cache
 from itertools import accumulate
 from typing import Callable, Iterable, Mapping, NamedTuple
@@ -67,48 +68,43 @@ def endpoint_sum(variant: str, by_class: Iterable[tuple[str, int]], width: int) 
 
 
 def perm_walk(
-    n: int, width: int, step: Callable[[int, int, int, int], int | None], keep_first: bool = False
+    n: int, width: int, step: Callable[[int, int, int], tuple | None], keep_first: bool = False
 ) -> dict[tuple[int, int], int]:
     """Prefix DP over the permutations of 1..n in one-line notation.
 
-    A state is (the values used so far, value v at bit v - 1; the last
-    value) and carries one polynomial packed ``width`` bits per slot
-    (``packed_coeffs``), or with ``keep_first`` one per first value, as a
-    dict first -> polynomial.  ``step(p, used, last, v)`` decides everything
-    about appending v at position p from that state (``last`` is 0 when
-    p = 1): it returns how many slots the append moves a polynomial up, or
-    None to forbid it.  It does not see the first value, so it is called
-    once per state and v, and its shift applies to all of the state's
-    polynomials.  The result maps (first, last) of the complete
-    permutations to their sum, first being 0 unless ``keep_first``.
+    A row is (the values used so far, value v at bit v - 1; the first
+    value, 0 unless ``keep_first``) and holds, per last value, a polynomial
+    packed ``width`` bits per slot (``packed_coeffs``).  ``step(p, used, v)``
+    decides appending the unused v at position p: it returns how many slots
+    the append moves a polynomial up when the last value is below v (as 0
+    is at p = 1), v + 1, or above v + 1, or None to forbid it.  These three
+    classes are all a rule asks of the last value: a descent is last > v,
+    and v + 1 just before v is last = v + 1 (last != v, as v is unused).  So
+    the step runs once per (used set, v), a row sums its last values by
+    prefix sums, and ``keep_first`` only picks the first value of a new row.
+    The result maps (first, last) of the complete permutations to their sum.
     """
-    layer: dict = {(0, 0): {0: 1} if keep_first else 1}
+    layer: dict = {0: {0: [1] + [0] * (n + 1)}}  # used -> first -> by last value, n + 1 kept 0
     for p in range(1, n + 1):
-        nxt: dict = {}
-        for (used, last), poly in layer.items():
+        nxt: dict = defaultdict(lambda: defaultdict(lambda: [0] * (n + 2)))
+        for used, rows in layer.items():
+            sums = [(first, list(accumulate(by_last, initial=0))) for first, by_last in rows.items()]
             for v in range(1, n + 1):
                 bit = 1 << (v - 1)
-                if used & bit:
+                shifts = None if used & bit else step(p, used, v)
+                if shifts is None:
                     continue
-                slots = step(p, used, last, v)
-                if slots is None:
-                    continue
-                key = (used | bit, v)
-                shift = slots * width
-                if not keep_first:
-                    nxt[key] = nxt.get(key, 0) + (poly << shift)
-                elif p == 1:  # the first value is the one value placed
-                    nxt[key] = {v: poly[0] << shift}
-                elif key not in nxt:
-                    nxt[key] = {first: c << shift for first, c in poly.items()}
-                else:
-                    by_first = nxt[key]
-                    for first, c in poly.items():
-                        by_first[first] = by_first.get(first, 0) + (c << shift)
+                below, next_up, above = shifts
+                out = nxt[used | bit]
+                for first, pre in sums:  # pre[i]: the sum over the last values below i
+                    out[first or keep_first * v][v] += (
+                        (pre[v] << below * width)
+                        + (pre[v + 2] - pre[v + 1] << next_up * width)
+                        + (pre[-1] - pre[v + 2] << above * width)
+                    )
         layer = nxt
-    if keep_first:
-        return {(first, last): c for (_, last), by in layer.items() for first, c in by.items()}
-    return {(0, last): poly for (_, last), poly in layer.items()}
+    ends = ((first, by_last) for rows in layer.values() for first, by_last in rows.items())
+    return {(first, last): poly for first, by_last in ends for last, poly in enumerate(by_last) if poly}
 
 
 VARIANTS = ("W", "Wless", "Wgreater", "Wequal", "Wneq", "Wtilde", "Wtildeneq", "XC")
@@ -234,11 +230,11 @@ def _f_walk(n: int, cls: str) -> int:
     the last value puts p - 1 into S.  Placing n fixes the class ('<' if 1
     is placed, '=' if n = 1, else '>'), so the step forbids it elsewhere."""
 
-    def step(p: int, used: int, last: int, v: int) -> int | None:
+    def step(p: int, used: int, v: int) -> tuple[int, int, int] | None:
         if v == n and cls != ("=" if n == 1 else "<" if used & 1 else ">"):
             return None
         e = used >> v & 1
-        return (1 << (p - 2)) * (n + 1) + e if p > 1 and last - v >= 2 else e
+        return e, e, ((n + 1) << max(p - 2, 0)) + e  # p = 1 has no drop
 
     return sum(perm_walk(n, math.factorial(n).bit_length(), step).values())
 
@@ -278,11 +274,12 @@ def _q_walk(n: int, rule: str, keep_first: bool) -> tuple[int, dict[tuple[int, i
     cols = n + 1
     width = math.factorial(n).bit_length()  # no coefficient exceeds n!
 
-    def step(p: int, used: int, last: int, v: int) -> int:
+    def step(p: int, used: int, v: int) -> tuple[int, int, int]:
         if rule == "majexc":
-            return (p - 1) * cols * (last > v) + (v > p)
-        q = v if used >> v & 1 and last != v + 1 else 0
-        return q * cols + (last > v)
+            exc = int(v > p)
+            return exc, (p - 1) * cols + exc, (p - 1) * cols + exc
+        q = v * cols * (used >> v & 1)
+        return q, 1, q + 1
 
     return width, perm_walk(n, width, step, keep_first)
 

@@ -620,6 +620,39 @@ class TestVerify:
         code, _, _ = run_cli(capsys, "verify", "--suite", "f", "--max-n", "4")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "kept_only, argv, failing",
+        [
+            (False, ("--suite", "counting"), {"counting-des", "counting-des-first-less"}),
+            (False, ("--suite", "qexp"), {"interpretation-equality"}),
+            # only the keep-first walks: mutated in every walk, the f suite
+            # fails only f-vs-closed, because the F walk and the q walk move
+            # together and so do both sides of f-principal-numerator
+            (True, ("--suite", "f", "--max-n", "5"), {"f-principal-numerator"}),
+        ],
+        ids=["counting", "qexp", "f-keep-first"],
+    )
+    def test_walk_step_middle_class_as_upper_fails(
+        self, capsys, monkeypatch, fresh_caches, kept_only, argv, failing
+    ):
+        # the step's middle class (last = v + 1) takes the upper class's shift
+        original = walks.perm_walk
+
+        def mutated(n, width, step, keep_first=False):
+            if keep_first or not kept_only:
+                rule = step
+
+                def step(p, used, v):
+                    shifts = rule(p, used, v)
+                    return shifts and (shifts[0], shifts[2], shifts[2])
+
+            return original(n, width, step, keep_first)
+
+        monkeypatch.setattr(walks, "perm_walk", mutated)
+        code, out, _ = run_cli(capsys, "verify", *argv, "--format", "json")
+        assert code == 1
+        assert failing <= {r["check"] for r in json.loads(out) if r["status"] == "fail"}
+
     def test_m_alpha_rule_as_equality_fails_f_suite(self, capsys, monkeypatch):
         # S == cuts instead of S within the cuts: F_{n,S} read as M_alpha.
         # Reading the cuts from alpha's first part instead of its last still
@@ -1126,21 +1159,25 @@ class TestEntryPoint:
 
     def test_integer_arithmetic_loads_no_fractions(self):
         # exact holds ints only; fractions, with decimal and numbers, costs
-        # a few ms of every process start
+        # a few ms of every process start, and verify imports it only where
+        # a shown center or plain p coefficient is made
         code = textwrap.dedent(
             """
             import contextlib, io, sys
             import smirnov.exact
             loaded = ["fractions" in sys.modules]
             from smirnov import cli
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = cli.main(["qeuler", "--variant", "Ades", "--n", "8"])
-            print(code, *loaded, "fractions" in sys.modules)
+            qeuler = ["qeuler", "--variant", "Ades", "--n", "8"]
+            for argv in (qeuler, ["verify", "--suite", "oracle", "--max-n", "3"]):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = cli.main(argv)
+                loaded += [code, "fractions" in sys.modules]
+            print(*loaded)
             """
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["0", "False", "False"]
+        assert proc.stdout.split() == ["False", "0", "False", "0", "False"]
 
     def test_a_module_imported_before_cli_is_kept(self):
         # one symfun module, so the values enumerators builds are instances

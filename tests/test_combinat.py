@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from smirnov import walks
 from smirnov.exact import ONE, T, LaurentPoly, QtPoly
 from smirnov.combinat import (
     F_ones_specialization,
@@ -26,6 +27,7 @@ from smirnov.combinat import (
 from smirnov.symfun import QsymTable, SymFun, monomial_to_e
 from monomial_reference import MonomialTable, expand_in_variables
 from coloring_reference import Digraph, chromatic_qsym, colorings_by_content
+from walk_reference import perm_walk as reference_walk, three_class
 from word_reference import _word_ends, endpoint_class, passes, smirnov_words, word_stats
 
 # The paper's word variants, stated here rather than read from the library:
@@ -377,18 +379,30 @@ class TestPermStats:
                 assert s.cdes == s.des + (1 if sigma[-1] > sigma[0] else 0)
 
 
+def random_rule(seed):
+    """A three-class step rule that depends on everything it sees, forbidding
+    about a fifth of the appends."""
+
+    def step(p, used, v):
+        h = seed ^ (p * 0x9E3779B1 + used * 0x85EBCA77 + v * 0x27D4EB2F)
+        h = h * 0x165667B1 % 2**32
+        return None if h % 5 == 0 else (h >> 8 & 3, h >> 10 & 3, h >> 12 & 3)
+
+    return step
+
+
 class TestPermWalk:
     def test_descent_step_matches_perm_stats(self):
         for n in range(1, 7):
             width = math.factorial(n).bit_length()
-            walk = perm_walk(n, width, lambda p, used, last, v: int(last > v))
+            walk = perm_walk(n, width, lambda p, used, v: (0, 1, 1))
             expected = Counter(perm_stats(sigma).des for sigma in permutations_of(n))
             assert packed_coeffs(sum(walk.values()), width) == dict(expected)
 
     def test_forbidden_steps_and_kept_endpoints(self):
         # None forbids placing 2 while 1 is unused; keep_first reports sigma(1)
-        def step(p, used, last, v):
-            return None if v == 2 and not used & 1 else 0
+        def step(p, used, v):
+            return None if v == 2 and not used & 1 else (0, 0, 0)
 
         walk = perm_walk(5, 7, step, keep_first=True)
         expected = Counter(
@@ -399,22 +413,16 @@ class TestPermWalk:
     @given(st.integers(0, 2**32), st.integers(1, 6), st.booleans())
     @settings(max_examples=40, deadline=None)
     def test_random_step_rule_matches_a_permutation_sweep(self, seed, n, keep_first):
-        # a step rule that depends on everything it sees, forbidding about a
-        # fifth of the appends
-        def step(p, used, last, v):
-            h = seed ^ (p * 0x9E3779B1 + used * 0x85EBCA77 + last * 0xC2B2AE3D + v * 0x27D4EB2F)
-            h = h * 0x165667B1 % 2**32
-            return None if h % 5 == 0 else h >> 8 & 3
-
+        step = random_rule(seed)
         width = 10  # no coefficient exceeds 6! = 720 < 2^10
         expected: dict = {}
         for sigma in permutations_of(n):
             used = last = slots = 0
             for p, v in enumerate(sigma, start=1):
-                moved = step(p, used, last, v)
-                if moved is None:
+                shifts = step(p, used, v)
+                if shifts is None:
                     break
-                slots += moved
+                slots += shifts[0 if last < v else 1 if last == v + 1 else 2]
                 used, last = used | 1 << (v - 1), v
             else:
                 key = (sigma[0] if keep_first else 0, last)
@@ -422,7 +430,27 @@ class TestPermWalk:
         assert perm_walk(n, width, step, keep_first) == expected
 
     def test_first_is_zero_unless_kept(self):
-        assert perm_walk(3, 3, lambda p, used, last, v: 0) == {(0, 1): 2, (0, 2): 2, (0, 3): 2}
+        assert perm_walk(3, 3, lambda p, used, v: (0, 0, 0)) == {(0, 1): 2, (0, 2): 2, (0, 3): 2}
+
+    @given(st.integers(0, 2**32), st.integers(0, 7), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_random_step_rule_matches_the_reference_walk(self, seed, n, keep_first):
+        # the walk by (used set, last value) that the three-class walk replaced
+        step = random_rule(seed)
+        width = 13  # no coefficient exceeds 7! = 5040 < 2^13
+        expected = reference_walk(n, width, three_class(step), keep_first)
+        assert perm_walk(n, width, step, keep_first) == expected
+
+    def test_q_walk_steps_once_per_used_set_and_unused_value(self, monkeypatch):
+        calls = []
+        original = walks.perm_walk
+
+        def counted(n, width, step, keep_first=False):
+            return original(n, width, lambda *args: calls.append(args) or step(*args), keep_first)
+
+        monkeypatch.setattr(walks, "perm_walk", counted)
+        walks._q_walk.__wrapped__(8, "des", False)
+        assert len(calls) == len(set(calls)) == 8 * 2**7  # n * 2^(n-1) pairs
 
 
 class TestCompositions:
