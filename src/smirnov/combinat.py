@@ -14,8 +14,8 @@ far, in the insertion argument behind Carlitz-Scoville-Vaughan counts)
 under the endpoint table ``ENDPOINT_RULES``, and ``ring_colorings`` the
 colorings of the path, the labeled cycle and the directed cycle at every n
 from one transfer-matrix walk (Stanley, EC1 4.7) along the path with the
-colors standardised to ranks.  The endpoint table, ``packed_coeffs`` and the
-permutation prefix DP ``perm_walk`` live in ``walks`` and are bound here too.
+colors standardised to ranks.  The endpoint table, ``endpoint_sum`` and
+``packed_coeffs`` live in ``walks`` and are bound here too.
 Everything else here enumerates objects one at a time, ``permutations_of``,
 ``perm_stats``, ``inverse_perm`` and ``fundamental_F`` included;
 ``fundamental_F`` returns its counts by exponent vector as a plain dict.
@@ -37,7 +37,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .exact import LaurentPoly, QtPoly
 from . import symfun
-from .walks import ENDPOINT_RULES, endpoint_class, endpoint_sum, packed_coeffs, perm_walk
+from .walks import ENDPOINT_RULES, endpoint_sum, packed_coeffs
 
 
 def compositions(n: int, k: int) -> list[tuple[int, ...]]:

@@ -53,6 +53,7 @@ from .symfun import (
     e_unimodal_palindromic,
     expand_at_compositions,
     monomial_to_e,
+    orbit_size,
     partitions_of,
     product_equal_at_point,
     z_of,
@@ -429,10 +430,7 @@ def suite_unimodal() -> list[dict]:
             shapes = []
             if lam[-1] == 1:
                 head = lam[:-1]
-                mult = math.factorial(ell - 1)
-                for part in set(head):
-                    mult //= math.factorial(head.count(part))
-                expected = LaurentPoly.t_power(ell - 1, mult)
+                expected = LaurentPoly.t_power(ell - 1, orbit_size(head))
                 for part in head:
                     expected = expected * t_quantum(part - 1)
                 shapes.append(("cyclic-coefficient-smallest-part-one", expected))

@@ -2,15 +2,17 @@
 what ``qeuler``, ``roots`` and ``fexpand`` run, so that they compile neither
 ``combinat`` nor ``enumerators``, which bind these names too (``LIMITS`` is
 one table).  ``perm_walk`` is a prefix DP over permutations whose step sees
-only whether the last value is below v, v + 1 or above: all that a descent,
-a drop of two or more, or a q-weight asks.  ``f_expansion`` runs it over
-sigma^-1 and ``q_eulerian`` over sigma, so ``verify``'s f-principal-numerator
-check compares two independent walks.  Both apply a word variant's endpoint
-rule (``ENDPOINT_RULES``) through ``endpoint_sum`` to cached walks: F walks
-per (n, endpoint class), which Wgreater reads reversed (``F_REVERSED``), and
-q walks per step rule (``Q_RULES``) and whether they keep the first value.
-Unit tests check each walk against a permutation sweep, and ``to_table``
-(which imports ``combinat`` and ``symfun`` when called) against ``fundamental_F``.
+only whether the last value is below v, v + 1 or above (all that a descent,
+a drop of two or more, or a q-weight asks) and stamps a row's tag once, so
+no step forbids an append.  ``f_expansion`` runs it over sigma^-1 and
+``q_eulerian`` over sigma, so ``verify``'s f-principal-numerator check
+compares two independent walks.  Both apply a word variant's endpoint rule
+(``ENDPOINT_RULES``) through ``endpoint_sum`` to cached walks: one F walk
+per n stamped by endpoint class, whose '<' part Wgreater reads reversed
+(``F_REVERSED``), and q walks per step rule (``Q_RULES``) and whether they
+stamp the first value.  Unit tests check each walk against a permutation
+sweep, and ``to_table`` (which imports ``combinat`` and ``symfun`` when
+called) against ``fundamental_F``.
 """
 
 from __future__ import annotations
@@ -67,44 +69,43 @@ def endpoint_sum(variant: str, by_class: Iterable[tuple[str, int]], width: int) 
     return sum(poly << rule[cls] * width for cls, poly in by_class if cls in rule)
 
 
-def perm_walk(
-    n: int, width: int, step: Callable[[int, int, int], tuple | None], keep_first: bool = False
-) -> dict[tuple[int, int], int]:
+def perm_walk(n: int, width: int, step: Callable[[int, int, int], tuple]) -> dict[tuple, int]:
     """Prefix DP over the permutations of 1..n in one-line notation.
 
-    A row is (the values used so far, value v at bit v - 1; the first
-    value, 0 unless ``keep_first``) and holds, per last value, a polynomial
-    packed ``width`` bits per slot (``packed_coeffs``).  ``step(p, used, v)``
-    decides appending the unused v at position p: it returns how many slots
-    the append moves a polynomial up when the last value is below v (as 0
-    is at p = 1), v + 1, or above v + 1, or None to forbid it.  These three
-    classes are all a rule asks of the last value: a descent is last > v,
-    and v + 1 just before v is last = v + 1 (last != v, as v is unused).  So
-    the step runs once per (used set, v), a row sums its last values by
-    prefix sums, and ``keep_first`` only picks the first value of a new row.
-    The result maps (first, last) of the complete permutations to their sum.
+    A row is (the values used so far, value v at bit v - 1; a tag, 0 until
+    a step stamps it) and holds, per last value, a polynomial packed
+    ``width`` bits per slot (``packed_coeffs``).  ``step(p, used, v)``
+    returns, for appending the unused v at position p, how many slots the
+    append moves a polynomial up when the last value is below v (as 0 is
+    at p = 1), v + 1, or above v + 1, and a stamp for a row whose tag is
+    still 0.  These three classes are all a rule asks of the last value: a
+    descent is last > v, and v + 1 just before v is last = v + 1 (last !=
+    v, as v is unused).  So the step runs once per (used set, v) and a row
+    sums its last values by prefix sums.  No step forbids an append: a rule
+    that splits the permutations stamps the parts, so they share one walk
+    of their common prefixes.  The result maps (tag, last) of the complete
+    permutations to their sum.
     """
-    layer: dict = {0: {0: [1] + [0] * (n + 1)}}  # used -> first -> by last value, n + 1 kept 0
+    layer: dict = {0: {0: [1] + [0] * (n + 1)}}  # used -> tag -> by last value, n + 1 kept 0
     for p in range(1, n + 1):
         nxt: dict = defaultdict(lambda: defaultdict(lambda: [0] * (n + 2)))
         for used, rows in layer.items():
-            sums = [(first, list(accumulate(by_last, initial=0))) for first, by_last in rows.items()]
+            sums = [(tag, list(accumulate(by_last, initial=0))) for tag, by_last in rows.items()]
             for v in range(1, n + 1):
                 bit = 1 << (v - 1)
-                shifts = None if used & bit else step(p, used, v)
-                if shifts is None:
+                if used & bit:
                     continue
-                below, next_up, above = shifts
+                below, next_up, above, stamp = step(p, used, v)
                 out = nxt[used | bit]
-                for first, pre in sums:  # pre[i]: the sum over the last values below i
-                    out[first or keep_first * v][v] += (
+                for tag, pre in sums:  # pre[i]: the sum over the last values below i
+                    out[tag or stamp][v] += (
                         (pre[v] << below * width)
                         + (pre[v + 2] - pre[v + 1] << next_up * width)
                         + (pre[-1] - pre[v + 2] << above * width)
                     )
         layer = nxt
-    ends = ((first, by_last) for rows in layer.values() for first, by_last in rows.items())
-    return {(first, last): poly for first, by_last in ends for last, poly in enumerate(by_last) if poly}
+    ends = ((tag, by_last) for rows in layer.values() for tag, by_last in rows.items())
+    return {(tag, last): poly for tag, by_last in ends for last, poly in enumerate(by_last) if poly}
 
 
 VARIANTS = ("W", "Wless", "Wgreater", "Wequal", "Wneq", "Wtilde", "Wtildeneq", "XC")
@@ -223,39 +224,37 @@ class FExpansion(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def _f_walk(n: int, cls: str) -> int:
-    """``perm_walk`` over tau = sigma^-1 for sigma in endpoint class ``cls``,
-    summed, with slot S_bits * (n + 1) + des(sigma).  Appending v to tau is a
-    descent of sigma at v when v + 1 is placed; a drop of two or more from
-    the last value puts p - 1 into S.  Placing n fixes the class ('<' if 1
-    is placed, '=' if n = 1, else '>'), so the step forbids it elsewhere."""
+def _f_walk(n: int) -> dict[tuple[str, int], int]:
+    """``perm_walk`` over tau = sigma^-1 with slot S_bits * (n + 1) +
+    des(sigma).  Appending v to tau is a descent of sigma at v when v + 1
+    is placed; a drop of two or more from the last value puts p - 1 into
+    S.  Placing n fixes sigma's endpoint class ('<' if 1 is placed, '=' if
+    n = 1, else '>'), which the step stamps."""
 
-    def step(p: int, used: int, v: int) -> tuple[int, int, int] | None:
-        if v == n and cls != ("=" if n == 1 else "<" if used & 1 else ">"):
-            return None
+    def step(p: int, used: int, v: int) -> tuple[int, int, int, str | int]:
         e = used >> v & 1
-        return e, e, ((n + 1) << max(p - 2, 0)) + e  # p = 1 has no drop
+        cls = ("=" if n == 1 else "<" if used & 1 else ">") if v == n else 0
+        return e, e, ((n + 1) << max(p - 2, 0)) + e, cls  # p = 1 has no drop
 
-    return sum(perm_walk(n, math.factorial(n).bit_length(), step).values())
+    return perm_walk(n, math.factorial(n).bit_length(), step)
 
 
 @lru_cache(maxsize=None)
 def f_expansion(variant: str, n: int) -> FExpansion:
     """Fundamental quasisymmetric expansion of the omega image, as a sum
-    over permutations weighted by descent or cyclic descent: the walks
-    (``_f_walk``) of the endpoint classes the variant keeps ('=' at n = 1,
-    '<' and '>' above), summed by ``endpoint_sum``.  Reversing sigma swaps
-    '<' and '>', sends des to n - 1 - des and turns the drops of sigma^-1
-    into its rises, so Wgreater is Wless with t^e read as t^(n-1-e)
+    over permutations weighted by descent or cyclic descent: the classes
+    of the stamped walk (``_f_walk``) that the variant keeps, summed by
+    ``endpoint_sum``.  Reversing sigma swaps '<' and '>', sends des to
+    n - 1 - des and turns the drops of sigma^-1 into its rises, which no
+    step class reads, so Wgreater is Wless with t^e read as t^(n-1-e)
     (``F_REVERSED``).
     """
     if variant not in F_VARIANTS:
         raise ValueError(f"no fundamental expansion for {variant!r}")
     check_limit("n", n)
     source = F_REVERSED.get(variant, variant)
-    rule = ENDPOINT_RULES[source]
     width = math.factorial(n).bit_length()  # no coefficient exceeds n!
-    by_class = ((cls, _f_walk(n, cls)) for cls in (("=",) if n == 1 else ("<", ">")) if cls in rule)
+    by_class = ((cls, poly) for (cls, _), poly in _f_walk(n).items())
     counts: dict[tuple[int, tuple[int, ...]], int] = {}
     for slot, c in packed_coeffs(endpoint_sum(source, by_class, width), width).items():
         bits, e = divmod(slot, n + 1)
@@ -268,20 +267,21 @@ def f_expansion(variant: str, n: int) -> FExpansion:
 def _q_walk(n: int, rule: str, keep_first: bool) -> tuple[int, dict[tuple[int, int], int]]:
     """(width, ``perm_walk`` over sigma packed ``width`` bits per slot) with
     q_eulerian's step rule for ``rule``: "majexc" (slot maj * (n + 1) + exc)
-    or "des" (slot q-weight * (n + 1) + des).  Cached, so Aless and Atilde,
-    whose rule is "des" and which both keep the first value, share one walk
-    per n."""
+    or "des" (slot q-weight * (n + 1) + des), stamping the first value if
+    ``keep_first``.  Cached, so Aless and Atilde, whose rule is "des" and
+    which both keep the first value, share one walk per n."""
     cols = n + 1
     width = math.factorial(n).bit_length()  # no coefficient exceeds n!
 
-    def step(p: int, used: int, v: int) -> tuple[int, int, int]:
+    def step(p: int, used: int, v: int) -> tuple[int, int, int, int]:
+        first = v * keep_first
         if rule == "majexc":
             exc = int(v > p)
-            return exc, (p - 1) * cols + exc, (p - 1) * cols + exc
+            return exc, (p - 1) * cols + exc, (p - 1) * cols + exc, first
         q = v * cols * (used >> v & 1)
-        return q, 1, q + 1
+        return q, 1, q + 1, first
 
-    return width, perm_walk(n, width, step, keep_first)
+    return width, perm_walk(n, width, step)
 
 
 @lru_cache(maxsize=None)

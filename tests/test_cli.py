@@ -635,23 +635,69 @@ class TestVerify:
     def test_walk_step_middle_class_as_upper_fails(
         self, capsys, monkeypatch, fresh_caches, kept_only, argv, failing
     ):
-        # the step's middle class (last = v + 1) takes the upper class's shift
+        # the step's middle class (last = v + 1) takes the upper class's shift;
+        # a keep-first walk stamps v = 1 with 1, an F walk with a class or 0
         original = walks.perm_walk
 
-        def mutated(n, width, step, keep_first=False):
-            if keep_first or not kept_only:
+        def mutated(n, width, step):
+            if step(1, 0, 1)[3] == 1 or not kept_only:
                 rule = step
 
                 def step(p, used, v):
-                    shifts = rule(p, used, v)
-                    return shifts and (shifts[0], shifts[2], shifts[2])
+                    below, _, above, stamp = rule(p, used, v)
+                    return below, above, above, stamp
 
-            return original(n, width, step, keep_first)
+            return original(n, width, step)
 
         monkeypatch.setattr(walks, "perm_walk", mutated)
         code, out, _ = run_cli(capsys, "verify", *argv, "--format", "json")
         assert code == 1
         assert failing <= {r["check"] for r in json.loads(out) if r["status"] == "fail"}
+
+    def test_q_walk_stamping_no_first_value_fails_qexp(self, capsys, monkeypatch, fresh_caches):
+        # the q step stamps 0 where it keeps the first value, so every
+        # permutation of Aless and Atilde reads as class '<' (0 < last)
+        original = walks.perm_walk
+
+        def mutated(n, width, step):
+            def lost(p, used, v):
+                *shifts, stamp = step(p, used, v)
+                return *shifts, 0 if isinstance(stamp, int) else stamp
+
+            return original(n, width, lost)
+
+        monkeypatch.setattr(walks, "perm_walk", mutated)
+        code, out, _ = run_cli(capsys, "verify", "--suite", "qexp", "--format", "json")
+        assert code == 1
+        failed = {r["check"] for r in json.loads(out) if r["status"] == "fail"}
+        assert failed == {"endpoint-at-one", "cyclic-at-one", "qexp-identity"}
+
+    @pytest.mark.parametrize(
+        "argv, failing",
+        [
+            (("--suite", "f", "--max-n", "5"), {"f-vs-closed", "f-principal-numerator"}),
+            (("--suite", "counting"), {"counting-des-first-less", "counting-cdes"}),
+        ],
+        ids=["f", "counting"],
+    )
+    def test_f_walk_stamping_swapped_classes_fails(
+        self, capsys, monkeypatch, fresh_caches, argv, failing
+    ):
+        # the F step stamps '>' where 1 is placed before n, and '<' where not
+        original = walks.perm_walk
+        swap = {"<": ">", ">": "<"}
+
+        def mutated(n, width, step):
+            def swapped(p, used, v):
+                *shifts, stamp = step(p, used, v)
+                return *shifts, swap.get(stamp, stamp)
+
+            return original(n, width, swapped)
+
+        monkeypatch.setattr(walks, "perm_walk", mutated)
+        code, out, _ = run_cli(capsys, "verify", *argv, "--format", "json")
+        assert code == 1
+        assert {r["check"] for r in json.loads(out) if r["status"] == "fail"} == failing
 
     def test_m_alpha_rule_as_equality_fails_f_suite(self, capsys, monkeypatch):
         # S == cuts instead of S within the cuts: F_{n,S} read as M_alpha.
@@ -697,9 +743,9 @@ class TestVerify:
         runs = []
         original = walks.perm_walk
 
-        def counted(n, width, step, keep_first=False):
-            runs.append((n, keep_first))
-            return original(n, width, step, keep_first)
+        def counted(n, width, step):
+            runs.append((n, step(1, 0, 1)[3] == 1))  # a keep-first walk stamps v
+            return original(n, width, step)
 
         monkeypatch.setattr(walks, "perm_walk", counted)
         code, _, _ = run_cli(capsys, "verify", "--suite", "qexp")
@@ -707,20 +753,20 @@ class TestVerify:
         kept = sorted(n for n, keep_first in runs if keep_first)
         assert kept == list(range(1, 9))  # one for both kinds at each n
 
-    def test_f_suite_walks_once_per_endpoint_class(self, capsys, monkeypatch, fresh_caches):
+    def test_f_suite_walks_once_per_n(self, capsys, monkeypatch, fresh_caches):
         runs = []
         original = walks.perm_walk
 
-        def counted(n, width, step, keep_first=False):
+        def counted(n, width, step):
             runs.append(n)
-            return original(n, width, step, keep_first)
+            return original(n, width, step)
 
         monkeypatch.setattr(walks, "perm_walk", counted)
         code, _, _ = run_cli(capsys, "verify", "--suite", "f", "--max-n", "8")
         assert code == 0
-        # F: '=' at n = 1, '<' and '>' at each n >= 2; q: Ades and the
+        # F: one walk stamped by endpoint class at each n; q: Ades and the
         # keep-first "des" walk of Aless and Atilde at each n
-        assert len(runs) == (1 + 2 * 7) + 2 * 8 == 31
+        assert len(runs) == 8 + 2 * 8 == 24
 
     def test_enumerator_caches_are_all_known(self):
         names = {fn.__name__ for fn in ENUMERATOR_CACHES}

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from smirnov import walks
+from smirnov.walks import perm_walk
 from smirnov.exact import ONE, T, LaurentPoly, QtPoly
 from smirnov.combinat import (
     F_ones_specialization,
@@ -19,7 +20,6 @@ from smirnov.combinat import (
     inverse_q_product,
     packed_coeffs,
     perm_stats,
-    perm_walk,
     permutations_of,
     ring_colorings,
     _insertion_ends,
@@ -380,13 +380,13 @@ class TestPermStats:
 
 
 def random_rule(seed):
-    """A three-class step rule that depends on everything it sees, forbidding
-    about a fifth of the appends."""
+    """A three-class step rule that depends on everything it sees, stamping
+    a tag from 1 to 3 at about a quarter of the appends."""
 
     def step(p, used, v):
         h = seed ^ (p * 0x9E3779B1 + used * 0x85EBCA77 + v * 0x27D4EB2F)
         h = h * 0x165667B1 % 2**32
-        return None if h % 5 == 0 else (h >> 8 & 3, h >> 10 & 3, h >> 12 & 3)
+        return h >> 8 & 3, h >> 10 & 3, h >> 12 & 3, h >> 14 & 3 if h % 3 == 0 else 0
 
     return step
 
@@ -395,58 +395,59 @@ class TestPermWalk:
     def test_descent_step_matches_perm_stats(self):
         for n in range(1, 7):
             width = math.factorial(n).bit_length()
-            walk = perm_walk(n, width, lambda p, used, v: (0, 1, 1))
+            walk = perm_walk(n, width, lambda p, used, v: (0, 1, 1, 0))
             expected = Counter(perm_stats(sigma).des for sigma in permutations_of(n))
             assert packed_coeffs(sum(walk.values()), width) == dict(expected)
 
     def test_forbidden_steps_and_kept_endpoints(self):
-        # None forbids placing 2 while 1 is unused; keep_first reports sigma(1)
+        # placing 2 stamps whether 1 is already placed: the walk splits the
+        # permutations by which comes first, and forbids no append
         def step(p, used, v):
-            return None if v == 2 and not used & 1 else (0, 0, 0)
+            return 0, 0, 0, ("1 first" if used & 1 else "2 first") if v == 2 else 0
 
-        walk = perm_walk(5, 7, step, keep_first=True)
+        walk = perm_walk(5, 7, step)
         expected = Counter(
-            (sigma[0], sigma[-1]) for sigma in permutations_of(5) if sigma.index(1) < sigma.index(2)
+            ("1 first" if sigma.index(1) < sigma.index(2) else "2 first", sigma[-1])
+            for sigma in permutations_of(5)
         )
         assert walk == dict(expected)
+        # stamping v keeps sigma(1): the stamp at p = 1 is the one a row takes
+        walk = perm_walk(5, 7, lambda p, used, v: (0, 0, 0, v))
+        assert walk == dict(Counter((sigma[0], sigma[-1]) for sigma in permutations_of(5)))
 
-    @given(st.integers(0, 2**32), st.integers(1, 6), st.booleans())
+    @given(st.integers(0, 2**32), st.integers(1, 6))
     @settings(max_examples=40, deadline=None)
-    def test_random_step_rule_matches_a_permutation_sweep(self, seed, n, keep_first):
+    def test_random_step_rule_matches_a_permutation_sweep(self, seed, n):
         step = random_rule(seed)
         width = 10  # no coefficient exceeds 6! = 720 < 2^10
         expected: dict = {}
         for sigma in permutations_of(n):
-            used = last = slots = 0
+            used = last = slots = tag = 0
             for p, v in enumerate(sigma, start=1):
-                shifts = step(p, used, v)
-                if shifts is None:
-                    break
-                slots += shifts[0 if last < v else 1 if last == v + 1 else 2]
+                below, next_up, above, stamp = step(p, used, v)
+                slots += below if last < v else next_up if last == v + 1 else above
+                tag = tag or stamp
                 used, last = used | 1 << (v - 1), v
-            else:
-                key = (sigma[0] if keep_first else 0, last)
-                expected[key] = expected.get(key, 0) + (1 << slots * width)
-        assert perm_walk(n, width, step, keep_first) == expected
+            expected[tag, last] = expected.get((tag, last), 0) + (1 << slots * width)
+        assert perm_walk(n, width, step) == expected
 
     def test_first_is_zero_unless_kept(self):
-        assert perm_walk(3, 3, lambda p, used, v: (0, 0, 0)) == {(0, 1): 2, (0, 2): 2, (0, 3): 2}
+        assert perm_walk(3, 3, lambda p, used, v: (0, 0, 0, 0)) == {(0, 1): 2, (0, 2): 2, (0, 3): 2}
 
-    @given(st.integers(0, 2**32), st.integers(0, 7), st.booleans())
+    @given(st.integers(0, 2**32), st.integers(0, 7))
     @settings(max_examples=40, deadline=None)
-    def test_random_step_rule_matches_the_reference_walk(self, seed, n, keep_first):
+    def test_random_step_rule_matches_the_reference_walk(self, seed, n):
         # the walk by (used set, last value) that the three-class walk replaced
         step = random_rule(seed)
         width = 13  # no coefficient exceeds 7! = 5040 < 2^13
-        expected = reference_walk(n, width, three_class(step), keep_first)
-        assert perm_walk(n, width, step, keep_first) == expected
+        assert perm_walk(n, width, step) == reference_walk(n, width, three_class(step))
 
     def test_q_walk_steps_once_per_used_set_and_unused_value(self, monkeypatch):
         calls = []
         original = walks.perm_walk
 
-        def counted(n, width, step, keep_first=False):
-            return original(n, width, lambda *args: calls.append(args) or step(*args), keep_first)
+        def counted(n, width, step):
+            return original(n, width, lambda *args: calls.append(args) or step(*args))
 
         monkeypatch.setattr(walks, "perm_walk", counted)
         walks._q_walk.__wrapped__(8, "des", False)
