@@ -63,7 +63,8 @@ class LaurentPoly:
     """Sparse Laurent polynomial in t over the integers.
 
     Terms are kept canonical: no zero coefficients are stored, and equality is
-    termwise.  A non-int exponent or coefficient, or a bool, is a TypeError.
+    termwise.  A non-int exponent or coefficient, or a bool, is a TypeError;
+    a value compared with a bool is unequal to it.
 
     >>> LaurentPoly({0: 1, 1: 4, 2: 1}).pretty()
     '1 + 4*t + t^2'
@@ -114,7 +115,7 @@ class LaurentPoly:
     def __eq__(self, other) -> bool:
         if isinstance(other, LaurentPoly):
             return self.terms == other.terms
-        if isinstance(other, int):
+        if isinstance(other, int) and not isinstance(other, bool):
             return self.terms == LaurentPoly.const(other).terms
         return NotImplemented
 
@@ -483,7 +484,7 @@ class QtPoly(Combination):
     def _lift(self, other):
         if isinstance(other, QtPoly):
             return other
-        if isinstance(other, (LaurentPoly, int)):
+        if isinstance(other, (LaurentPoly, int)) and not isinstance(other, bool):
             return QtPoly({0: other})
         return NotImplemented
 

@@ -1,14 +1,17 @@
 """Verification suites tying every closed form to a brute-force oracle.
 
 Every suite lives here, the unimodality and counting reports included.
-Each yields a list of records ``{check, params, status, lhs, rhs}``, all
-built by ``_record``, with the compared values rendered through the
-symmetric-function JSON encoding wherever they are symmetric.
-``records_json`` writes them as the CLI's JSON line, so the layout here is
-a stable machine contract.  Every oracle is quasisymmetric, so sides over k
-variables are compared as ``QsymTable`` values, at the compositions with at
-most k parts, and shown in the e basis, which certifies symmetry, when k is
-at least the degree, or else as k-variable tables.
+Each yields a list of records, all built by ``_record``, that keep the two
+values compared and present nothing, so a text run, which prints each
+record's status, check and params, presents no value.  ``records_json``,
+the one place a value is presented, writes them as the CLI's JSON line of
+``{check, params, status, lhs, rhs}``, rendering each side through the
+symmetric-function JSON encoding wherever it is symmetric, so the layout
+here is a stable machine contract.  Every oracle is quasisymmetric, so
+sides over k variables are compared as ``QsymTable`` values, at the
+compositions with at most k parts, and shown in the e basis, which
+certifies symmetry, when k is at least the degree, or else as k-variable
+tables.
 
 A record passes exactly when its two shown sides are equal as values.  Five
 checks have a condition wider than the sides they show, and pass it as
@@ -26,7 +29,6 @@ the unimodality params and the plain p sides (``_in_plain_p``).
 from __future__ import annotations
 
 import math
-from itertools import groupby
 
 from . import combinat
 from . import enumerators as en
@@ -60,88 +62,59 @@ from .symfun import (
 )
 
 
-def _present(x):
-    if isinstance(x, QsymTable):
-        try:
-            return monomial_to_e(x).to_json_obj()
-        except ValueError:  # NotSymmetricError among them
-            return x.to_json_obj()
-    if isinstance(x, (SymFun, LaurentPoly, QtPoly, en.FExpansion)):
-        return x.to_json_obj()
-    return x
-
-
-def _record(
-    check: str, params: dict, lhs, rhs, ok: bool | None = None, seen: dict | None = None
-) -> dict:
-    """One record; it passes when ``lhs == rhs``, or when ``ok`` for the
-    checks whose condition is wider than the two sides shown.  Equal values
-    present identically: a suite that shows a value in several records
-    passes ``seen`` (id -> (value kept alive, presentation)) to present it once."""
+def _record(check: str, params: dict, lhs, rhs, ok: bool | None = None) -> dict:
+    """One record of the two values compared; it passes when ``lhs == rhs``,
+    or when ``ok`` for the checks whose condition is wider than the two
+    sides.  It presents nothing: ``same`` keeps whether the sides are equal,
+    so that ``records_json`` shows an equal rhs with lhs's text."""
     same = lhs == rhs
-    sides = (lhs, rhs) if same else (lhs,)
-    seen = {} if seen is None else seen
-    hits = [seen[id(x)][1] for x in sides if id(x) in seen]
-    shown = hits[0] if hits else _present(lhs)
-    seen.update((id(x), (x, shown)) for x in sides)
     return {
         "check": check,
         "params": params,
         "status": "pass" if (same if ok is None else ok) else "fail",
-        "lhs": shown,
-        "rhs": shown if same else _present(rhs),  # equal values present identically
+        "lhs": lhs,
+        "rhs": rhs,
+        "same": same,
     }
 
 
 def records_json(records: list[dict]) -> str:
-    """The records as one compact JSON line, byte for byte
-    ``json.dumps(records, separators=(",", ":"))``.  Each run of records with
-    no k-variable table side is encoded in one call.  A table side is written
-    from the text of its exponent lists, shared by the tables of one size,
-    and of its coefficients, shared by the rows of one composition; these
-    and a table side shown by several records are each encoded once per
-    call."""
-    parts = ["["]
-    texts: dict[int, str] = {}  # id -> text of a shared object, kept alive by records
+    """The records as one compact JSON line of ``{check, params, status,
+    lhs, rhs}``, byte for byte ``json.dumps(..., separators=(",", ":"))`` of
+    the records with each side presented: a ``QsymTable`` in the e basis
+    when ``monomial_to_e`` takes it, or else as its k-variable table, written
+    from its rows with each coefficient encoded once; any other value
+    through its ``to_json_obj``, or as it is.  A side, or a table's exponent
+    list, is presented at most once per call: its text is kept by id (the
+    records, and ``symfun._layout``'s cache, keep each alive), and an equal
+    rhs takes lhs's text under both ids."""
+    texts: dict[int, str] = {}
 
-    def text(obj, encode=dumps) -> str:
-        return texts.get(id(obj)) or texts.setdefault(id(obj), encode(obj))
+    def text(x) -> str:
+        return texts.get(id(x)) or texts.setdefault(id(x), present(x))
 
-    def is_table(obj) -> bool:
-        return type(obj) is dict and "vars" in obj  # as QsymTable.to_json_obj writes it
+    def present(x) -> str:
+        if isinstance(x, QsymTable):
+            try:
+                x = monomial_to_e(x)
+            except ValueError:  # NotSymmetricError among them
+                rows = x._rows(lambda c: dumps(c.to_json_obj()))
+                terms = ",".join(f'{{"exponents":{text(vec)},"coeff":{c}}}' for vec, c in rows)
+                return f'{{"vars":{x.nvars},"terms":[{terms}]}}'
+        return dumps(x.to_json_obj() if hasattr(x, "to_json_obj") else x)
 
-    def table(obj) -> str:
-        rows = ",".join(
-            f'{{"exponents":{text(r["exponents"])},"coeff":{text(r["coeff"])}}}' for r in obj["terms"]
-        )
-        return f'{{"vars":{obj["vars"]},"terms":[{rows}]}}'
-
-    def side(obj) -> str:
-        return text(obj, table) if is_table(obj) else dumps(obj)
-
-    def tabled(r: dict) -> bool:
-        return is_table(r["lhs"]) or is_table(r["rhs"])
-
-    if not any(map(tabled, records)):
-        return dumps(records)
-    for has_table, run in groupby(records, tabled):
-        if not has_table:
-            parts += (dumps(list(run))[1:-1], ",")
-            continue
-        for r in run:
-            head = dumps({"check": r["check"], "params": r["params"], "status": r["status"]})
-            parts += (head[:-1], ',"lhs":', side(r["lhs"]), ',"rhs":', side(r["rhs"]), "},")
-    parts[-1] = parts[-1][:-1] + "]"  # no comma after the last record
-    return "".join(parts)
+    parts = []
+    for r in records:
+        lhs, rhs = r["lhs"], r["rhs"]
+        if r["same"]:
+            texts[id(lhs)] = texts[id(rhs)] = texts.get(id(lhs)) or texts.get(id(rhs)) or present(lhs)
+        head = dumps({"check": r["check"], "params": r["params"], "status": r["status"]})
+        parts.append(f'{head[:-1]},"lhs":{text(lhs)},"rhs":{text(rhs)}}}')
+    return "[" + ",".join(parts) + "]"
 
 
 def suite_oracle(max_n: int, nvars: int) -> list[dict]:
     records = []
-    seen: dict = {}  # each value shown is presented once per call
-
-    def record(check: str, params: dict, lhs, rhs) -> None:
-        records.append(_record(check, params, lhs, rhs, seen=seen))
-
     rings = combinat.ring_colorings(max_n, nvars)  # the path and both cycles, every n
     # each oracle table once per call: XC's from the walk, a word table when first read
     tables = {("XC", n): rings["cycle", n] for n in range(2, max_n + 1)}
@@ -157,18 +130,18 @@ def suite_oracle(max_n: int, nvars: int) -> list[dict]:
             lhs = expand_at_compositions(en.closed_form(variant, n), nvars)
             rhs = table(variant, n)
             params = {"variant": variant, "n": n, "vars": nvars}
-            record("oracle", params, lhs, rhs)
+            records.append(_record("oracle", params, lhs, rhs))
     for n in range(1, max_n + 1):
         lhs = rings["path", n]
         rhs = table("W", n)
-        record("chromatic-path", {"n": n, "vars": nvars}, lhs, rhs)
+        records.append(_record("chromatic-path", {"n": n, "vars": nvars}, lhs, rhs))
     for n in range(2, max_n + 1):
         lhs = rings["directed_cycle", n]
         rhs = table("Wtildeneq", n)
-        record("chromatic-directed-cycle", {"n": n, "vars": nvars}, lhs, rhs)
+        records.append(_record("chromatic-directed-cycle", {"n": n, "vars": nvars}, lhs, rhs))
         lhs = table("XC", n)
         rhs = table("Wless", n) + table("Wgreater", n).scale(T)
-        record("chromatic-cycle-split", {"n": n, "vars": nvars}, lhs, rhs)
+        records.append(_record("chromatic-cycle-split", {"n": n, "vars": nvars}, lhs, rhs))
     for n in range(1, max_n + 1):
         less = table("Wless", n)
         greater = table("Wgreater", n)
@@ -180,9 +153,9 @@ def suite_oracle(max_n: int, nvars: int) -> list[dict]:
             ("refinement-cyclic-distinct", "Wtildeneq", less.scale(T) + greater),
         ):
             lhs = table(lhs_variant, n)
-            record(name, {"n": n, "vars": nvars}, lhs, rhs)
+            records.append(_record(name, {"n": n, "vars": nvars}, lhs, rhs))
         reversed_less = less.map_coeffs(lambda p: p.reverse(n - 1))
-        record("word-reversal", {"n": n, "vars": nvars}, greater, reversed_less)
+        records.append(_record("word-reversal", {"n": n, "vars": nvars}, greater, reversed_less))
     return records
 
 

@@ -20,6 +20,7 @@ from smirnov import enumerators as en
 from smirnov.exact import LaurentPoly, QtPoly, t_quantum
 from smirnov.symfun import QsymTable, SymFun, SymSeries
 from monomial_reference import expand_in_variables
+from record_reference import presented, records_line
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 REFERENCE_RUNS = json.loads(REFERENCE.read_text())
@@ -621,6 +622,23 @@ class TestVerify:
         assert code == 1
 
     @pytest.mark.parametrize(
+        "variant, rule, failing",
+        [
+            ("W", {"<": 0, ">": 0}, {"refinement-all", "oracle", "chromatic-path"}),
+            ("Wneq", {"<": 0, ">": 0, "=": 0}, {"refinement-distinct", "oracle"}),
+        ],
+        ids=["W-without-equal-ends", "Wneq-with-equal-ends"],
+    )
+    def test_mutated_endpoint_rule_fails_refinement(
+        self, monkeypatch, fresh_caches, variant, rule, failing
+    ):
+        # the word tables read the endpoint table; the refinement checks sum
+        # the tables of Wless, Wgreater and Wequal, which it leaves as they are
+        monkeypatch.setitem(walks.ENDPOINT_RULES, variant, rule)
+        records = verify.suite_oracle(4, 4)
+        assert {r["check"] for r in records if r["status"] == "fail"} == failing
+
+    @pytest.mark.parametrize(
         "kept_only, argv, failing",
         [
             (False, ("--suite", "counting"), {"counting-des", "counting-des-first-less"}),
@@ -865,75 +883,123 @@ class TestRecords:
         "cyclic-coefficient-rectangle",
     }
 
+    @pytest.fixture
+    def presentations(self, monkeypatch):
+        """The tables that ``records_json`` hands to ``monomial_to_e``."""
+        shown = []
+        original = verify.monomial_to_e
+        monkeypatch.setattr(verify, "monomial_to_e", lambda x: shown.append(x) or original(x))
+        return shown
+
     def test_status_is_the_comparison_of_the_shown_sides(self):
-        records = json.loads(json.dumps(verify.run_suites(verify.SUITES)))
+        records = json.loads(verify.records_json(verify.run_suites(verify.SUITES)))
         assert self.WIDER <= {r["check"] for r in records}
         narrow = [r for r in records if r["check"] not in self.WIDER]
         assert narrow
         for r in narrow:
             assert (r["status"] == "pass") == (r["lhs"] == r["rhs"]), r
 
-    def test_record_compares_its_sides_and_shares_equal_tables(self):
+    @pytest.mark.parametrize(
+        "argv",
+        [("--suite", "all"), ("--suite", "oracle", "--max-n", "5", "--vars", "3")],
+        ids=["all", "oracle-tables"],
+    )
+    def test_text_status_agrees_with_json_and_presents_nothing(self, capsys, monkeypatch, argv):
+        code, out, _ = run_cli(capsys, "verify", *argv, "--format", "json")
+        records = json.loads(out)
+
+        def refuse(*args):
+            raise AssertionError("a text run presented a value")
+
+        monkeypatch.setattr(verify, "monomial_to_e", refuse)
+        monkeypatch.setattr(symfun, "monomial_to_e", refuse)
+        text_code, text, _ = run_cli(capsys, "verify", *argv)
+        assert text_code == code == 0
+        *lines, total = text.splitlines()
+        assert len(lines) == len(records)
+        for line, r in zip(lines, records):
+            assert line.split()[:2] == [r["status"].upper(), r["check"]], line
+        passed = sum(r["status"] == "pass" for r in records)
+        assert total == f"{passed}/{len(records)} checks passed"
+
+    def test_record_compares_its_sides_and_shares_equal_tables(self, presentations):
         closed = symfun.expand_at_compositions(en.closed_form("W", 3), 3)
         oracle = combinat.brute_enumerator("W", 3, 3)
         same = verify._record("oracle", {}, closed, oracle)
-        assert same["status"] == "pass" and same["lhs"] is same["rhs"]
+        assert same["status"] == "pass" and same["lhs"] is closed and same["rhs"] is oracle
+        [shown] = json.loads(verify.records_json([same]))
+        assert shown["lhs"] == shown["rhs"] and len(presentations) == 1
         differ = verify._record("oracle", {}, closed, oracle.scale(exact.T))
-        assert differ["status"] == "fail" and differ["lhs"] != differ["rhs"]
+        assert differ["status"] == "fail"
+        [shown] = json.loads(verify.records_json([differ]))
+        assert shown["lhs"] != shown["rhs"] and len(presentations) == 3
         assert verify._record("wider", {}, 1, 2, ok=True)["status"] == "pass"
         assert verify._record("wider", {}, 1, 1, ok=False)["status"] == "fail"
 
-    def test_record_reuses_the_presentation_of_a_value_seen(self):
+    def test_record_reuses_the_presentation_of_a_value_seen(self, presentations):
         closed = symfun.expand_at_compositions(en.closed_form("W", 3), 3)
         oracle = combinat.brute_enumerator("W", 3, 3)
         path = combinat.ring_colorings(3, 3)["path", 3]
-        seen = {}
-        first = verify._record("oracle", {}, closed, oracle, seen=seen)
-        # the other side equals a value seen, or the side is one
-        assert verify._record("chromatic-path", {}, path, oracle, seen=seen)["lhs"] is first["lhs"]
-        assert verify._record("refinement", {}, oracle, path, seen=seen)["lhs"] is first["lhs"]
-        # an unequal other side is not taken for the side shown
-        differ = verify._record("oracle", {}, oracle.scale(exact.T), oracle, seen=seen)
-        assert differ["status"] == "fail" and differ["lhs"] == verify._present(oracle.scale(exact.T))
-        assert differ["rhs"] == first["lhs"]
+        records = [
+            verify._record("oracle", {}, closed, oracle),
+            # the other side equals a value seen, or the side is one
+            verify._record("chromatic-path", {}, path, oracle),
+            verify._record("refinement", {}, oracle, path),
+            # an unequal other side is not taken for the side shown
+            verify._record("oracle", {}, oracle.scale(exact.T), oracle),
+        ]
+        line = verify.records_json(records)
+        assert line == records_line(records)
+        assert presentations == [closed, records[3]["lhs"]]
+        shown = json.loads(line)
+        assert shown[3]["status"] == "fail" and shown[3]["lhs"] == presented(oracle.scale(exact.T))
+        assert shown[3]["rhs"] == shown[0]["lhs"]
 
-    def test_oracle_suite_presents_only_its_oracle_sides(self, monkeypatch):
+    def test_oracle_suite_presents_only_its_oracle_sides(self, presentations):
         # every later record shows a word or coloring table equal to an
         # oracle record's side, and reuses its presentation; only Wneq at
-        # n = 1, which has no oracle record, is presented on its own
-        shown = []
-        original = verify._present
-        monkeypatch.setattr(verify, "_present", lambda x: shown.append(x) or original(x))
+        # n = 1, which has no oracle record, is presented on its own.  Each
+        # call presents afresh.
         records = verify.suite_oracle(4, 4)
         assert verify.all_pass(records)
-        assert len(shown) == sum(r["check"] == "oracle" for r in records) + 1
+        tables = sum(r["check"] == "oracle" for r in records) + 1
+        for calls in (1, 2):
+            verify.records_json(records)
+            assert len(presentations) == calls * tables
 
     @staticmethod
     def assert_encoded_as_json_dumps(records):
         line = verify.records_json(records)
-        expected = json.dumps(records, separators=(",", ":"))
+        expected = records_line(records)
         if line != expected:  # name the first differing byte, not a diff of a megabyte
             at = len(os.path.commonprefix([line, expected]))
             pytest.fail(f"records_json differs from json.dumps at byte {at}: {line[max(at - 40, 0):at + 40]!r}")
-        assert json.loads(line) == json.loads(json.dumps(records))
+        assert json.loads(line) == json.loads(expected)
 
     def test_records_json_is_json_dumps_on_every_suite(self):
         for records in (verify.run_suites(verify.SUITES), verify.suite_oracle(7, 6)):
-            assert any(r["rhs"] is r["lhs"] for r in records)
+            assert any(r["lhs"] is not r["rhs"] and r["lhs"] == r["rhs"] for r in records)
             self.assert_encoded_as_json_dumps(records)
 
     def test_records_json_is_json_dumps_on_other_sides(self):
+        # in 2 variables a degree-3 table is shown as a table, in 3 in the e basis
         closed = symfun.expand_at_compositions(en.closed_form("W", 3), 2)
         failing = verify._record("oracle", {"n": 3, "vars": 2}, closed, closed.scale(exact.T))
-        assert failing["status"] == "fail" and failing["rhs"] is not failing["lhs"]
-        empty = QsymTable(2).to_json_obj()
+        assert failing["status"] == "fail"
+        wide = symfun.expand_at_compositions(en.closed_form("W", 3), 3)
         records = [
             failing,
+            verify._record("oracle", {"n": 3, "vars": 3}, wide, wide.scale(exact.T)),
+            verify._record("not-symmetric", {}, QsymTable(3, {(2, 1): exact.T}), closed),
+            # a table side that a later record shows again
+            verify._record("again", {}, [True], closed),
+            # equal sides that would present apart: rhs is shown as lhs
+            verify._record("constant", {}, exact.ONE, 1),
             verify._record("flag", {"n": 1}, True, True),
             verify._record("flags", {}, [True, False], [True, True]),
             verify._record("mapping", {"set": [1, 2]}, {"a": {"1": "1/2"}}, {"a": {"1": "1/2"}}),
             verify._record("empty-e", {}, QsymTable(3), QsymTable(3)),
-            {"check": "empty-table", "params": {}, "status": "pass", "lhs": empty, "rhs": empty},
+            verify._record("empty-table", {}, QsymTable(2), []),
         ]
         self.assert_encoded_as_json_dumps(records)
         assert verify.records_json([]) == "[]"

@@ -53,6 +53,19 @@ class TestLaurentPoly:
             with pytest.raises(TypeError):
                 LaurentPoly({0: c})
 
+    def test_a_bool_compares_unequal(self):
+        # an int compares as a constant, a bool as no value at all; it is
+        # still no coefficient
+        for value in (ONE, ZERO, QtPoly.one(), QtPoly({0: ZERO})):
+            for flag in (True, False):
+                assert not value == flag and value != flag
+                assert not flag == value and flag != value
+        assert ONE == 1 and QtPoly.one() == 1 and ZERO == 0
+        with pytest.raises(TypeError):
+            LaurentPoly.const(True)
+        with pytest.raises(TypeError):
+            QtPoly({0: True})
+
     def test_values_are_unhashable(self):
         # __eq__ compares the terms mapping, so Python leaves __hash__ unset
         for value in (ONE, QtPoly({1: T})):

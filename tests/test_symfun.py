@@ -36,6 +36,7 @@ from monomial_reference import (
     monomial_table,
     times_factorial_in_plain_p,
 )
+from record_reference import records_line
 
 PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22]
 
@@ -421,15 +422,17 @@ class TestQsymTable:
         assert obj == reference
         assert table.pretty() == monomial_table(table).pretty()
         assert json.loads(json.dumps(obj)) == obj
-        # records_json splices table sides from shared text: one side shown
-        # twice, two equal sides, and a table beside a side that is none
+        # records_json writes a table side from its rows, with each exponent
+        # list and coefficient encoded once: one side shown twice, two equal
+        # sides, and a table beside a side that is none
         records = [
-            {"check": "same", "params": {"n": 1}, "status": "pass", "lhs": obj, "rhs": obj},
-            {"check": "equal", "params": {}, "status": "pass", "lhs": obj, "rhs": reference},
-            {"check": "mixed", "params": {}, "status": "fail", "lhs": [True], "rhs": obj},
-            {"check": "plain", "params": {}, "status": "pass", "lhs": 1, "rhs": 1},
+            verify._record("same", {"n": 1}, table, table),
+            verify._record("equal", {}, table, monomial_table(table)),
+            verify._record("mixed", {}, [True], table),
+            verify._record("plain", {}, 1, 1),
         ]
-        assert verify.records_json(records) == json.dumps(records, separators=(",", ":"))
+        assert [r["status"] for r in records] == ["pass", "pass", "fail", "pass"]
+        assert verify.records_json(records) == records_line(records)
         rows = [tuple(row["exponents"]) for row in obj["terms"]]
         assert rows == sorted(rows, reverse=True)
         placed = set()
