@@ -14,8 +14,10 @@ package) by ``_deferred`` before anything imports them, and each compiles
 and runs its source when one of its attributes is first read
 (``importlib.util.LazyLoader``).  ``qeuler``, ``roots`` and ``fexpand`` run
 only ``exact`` and ``walks``; ``expand`` and ``powersum`` also run ``symfun``
-and ``enumerators``, and ``verify`` every module its suites read.  The parser
-reads ``verify`` only when the verb, always the first argument, is ``verify``.
+and ``enumerators``, and ``verify`` also the ``verify`` package and the
+module of each suite it runs (``run_suite`` imports it), with what it reads.
+The parser reads ``verify`` only when the verb, always the first argument,
+is ``verify``.
 
 Output is byte-deterministic for fixed flags: partitions are listed in a
 fixed order and JSON objects are built in insertion order.  Exit codes are 0
@@ -219,7 +221,7 @@ def _cmd_roots(parser, args) -> int:
 
 
 def _cmd_verify(parser, args) -> int:
-    reads = verify.BOUNDS if args.suite == "all" else verify.SUITE_BOUNDS[args.suite][1]
+    reads = verify.BOUNDS if args.suite == "all" else verify.SUITE_BOUNDS[args.suite]
     bounds = {}
     for bound, (_, key) in verify.BOUNDS.items():
         value = getattr(args, bound)

@@ -1,10 +1,8 @@
 """Combinatorial oracles.
 
-Smirnov words (no adjacent equal letters) with descent statistics, proper
-colorings of the path and of the labeled and directed cycles, permutation
-statistics, fundamental quasisymmetric functions in the weakly-decreasing
-convention, and their two specializations.  The closed forms elsewhere are
-verified against these tables.
+Smirnov words (no adjacent equal letters) with descent statistics and
+proper colorings of the path and of the labeled and directed cycles.  The
+closed forms elsewhere are verified against these tables.
 
 The word and coloring enumerators are quasisymmetric, so each is a
 ``QsymTable``: ``brute_enumerator`` reads the coefficient of each
@@ -15,10 +13,9 @@ under the endpoint table ``ENDPOINT_RULES``, and ``ring_colorings`` the
 colorings of the path, the labeled cycle and the directed cycle at every n
 from one transfer-matrix walk (Stanley, EC1 4.7) along the path with the
 colors standardised to ranks.  The endpoint table, ``endpoint_sum`` and
-``packed_coeffs`` live in ``walks`` and are bound here too.
-Everything else here enumerates objects one at a time, ``permutations_of``,
-``perm_stats``, ``inverse_perm`` and ``fundamental_F`` included;
-``fundamental_F`` returns its counts by exponent vector as a plain dict.
+``packed_coeffs`` live in ``walks`` and are bound here too.  The per-object
+enumerations ``perm_stats`` and ``fundamental_F`` live in ``verify.qexp`` and
+``verify.f``, the one suite that reads each.
 The word by word enumeration, a prefix word DP over (first, last, content),
 the general digraph coloring DPs (by ranks and by content vector) and the
 table by exponent vectors they are compared as are reference modules of the
@@ -32,10 +29,8 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import permutations
-from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .exact import LaurentPoly, QtPoly
+from .exact import LaurentPoly
 from . import symfun
 from .walks import ENDPOINT_RULES, endpoint_sum, packed_coeffs
 
@@ -116,6 +111,7 @@ def _insertion_ends(n: int) -> tuple[int, dict[tuple[int, ...], dict[str, int]]]
     return width, ends
 
 
+@lru_cache(maxsize=None)
 def brute_enumerator(variant: str, n: int, k: int) -> symfun.QsymTable:
     """Sum of t^stat(w) x_w over the filtered Smirnov words over k letters.
 
@@ -124,6 +120,7 @@ def brute_enumerator(variant: str, n: int, k: int) -> symfun.QsymTable:
     quasisymmetric, and its coefficient at each composition of n with at
     most k parts is read from the insertion DP at k = n
     (``_insertion_ends``) by the variant's endpoint rule (``endpoint_sum``).
+    Cached, so the power sum and counting suites share their tables.
     """
     if variant not in ENDPOINT_RULES:
         raise ValueError(f"unknown variant {variant!r}")
@@ -188,138 +185,3 @@ def ring_colorings(max_n: int, k: int) -> dict[tuple[str, int], symfun.QsymTable
                 {alpha: LaurentPoly(packed_coeffs(p, width)) for alpha, p in by_content.items()}
             )
     return tables
-
-
-Perm = tuple[int, ...]
-
-
-class PermStats(NamedTuple):
-    des: int
-    cdes: int
-    exc: int
-    maj: int
-    maj2des: int  # sum of the positions where the entry drops by >= 2
-    maj2asc: int  # sum of the positions where the entry rises by >= 2
-    des_set: frozenset[int]
-    des2_set: frozenset[int]
-    asc2_set: frozenset[int]
-
-
-def inverse_perm(sigma: Perm) -> Perm:
-    inv = [0] * len(sigma)
-    for i, v in enumerate(sigma, start=1):
-        inv[v - 1] = i
-    return tuple(inv)
-
-
-def perm_stats(sigma: Sequence[int]) -> PermStats:
-    """All statistics of a permutation given in one-line notation.
-
-    >>> s = perm_stats((2, 3, 1))
-    >>> (s.exc, s.maj)
-    (2, 2)
-    >>> perm_stats((3, 1, 2)).des2_set
-    frozenset({1})
-    """
-    sigma = tuple(sigma)
-    n = len(sigma)
-    if sorted(sigma) != list(range(1, n + 1)):
-        raise ValueError("not a permutation of 1..n")
-    des_set = frozenset(i for i in range(1, n) if sigma[i - 1] > sigma[i])
-    des2 = frozenset(i for i in range(1, n) if sigma[i - 1] - sigma[i] >= 2)
-    asc2 = frozenset(i for i in range(1, n) if sigma[i] - sigma[i - 1] >= 2)
-    des = len(des_set)
-    return PermStats(
-        des=des,
-        cdes=des + (1 if n and sigma[-1] > sigma[0] else 0),
-        exc=sum(1 for i, v in enumerate(sigma, start=1) if v > i),
-        maj=sum(des_set),
-        maj2des=sum(des2),
-        maj2asc=sum(asc2),
-        des_set=des_set,
-        des2_set=des2,
-        asc2_set=asc2,
-    )
-
-
-def permutations_of(n: int) -> Iterator[Perm]:
-    return permutations(range(1, n + 1))
-
-
-def fundamental_F(n: int, S: Iterable[int], k: int) -> dict[tuple, int]:
-    """Fundamental quasisymmetric function over k variables: the sum of x_f
-    over weakly decreasing f: [n] -> [k] that drop strictly at every position
-    in S, as the number of such f with each exponent vector.
-
-    >>> fundamental_F(3, {1}, 2)
-    {(2, 1): 1}
-    """
-    S = frozenset(S)
-    if any(not 1 <= i <= n - 1 for i in S):
-        raise ValueError("S must be a subset of 1..n-1")
-    if n < 1 or k < 1:
-        raise ValueError("n and k must be positive")
-    counts: dict[tuple, int] = {}
-    values = [0] * n
-
-    def extend(i: int) -> None:
-        if i == n:
-            vec = [0] * k
-            for v in values:
-                vec[v - 1] += 1
-            key = tuple(vec)
-            counts[key] = counts.get(key, 0) + 1
-            return
-        hi = k if i == 0 else values[i - 1] - (1 if i in S else 0)
-        for v in range(1, hi + 1):
-            values[i] = v
-            extend(i + 1)
-
-    extend(0)
-    return counts
-
-
-def F_ones_specialization(n: int, S: Iterable[int], m: int) -> int:
-    """Number of weakly decreasing f: [n] -> [m] strict at S."""
-    S = frozenset(S)
-    if m < 1:
-        raise ValueError("m must be positive")
-    return math.comb(m + n - 1 - len(S), n)
-
-
-def F_principal_series(n: int, S: Iterable[int], order: int) -> QtPoly:
-    """Direct truncated sum of q^(f(1)-1 + ... + f(n)-1) over f in the
-    strict-at-S weakly decreasing family; the oracle for the closed form."""
-    S = frozenset(S)
-    counts: dict[int, int] = {}
-    values = [0] * n
-
-    def extend(i: int, budget: int) -> None:
-        if i == n:
-            e = sum(values) - n
-            counts[e] = counts.get(e, 0) + 1
-            return
-        hi = (order + 1 + n) if i == 0 else values[i - 1] - (1 if i in S else 0)
-        for v in range(1, hi + 1):
-            if (v - 1) > budget:
-                break
-            values[i] = v
-            extend(i + 1, budget - (v - 1))
-
-    extend(0, order)
-    return QtPoly({e: LaurentPoly({0: c}) for e, c in counts.items()})
-
-
-@lru_cache(maxsize=None)
-def inverse_q_product(n: int, order: int) -> QtPoly:
-    """Truncation of 1 / ((1-q)(1-q^2)...(1-q^n)) to q^order."""
-    series = {0: 1}
-    for j in range(1, n + 1):
-        out: dict[int, int] = {}
-        for e, c in series.items():
-            m = e
-            while m <= order:
-                out[m] = out.get(m, 0) + c
-                m += j
-        series = out
-    return QtPoly({e: LaurentPoly({0: c}) for e, c in series.items()})

@@ -2,42 +2,31 @@
 
 Each enumerator variant is the graded coefficient of a quotient N(z)/D(z) of
 e-basis generating series sharing one denominator.  This module builds each
-degree as N times the geometric expansion of 1/D, the power sum expansions,
-the q-exponential identities of the q-Eulerian polynomials, and the
-weighted-walk determinant identity.  The fundamental expansions, the
-q-Eulerian polynomials, their root-of-unity evaluations and ``LIMITS`` live
-in ``walks`` and are bound here too.
+degree as N times the geometric expansion of 1/D, and the power sum
+expansions; the identities that check them live in the verify suites.  The
+fundamental expansions, the q-Eulerian polynomials, their root-of-unity
+evaluations and ``LIMITS`` live in ``walks`` and are bound here too.
 
 The denominator and closed series, ``geometric_form``, the degrees of the
 closed forms, which ``closed_form`` and ``closed_series`` share, and
 ``powersum_form`` with the t-analog products it shares between variants are
 cached, so each argument is computed once per process.
-``quotient_form_check`` and ``cleared_form_check`` compare each product of
-two series at one integer point (``symfun.product_equal_at_point``).
-``q_exp_identity_check`` compares each degree of an identity at one integer
-point (``exact.sums_equal_at_point``) instead of multiplying q-polynomials.
-The transfer-matrix checks compare monomial coefficients as plain dicts, e_j
-being the sum of its squarefree monomials.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import combinations, permutations
 
-from .exact import ONE, T, ZERO, LaurentPoly, QtPoly, eulerian, q_binomial, sums_equal_at_point, t_quantum
-from . import combinat, symfun
-from .walks import VARIANTS, check_limit, q_eulerian
+from .exact import ONE, T, ZERO, LaurentPoly, eulerian, t_quantum
+from . import symfun
+from .walks import VARIANTS, check_limit
 from .walks import (  # bound here too, for the callers of this module
     F_VARIANTS, LIMITS, Q_EULERIAN_KINDS, Q_RULES, ROOT_FAMILIES, FExpansion,
-    check_root_order, f_expansion, root_of_unity, root_of_unity_parts,
+    check_root_order, f_expansion, q_eulerian, root_of_unity, root_of_unity_parts,
 )
 
 POWERSUM_VARIANTS = ("W", "Wless", "Wgreater", "Wtilde", "Wtildeneq")
-CLEARED_VARIANTS = ("W", "Wless", "Wgreater", "Wtilde")
-TOP_VARIANTS = ("Wneq", "XC")
-QEXP_IDENTITIES = ("A", "Aless", "Atilde")
 
 
 def check_degree(variant: str, n: int) -> None:
@@ -155,43 +144,6 @@ def closed_form(variant: str, n: int) -> symfun.SymFun:
 closed_form.cache_clear = _closed_degree.cache_clear
 
 
-def cleared_form_check(variant: str, order: int) -> bool:
-    """Cross-multiplied form of the identities obtained by clearing a 1 - t
-    factor out of numerator and denominator.
-
-    The cleared denominator is E(tz) - t E(z), whose constant term 1 - t is
-    not a unit in the graded sense, so each identity is checked as a product
-    rather than a quotient.
-    """
-    if variant not in CLEARED_VARIANTS:
-        raise ValueError(f"no cleared form for {variant!r}")
-    E = symfun.SymSeries.generating("e", order)
-    denom = E.grade_scale_t() - E.scale(T)
-    one_minus_t = ONE - T
-    lhs = closed_series(variant, order)
-    if variant == "W":
-        lhs = symfun.SymSeries.one("e", order) + lhs
-        rhs = E.scale(one_minus_t)
-    elif variant == "Wtilde":
-        rhs = E.grade_scale_t().dt().scale(one_minus_t)
-    elif variant == "Wless":
-        rhs = symfun.SymSeries.from_weights(
-            order, lambda i: t_quantum(i).derivative() * one_minus_t if i >= 2 else None
-        )
-    else:  # Wgreater
-        rhs = symfun.SymSeries.from_weights(
-            order, lambda i: abc(i)[1] * one_minus_t if i >= 2 else None
-        )
-    return symfun.product_equal_at_point(lhs, denom, rhs)
-
-
-def quotient_form_check(variant: str, order: int) -> bool:
-    """Numerator = denominator * series, for every variant's quotient."""
-    numerator = symfun.SymSeries.from_weights(order, lambda i: numerator_weight(variant, i))
-    series, denom = closed_series(variant, order), denominator_series(order)
-    return symfun.product_equal_at_point(series, denom, numerator)
-
-
 @lru_cache(maxsize=None)
 def _quantum_product(lam: symfun.Partition) -> LaurentPoly:
     """The product of the t-analogs [part]_t over the parts of lam, shared
@@ -236,100 +188,3 @@ def powersum_form(variant: str, n: int) -> symfun.SymFun:
             raise AssertionError("power sum coefficient is not a polynomial")
         terms[lam] = c
     return symfun.SymFun("p/z", n, terms)
-
-
-def q_statistic_diagnostic(n: int) -> dict:
-    """Whether the drop-gap and rise-gap position sums of the inverse give
-    the same q-refinement; they agree under the des weighting but not under
-    the cdes weighting."""
-    agree = {}
-    for weight in ("des", "cdes"):
-        lhs: dict[tuple[int, int], int] = {}
-        rhs: dict[tuple[int, int], int] = {}
-        for sigma in combinat.permutations_of(n):
-            stats = combinat.perm_stats(sigma)
-            inv_stats = combinat.perm_stats(combinat.inverse_perm(sigma))
-            te = stats.des if weight == "des" else stats.cdes
-            key1 = (inv_stats.maj2des, te)
-            key2 = (inv_stats.maj2asc, te)
-            lhs[key1] = lhs.get(key1, 0) + 1
-            rhs[key2] = rhs.get(key2, 0) + 1
-        agree[weight] = lhs == rhs
-    return {"des_weighted_agree": agree["des"], "cdes_weighted_agree": agree["cdes"]}
-
-
-def q_exp_identity_check(kind: str, order: int) -> bool:
-    """Cleared-denominator forms of the q-exponential identities.
-
-    Multiplying the generating function by exp_q(tz) - t exp_q(z) and
-    comparing q-binomial convolutions coefficientwise avoids dividing by the
-    non-unit constant term 1 - t.  Each degree's convolution is compared
-    with its right-hand side at one integer point
-    (``exact.sums_equal_at_point``), which is exact.
-    """
-    if kind not in QEXP_IDENTITIES:
-        raise ValueError(f"unknown identity {kind!r}")
-    check_limit("n", order, lo=0)
-    lo = 0 if kind == "A" else 1
-    terms = [
-        q_eulerian("Ades" if kind == "A" else kind, j) if j else QtPoly.one()
-        for j in range(lo, order + 1)
-    ]
-    identities = []
-    for n in range(1, order + 1):
-        products = [
-            (q_binomial(n, j), terms[j - lo], QtPoly.from_t(LaurentPoly.t_power(n - j) - T))
-            for j in range(lo, n + 1)
-        ]
-        if kind == "A":
-            rhs = QtPoly.from_t(ONE - T)
-        elif kind == "Aless":
-            rhs = QtPoly.from_t((ONE - T) * t_quantum(n).derivative()) if n >= 2 else QtPoly.zero()
-        else:
-            rhs = QtPoly.from_t((ONE - T) * LaurentPoly.t_power(n - 1, n))
-        identities.append((products, rhs))
-    return sums_equal_at_point(identities)
-
-
-def transfer_matrix_check(k: int) -> bool:
-    """det(I - zA) = 1 - sum over j >= 2 of e_j(x_1..x_k) t[j-1]_t z^j.
-
-    A is the walk matrix of the complete loopless digraph on 1..k: the edge
-    i -> j carries x_j, times t when it descends (i > j).  Every off-diagonal
-    entry of I - zA is the single monomial -x_j (times t) z, so each term of
-    the Leibniz sum is one monomial whose z-power is its total x-degree, and
-    the full determinant's equality implies that of every truncation in z.
-    The sides are compared monomial by monomial, e_j as the sum of its
-    squarefree monomials.
-    """
-    check_limit("transfer_k", k)
-    det: dict[tuple[int, ...], LaurentPoly] = {}
-    for sigma in permutations(range(k)):
-        moved = [i for i in range(k) if sigma[i] != i]
-        inversions = sum(a > b for a, b in combinations(sigma, 2))
-        vec = tuple(int(sigma[i] != i) for i in range(k))
-        term = LaurentPoly.t_power(
-            sum(i > sigma[i] for i in moved), (-1) ** (inversions + len(moved))
-        )
-        det[vec] = det.get(vec, ZERO) + term
-    weights = {j: w for j in range(k + 1) if (w := denominator_weight(j))}
-    expected = {vec: w for j, w in weights.items() for vec in _squarefree(k, j)}
-    return {vec: c for vec, c in det.items() if c} == expected
-
-
-def _squarefree(k: int, j: int) -> list[tuple[int, ...]]:
-    """The monomials of e_j(x_1..x_k): the 0-1 exponent vectors with j ones."""
-    return [tuple(int(i in ones) for i in range(k)) for ones in combinations(range(k), j)]
-
-
-def distinguished_element_check(j: int, k: int) -> bool:
-    """sum_i x_i e_j(x with x_i removed) = (j+1) e_{j+1}(x_1..x_k), monomial
-    by monomial."""
-    if j < 0 or k < 1:
-        raise ValueError("need j >= 0 and k >= 1")
-    lhs: dict[tuple[int, ...], int] = {}
-    for i in range(k):
-        for subset in combinations([v for v in range(k) if v != i], j):
-            vec = tuple(int(v == i or v in subset) for v in range(k))
-            lhs[vec] = lhs.get(vec, 0) + 1
-    return lhs == dict.fromkeys(_squarefree(k, j + 1), j + 1)

@@ -14,10 +14,8 @@ checked, which attributes two values must share, and how two keys multiply:
 ``QtPoly`` (a polynomial in ``q``, keyed by the q-exponent) here, and
 ``SymFun`` and ``QsymTable`` in ``symfun``.  ``eval_at_root_of_unity``
 reduces a ``QtPoly`` modulo a cyclotomic polynomial, which evaluates it at a
-primitive root of unity without leaving exact arithmetic.
-``sums_equal_at_point`` compares sums of ``QtPoly`` products at one integer
-point, exactly, without forming the products; ``symfun.product_equal_at_point``
-does the same for the product of two graded series.  Both read one shape
+primitive root of unity without leaving exact arithmetic.  The comparisons
+at one integer point of ``verify.qexp`` and ``verify.series`` read one shape
 (``int_span``), one digit width with its proof (``digit_width``) and one
 packing of a ``LaurentPoly`` at t = 2^w (``at_point``).  ``dumps`` is the
 one compact JSON encoder, of the command line's answers and of ``verify``'s
@@ -29,9 +27,8 @@ is a pure function, so values are safe to share between concurrent workers.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping
 
 
 def _canonical(terms: dict) -> "LaurentPoly":
@@ -287,53 +284,6 @@ def eulerian(n: int) -> LaurentPoly:
             for k in range(m)
         ]
     return LaurentPoly(dict(enumerate(row)))
-
-
-EULER_SERIES_ORDER = 12  # the truncation order of euler_series_check
-
-
-def euler_series_check(m: int) -> bool:
-    """Truncated power-series identity t*A(m-1)/(1-t)^m = sum_k k^(m-1) t^k, m >= 2."""
-    if m < 2:
-        raise ValueError("m must be at least 2")
-    order = EULER_SERIES_ORDER
-    inv = LaurentPoly({j: math.comb(j + m - 1, m - 1) for j in range(order + 1)})
-    lhs = ((T * eulerian(m - 1)) * inv).truncated(order)
-    rhs = LaurentPoly({k: k ** (m - 1) for k in range(1, order + 1)})
-    return lhs == rhs
-
-
-def palindrome_unimodal(p: LaurentPoly, center) -> tuple[bool, bool]:
-    """Test palindromicity about ``center`` (a half-integer) and unimodality.
-
-    Unimodality requires nonnegative coefficients that weakly rise to a peak
-    and then weakly fall.  The zero polynomial passes both tests for every
-    center.
-
-    >>> from fractions import Fraction
-    >>> palindrome_unimodal(LaurentPoly({0: 1, 1: 2, 2: 2, 3: 1}), Fraction(3, 2))
-    (True, True)
-    >>> palindrome_unimodal(LaurentPoly({2: 1, 4: 1}), 3)
-    (True, False)
-    """
-    twice = 2 * center
-    if twice != int(twice):
-        raise ValueError("center must be a half-integer")
-    twice = int(twice)
-    if not p:
-        return True, True
-    lo, hi = p.valuation(), p.degree()
-    pal = all(p.coeff(j) == p.coeff(twice - j) for j in range(lo, hi + 1))
-    seq = [p.coeff(j) for j in range(lo, hi + 1)]
-    uni = all(c >= 0 for c in seq)
-    if uni:
-        i = 0
-        while i + 1 < len(seq) and seq[i] <= seq[i + 1]:
-            i += 1
-        while i + 1 < len(seq) and seq[i] >= seq[i + 1]:
-            i += 1
-        uni = i == len(seq) - 1
-    return pal, uni
 
 
 class Combination:
@@ -601,89 +551,6 @@ def at_point(terms: Iterable[tuple[int, int]], w: int, low: int) -> int:
     for b, x in terms:
         v += x << w * (b - low)
     return v
-
-
-def sums_equal_at_point(identities: Iterable[tuple[Sequence[Sequence[QtPoly]], QtPoly]]) -> bool:
-    """Whether each identity holds, a sum of products of QtPoly factors
-    equal to a right-hand side, compared at one integer point.
-
-    Kronecker substitution.  Each factor is taken times the power of t that
-    makes its lowest t-exponent 0, each product and right-hand side then
-    times the power that brings it to its identity's lowest t-exponent, and
-    all are evaluated at t = 2^w and q = 2^(w s).  s exceeds every t-degree
-    of the shifted sides, so distinct monomials q^a t^b land on distinct
-    powers 2^(w (s a + b)).  w comes from the l1 norms (``digit_width``), so
-    a difference is zero at the point exactly when it is zero as a
-    polynomial.
-
-    >>> f = QtPoly({0: LaurentPoly({-1: 1}), 2: T})
-    >>> sums_equal_at_point([([(f, f), (f,)], f * f + f)])
-    True
-    >>> sums_equal_at_point([([(f, f)], f * f + QtPoly.q_power(5))])
-    False
-    """
-    # id -> (low t, high t, l1, the value itself, which keeps its id taken)
-    shapes: dict[int, tuple[int, int, int, QtPoly]] = {}
-    sides = []  # per identity: (factors, low t) per product, right side, low t
-    span = bound = 0
-    for products, rhs in identities:
-        for f in (rhs, *(f for factors in products for f in factors)):
-            if id(f) not in shapes:
-                shapes[id(f)] = (*int_span(f.terms.values()), f)
-        low, high, total, _ = shapes[id(rhs)]
-        lows = []
-        for factors in products:
-            lo = hi = 0
-            l1 = 1
-            for f in factors:
-                flo, fhi, fl1, _ = shapes[id(f)]
-                lo, hi, l1 = lo + flo, hi + fhi, l1 * fl1
-            lows.append(lo)
-            low, high, total = min(low, lo), max(high, hi), total + l1
-        span = max(span, high - low)
-        bound = max(bound, total)
-        sides.append((list(zip(products, lows)), rhs, low))
-    s = span + 1
-    w = digit_width(bound)
-    values: dict[int, int] = {}
-
-    def value(f: QtPoly) -> int:
-        """f times t^-(its low t) at the point."""
-        if id(f) not in values:
-            lo = shapes[id(f)][0]  # q^a is t^(s a) at the point
-            values[id(f)] = sum(
-                at_point(c.terms.items(), w, lo - s * a) for a, c in f.terms.items()
-            )
-        return values[id(f)]
-
-    for shifted, rhs, low in sides:
-        lhs = 0
-        for factors, lo in shifted:
-            prod = 1
-            for f in factors:
-                prod *= value(f)
-            lhs += prod << w * (lo - low)
-        if lhs != value(rhs) << w * (shapes[id(rhs)][0] - low):
-            return False
-    return True
-
-
-@lru_cache(maxsize=None)
-def q_binomial(n: int, k: int) -> QtPoly:
-    """Gaussian binomial coefficient as a q-polynomial.
-
-    >>> q_binomial(2, 1).pretty()
-    '1 + 1*q'
-    >>> q_binomial(4, 2).pretty()
-    '1 + 1*q + 2*q^2 + 1*q^3 + 1*q^4'
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if k < 0 or k > n:
-        return QtPoly.zero()
-    if k == 0 or k == n:
-        return QtPoly.one()
-    return q_binomial(n - 1, k - 1) + QtPoly.q_power(k) * q_binomial(n - 1, k)
 
 
 @lru_cache(maxsize=None)

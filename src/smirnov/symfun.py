@@ -15,10 +15,8 @@ variable count) and how two keys multiply (``merge``).  A ``SymSeries`` is
 a graded sequence of ``SymFun`` values indexed by the power of a formal
 variable z, all in the basis of its constant term; the grading and the
 x-degree always coincide here.  ``SymSeries.mul`` forms products (no series
-is divided: a quotient identity is checked as a product);
-``product_equal_at_point`` checks that the product of two series is a given
-series without forming it: the partitions stay keys, and every coefficient
-is one integer, its value at t = 2^w (``exact.at_point``).
+is divided: a quotient identity is checked as a product, by
+``verify.series.product_equal_at_point`` at one integer point).
 
 Power sums are kept in the ``p/z`` basis, against p_lam / z_lam, where
 products have integer structure constants (Macdonald I.2): with m_i(lam) the
@@ -43,7 +41,8 @@ sums these counts per mu and writes each at every rearrangement of mu;
 conversion back is a triangular solve against the e counts, and doubles as a
 symmetry certificate for the oracles' tables.  A ``QsymTable`` writes its
 k-variable table, as JSON or text, by reading one cached row layout per
-(vars, degree) at its compositions (``_layout``), with no sort.
+(vars, degree) at its compositions (``_layout``), with no sort, in a shape
+that ``walks.LIMITS`` allows.
 """
 
 from __future__ import annotations
@@ -53,16 +52,8 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Mapping
 
-from .exact import (
-    ONE,
-    ZERO,
-    Combination,
-    LaurentPoly,
-    at_point,
-    digit_width,
-    int_span,
-    palindrome_unimodal,
-)
+from .exact import ONE, ZERO, Combination, LaurentPoly
+from .walks import LIMITS
 
 Partition = tuple[int, ...]
 
@@ -274,12 +265,16 @@ class QsymTable(Combination):
 
     def _rows(self, encode: Callable[[LaurentPoly], object]) -> list[tuple[list[int], object]]:
         """(exponent list, encoded coefficient) for every exponent vector of
-        the k-variable table, in descending order: the layouts of its
-        degrees (``_layout``) read at its compositions, each coefficient
-        encoded once and shared by the rows that read it."""
+        the k-variable table, in descending order, each coefficient encoded
+        once and shared by the rows that read it: the cached layout of its
+        shape (``_layout``) read at its compositions if ``LIMITS`` allows the
+        shape, or else the sorted placements of its own compositions."""
         coded = {alpha: encode(c) for alpha, c in self.terms.items()}
-        layouts = [_layout(self.nvars, d) for d in sorted({sum(alpha) for alpha in coded})]
-        rows = layouts[0] if len(layouts) == 1 else sorted(sum(layouts, ()), reverse=True)
+        degrees, k = {sum(alpha) for alpha in coded}, self.nvars
+        if len(degrees) == 1 and k <= LIMITS["vars"] and max(degrees) <= LIMITS["n"]:
+            rows = _layout(k, degrees.pop())
+        else:
+            rows = sorted(((vec, alpha) for alpha in coded for vec in _placements(alpha, k)), reverse=True)
         return [(vec, coded[alpha]) for vec, alpha in rows if alpha in coded]
 
     def to_json_obj(self) -> dict:
@@ -306,6 +301,12 @@ def _layout(k: int, degree: int) -> tuple[tuple[list[int], tuple], ...]:
         vec = [b - a - 1 for a, b in zip((-1,) + bars, bars + (degree + k - 1,))]
         rows.append((vec, tuple(e for e in vec if e)))
     return tuple(rows)
+
+
+def _placements(alpha: tuple, k: int):
+    """Every exponent vector of k entries, as a list, that reads alpha."""
+    for places in combinations(range(k), len(alpha)):
+        yield [dict(zip(places, alpha)).get(i, 0) for i in range(k)]
 
 
 def _aligned(rows) -> str:
@@ -570,118 +571,3 @@ class SymSeries:
                     acc = acc + self.coeffs[j] * other.coeffs[n - j]
             coeffs.append(acc)
         return SymSeries(coeffs)
-
-
-def product_equal_at_point(a: SymSeries, b: SymSeries, rhs: SymSeries) -> bool:
-    """Whether ``a.mul(b) == rhs``, compared at one integer point instead of
-    multiplying ``LaurentPoly`` coefficients.
-
-    The partitions stay keys.  Every coefficient of a series is taken times
-    the power of t that makes the series' lowest t-exponent 0, at t = 2^w
-    (``exact.at_point``), so each product of two coefficients is one product
-    of ints times the structure constant that ``_product_key`` gives, summed
-    per partition.  Each side is then brought to the lower of the two sides'
-    t-exponents.  w comes from the l1 norms (``exact.digit_width``): the
-    product of degrees j and n - j has l1 norm at most that of the two
-    factors times C(n, j) against p / z (a structure constant
-    prod_i C(m_i(lam) + m_i(mu), m_i(mu)) is at most
-    C(l(lam) + l(mu), l(mu)) <= C(n, j)), and times 1 in e, h or plain p.
-
-    >>> E = SymSeries.generating("e", 3)
-    >>> product_equal_at_point(E, E, E.mul(E)), product_equal_at_point(E, E, E)
-    (True, False)
-    """
-    a._check_basis(b)
-    basis = a.basis
-    size = min(a.order, b.order) + 1
-    if (rhs.basis, rhs.order) != (basis, size - 1):
-        return False
-    shapes = []  # per series: (lowest t-exponent, l1 norm per degree)
-    for s in (a, b, rhs):
-        spans = [int_span(f.terms.values()) for f in s.coeffs[:size]]
-        low = min((lo for lo, _, l1 in spans if l1), default=0)  # l1 is 0 only at a zero degree
-        shapes.append((low, [l1 for _, _, l1 in spans]))
-    (a_low, a_l1), (b_low, b_l1), (rhs_low, rhs_l1) = shapes
-    w = digit_width(
-        max(
-            sum(
-                (math.comb(n, j) if basis == "p/z" else 1) * a_l1[j] * b_l1[n - j]
-                for j in range(n + 1)
-            )
-            + rhs_l1[n]
-            for n in range(size)
-        )
-    )
-    x, y, want = (
-        [{lam: at_point(c.terms.items(), w, low) for lam, c in f.terms.items()} for f in s.coeffs[:size]]
-        for s, (low, _) in zip((a, b, rhs), shapes)
-    )
-    key = _product_key  # read now, so a patched structure constant is seen
-    low = min(a_low + b_low, rhs_low)
-    shift_lhs, shift_rhs = w * (a_low + b_low - low), w * (rhs_low - low)
-    for n in range(size):
-        acc: dict[Partition, int] = {}
-        for j in range(n + 1):
-            for lam, u in x[j].items():
-                for mu, v in y[n - j].items():
-                    nu, mult = key(lam, mu, basis)
-                    acc[nu] = acc.get(nu, 0) + u * v * mult
-        got = {lam: u << shift_lhs for lam, u in acc.items() if u}
-        if got != {lam: u << shift_rhs for lam, u in want[n].items()}:
-            return False
-    return True
-
-
-def e_positive(f: SymFun) -> bool:
-    """Whether every e-basis coefficient is a polynomial in t with
-    nonnegative integer coefficients."""
-    if f.basis != "e":
-        raise ValueError("e-positivity applies to the e basis")
-    return all(c.in_nat_t() for c in f.terms.values())
-
-
-def e_unimodal_palindromic(f: SymFun, center) -> tuple[bool, bool]:
-    """Coefficientwise palindromicity/unimodality about a common center.
-
-    For a palindromic function this coefficientwise test is equivalent to the
-    direct chain definition of e-unimodality.
-    """
-    if f.basis != "e":
-        raise ValueError("requires the e basis")
-    pal = uni = True
-    for c in f.terms.values():
-        p, u = palindrome_unimodal(c, center)
-        pal = pal and p
-        uni = uni and u
-    return pal, uni
-
-
-def e_unimodal_direct(f: SymFun) -> bool:
-    """Chain definition of e-unimodality: slices rise to a peak, then fall,
-    where 'rise' means the difference is e-positive."""
-    if f.basis != "e":
-        raise ValueError("requires the e basis")
-    if not f.terms:
-        return True
-    exps: set[int] = set()
-    for c in f.terms.values():
-        if c.valuation() < 0:
-            return False
-        exps.update(c.terms)
-    top = max(exps)
-    lams = sorted(f.terms)
-
-    def slice_at(j: int) -> tuple:
-        return tuple(f.terms[lam].coeff(j) for lam in lams)
-
-    slices = [slice_at(j) for j in range(top + 1)]
-    nonneg = lambda v: all(x >= 0 for x in v)
-    le = lambda a, b: all(x <= y for x, y in zip(a, b))
-    if not (nonneg(slices[0]) and nonneg(slices[-1])):
-        return False
-    for peak in range(top + 1):
-        if all(le(slices[j], slices[j + 1]) for j in range(peak)) and all(
-            le(slices[j + 1], slices[j]) for j in range(peak, top)
-        ):
-            return True
-    return False

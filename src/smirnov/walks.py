@@ -12,7 +12,7 @@ per n stamped by endpoint class, whose '<' part Wgreater reads reversed
 (``F_REVERSED``), and q walks per step rule (``Q_RULES``) and whether they
 stamp the first value.  Unit tests check each walk against a permutation
 sweep, and ``to_table`` (which imports ``combinat`` and ``symfun`` when
-called) against ``fundamental_F``.
+called) against ``verify.f.fundamental_F``.
 """
 
 from __future__ import annotations
@@ -292,7 +292,7 @@ def q_eulerian(kind: str, n: int) -> QtPoly:
     cdes and q by the sum of the positions where the inverse permutation
     drops by at least two; that statistic, rather than the rising-gap sum,
     is the one compatible with the principal specialization (the rising-gap
-    reading is kept available through ``enumerators.q_statistic_diagnostic``).
+    reading is kept available through ``verify.qexp.q_statistic_diagnostic``).
 
     A walk over sigma itself (``_q_walk``), independent of the walk over
     sigma^-1 in ``f_expansion``.  Appending v at position p after ``last``

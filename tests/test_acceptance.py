@@ -9,17 +9,15 @@ import math
 import time
 from fractions import Fraction
 
-from smirnov import combinat, verify
+from smirnov import combinat
 from smirnov import enumerators as en
 from smirnov.exact import ONE, T, LaurentPoly, eulerian, t_quantum
-from smirnov.symfun import (
-    SymFun,
-    e_positive,
-    e_unimodal_direct,
-    e_unimodal_palindromic,
-    expand_at_compositions,
-    partitions_of,
-)
+from smirnov.symfun import SymFun, expand_at_compositions, partitions_of
+from smirnov.verify.counting import suite_counting
+from smirnov.verify.qexp import QEXP_IDENTITIES, q_exp_identity_check
+from smirnov.verify.series import CLEARED_VARIANTS, cleared_form_check, quotient_form_check, suite_series
+from smirnov.verify.transfer import distinguished_element_check, transfer_matrix_check
+from smirnov.verify.unimodal import e_positive, e_unimodal_direct, e_unimodal_palindromic, suite_unimodal
 from monomial_reference import expand_in_variables, times_factorial_in_plain_p
 
 
@@ -124,7 +122,7 @@ def test_criterion_05_fundamental_expansions_and_counting():
             fe = en.f_expansion(variant, n)
             rhs = expand_in_variables(en.closed_form(variant, n).omega(), n)
             ok = ok and fe.to_table(n) == rhs
-    records = verify.suite_counting()  # words of length n <= 6 over m <= 5 letters
+    records = suite_counting()  # words of length n <= 6 over m <= 5 letters
     ok = ok and bool(records) and all(r["status"] == "pass" for r in records)
     ok = ok and {(r["params"]["n"], r["params"]["m"]) for r in records} == {
         (n, m) for n in range(1, 7) for m in range(1, 6)
@@ -136,8 +134,8 @@ def test_criterion_06_q_eulerian_identities():
     ok = True
     for n in range(0, 8):
         ok = ok and en.q_eulerian("Amajexc", n) == en.q_eulerian("Ades", n)
-    for kind in en.QEXP_IDENTITIES:
-        ok = ok and en.q_exp_identity_check(kind, 8)
+    for kind in QEXP_IDENTITIES:
+        ok = ok and q_exp_identity_check(kind, 8)
     _report(6, "q-Eulerian interpretations and exponential identities", ok)
 
 
@@ -159,15 +157,15 @@ def test_criterion_07_roots_of_unity():
 
 
 def test_criterion_08_transfer_matrix():
-    ok = all(en.transfer_matrix_check(k) for k in range(2, 6))
+    ok = all(transfer_matrix_check(k) for k in range(2, 6))
     ok = ok and all(
-        en.distinguished_element_check(j, k) for j in range(0, 6) for k in range(1, 7)
+        distinguished_element_check(j, k) for j in range(0, 6) for k in range(1, 7)
     )
     _report(8, "weighted-walk determinant identity", ok)
 
 
 def test_criterion_09_unimodality_palindromicity():
-    records = verify.suite_unimodal()
+    records = suite_unimodal()
     ok = bool(records) and all(r["status"] == "pass" for r in records)
     ok = ok and max(r["params"]["n"] for r in records) == 8
     for n in range(2, 9):
@@ -188,8 +186,8 @@ def test_criterion_09_unimodality_palindromicity():
 
 
 def test_criterion_10_series_identity_layer():
-    records = verify.suite_series(6)
+    records = suite_series(6)
     ok = bool(records) and all(r["status"] == "pass" for r in records)
-    ok = ok and all(en.cleared_form_check(v, 6) for v in en.CLEARED_VARIANTS)
-    ok = ok and all(en.quotient_form_check(v, 6) for v in en.VARIANTS)
+    ok = ok and all(cleared_form_check(v, 6) for v in CLEARED_VARIANTS)
+    ok = ok and all(quotient_form_check(v, 6) for v in en.VARIANTS)
     _report(10, "series identity layer", ok)

@@ -7,6 +7,7 @@ import inspect
 import json
 import math
 import os
+import pkgutil
 import shlex
 import subprocess
 import sys
@@ -19,6 +20,10 @@ from smirnov import cli, combinat, exact, symfun, verify, walks
 from smirnov import enumerators as en
 from smirnov.exact import LaurentPoly, QtPoly, t_quantum
 from smirnov.symfun import QsymTable, SymFun, SymSeries
+from smirnov.verify import qexp
+from smirnov.verify.counting import suite_counting
+from smirnov.verify.oracle import suite_oracle
+from smirnov.verify.powersum import suite_powersum
 from monomial_reference import expand_in_variables
 from record_reference import presented, records_line
 
@@ -40,7 +45,7 @@ def recompiled(fn, old, new):
 
 ENUMERATOR_CACHES = [
     fn
-    for module in (en, walks)
+    for module in (en, walks, combinat)
     for fn in vars(module).values()
     if hasattr(fn, "cache_clear") and getattr(fn, "__module__", None) == module.__name__
 ]
@@ -48,10 +53,10 @@ ENUMERATOR_CACHES = [
 
 @pytest.fixture
 def fresh_caches():
-    """Every lru_cache of enumerators and walks empty when the test starts
-    and when it ends, so that a value computed under a patch neither hides
-    the patch nor outlives it.  A test that patches anything a cached
-    enumerator calls uses this."""
+    """Every lru_cache of enumerators, walks and combinat empty when the
+    test starts and when it ends, so that a value computed under a patch
+    neither hides the patch nor outlives it.  A test that patches anything a
+    cached enumerator or word table reads uses this."""
     for fn in ENUMERATOR_CACHES:
         fn.cache_clear()
     yield
@@ -351,11 +356,13 @@ class TestVerify:
         mutated = recompiled(combinat._gap_moves.__wrapped__, "(b, 1, 1, 0)", "(b, 0, 1, 0)")
         monkeypatch.setattr(combinat, "_gap_moves", mutated)
         combinat._insertion_ends.cache_clear()
+        combinat.brute_enumerator.cache_clear()
         try:
             assert combinat.brute_enumerator("W", 3, 3) != before
             assert self.oracle_suite_exit_code(capsys) == 1
         finally:
             combinat._insertion_ends.cache_clear()
+            combinat.brute_enumerator.cache_clear()
 
     @pytest.mark.parametrize(
         "argv",
@@ -373,7 +380,7 @@ class TestVerify:
         # each m_mu coefficient of a closed form belongs at every composition
         # that sorts to mu; writing it at mu alone must fail
         monkeypatch.setattr(
-            verify,
+            importlib.import_module("smirnov.verify." + argv[1]),
             "expand_at_compositions",
             lambda f, k: QsymTable(k, symfun._m_sums(f, k)),
         )
@@ -554,7 +561,7 @@ class TestVerify:
             monkeypatch.setattr(en, "powersum_form", powersum_form)
             [record] = [
                 r
-                for r in verify.suite_powersum(1)
+                for r in suite_powersum(1)
                 if r["check"] == "powersum-weight-palindromic" and r["params"] == {"n": 4, "partition": [2, 2]}
             ]
             assert record["lhs"] != record["rhs"] and record["status"] == "fail", stray
@@ -590,7 +597,7 @@ class TestVerify:
             return original(variant, n, k)
 
         monkeypatch.setattr(combinat, "brute_enumerator", counted)
-        records = verify.suite_counting()
+        records = suite_counting()
         assert records and verify.all_pass(records)
         assert len(calls) == 18
         assert set(calls) == {(v, n, n) for v in ("W", "Wless", "Wtilde") for n in range(1, 7)}
@@ -599,9 +606,9 @@ class TestVerify:
         def sweep(*args):
             raise AssertionError("the counting suite swept permutations")
 
-        monkeypatch.setattr(combinat, "permutations_of", sweep)
-        monkeypatch.setattr(combinat, "perm_stats", sweep)
-        records = verify.suite_counting()
+        monkeypatch.setattr(qexp, "permutations_of", sweep)
+        monkeypatch.setattr(qexp, "perm_stats", sweep)
+        records = suite_counting()
         assert records and all(r["status"] == "pass" for r in records)
 
     @pytest.mark.parametrize(
@@ -635,7 +642,7 @@ class TestVerify:
         # the word tables read the endpoint table; the refinement checks sum
         # the tables of Wless, Wgreater and Wequal, which it leaves as they are
         monkeypatch.setitem(walks.ENDPOINT_RULES, variant, rule)
-        records = verify.suite_oracle(4, 4)
+        records = suite_oracle(4, 4)
         assert {r["check"] for r in records if r["status"] == "fail"} == failing
 
     @pytest.mark.parametrize(
@@ -790,7 +797,8 @@ class TestVerify:
         names = {fn.__name__ for fn in ENUMERATOR_CACHES}
         series = {"denominator_series", "geometric_form", "_closed_degree", "closed_series"}
         forms = {"closed_form", "_quantum_product", "powersum_form", "f_expansion"}
-        assert names == series | forms | {"q_eulerian", "_q_walk", "_f_walk"}
+        words = {"_gap_moves", "_insertion_ends", "brute_enumerator"}
+        assert names == series | forms | words | {"q_eulerian", "_q_walk", "_f_walk"}
 
     def test_all_suites_compute_each_form_once(self, capsys, monkeypatch, fresh_caches):
         # verify --suite all asks for some power sum and F forms several
@@ -808,6 +816,14 @@ class TestVerify:
             assert len(set(args)) < len(args)
             assert info.misses == info.currsize == len(set(args)), name
             assert info.hits == len(args) - len(set(args)), name
+
+    def test_all_suites_build_each_word_table_once(self, fresh_caches):
+        # the power sum and counting suites both read the 15 tables of W,
+        # Wless and Wtilde at n <= 5 in n variables; each is built once
+        records = verify.run_suites(verify.SUITES)
+        assert verify.all_pass(records)
+        info = combinat.brute_enumerator.cache_info()
+        assert (info.misses, info.hits) == (63, 15)
 
     def test_all_suites_json_matches_reference_digest(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--format", "json")
@@ -960,7 +976,7 @@ class TestRecords:
         # oracle record's side, and reuses its presentation; only Wneq at
         # n = 1, which has no oracle record, is presented on its own.  Each
         # call presents afresh.
-        records = verify.suite_oracle(4, 4)
+        records = suite_oracle(4, 4)
         assert verify.all_pass(records)
         tables = sum(r["check"] == "oracle" for r in records) + 1
         for calls in (1, 2):
@@ -977,7 +993,7 @@ class TestRecords:
         assert json.loads(line) == json.loads(expected)
 
     def test_records_json_is_json_dumps_on_every_suite(self):
-        for records in (verify.run_suites(verify.SUITES), verify.suite_oracle(7, 6)):
+        for records in (verify.run_suites(verify.SUITES), suite_oracle(7, 6)):
             assert any(r["lhs"] is not r["rhs"] and r["lhs"] == r["rhs"] for r in records)
             self.assert_encoded_as_json_dumps(records)
 
@@ -1246,6 +1262,48 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["0", *ran]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--suite", "oracle", "--max-n", "2", "--vars", "2"],
+            ["verify", "--suite", "powersum", "--max-n", "2"],
+            ["verify", "--suite", "f", "--max-n", "2"],
+            ["verify", "--suite", "qexp", "--max-order", "2"],
+            ["verify", "--suite", "roots"],
+            ["verify", "--suite", "unimodal"],
+            ["verify", "--suite", "counting"],
+            ["verify", "--suite", "series", "--max-order", "2"],
+            ["verify", "--suite", "transfer"],
+            ["qeuler", "--variant", "Aless", "--n", "5"],
+            ["roots", "--variant", "Ades", "--n", "4", "--q-root", "2"],
+            ["fexpand", "--variant", "W", "--n", "4"],
+        ],
+        ids=lambda argv: "-".join(argv[:3:2]),
+    )
+    def test_a_process_runs_only_the_suite_module_it_runs(self, argv):
+        # run_suite imports a suite's module when that suite runs, so a
+        # process compiles no other suite; a walk verb compiles none
+        code = textwrap.dedent(
+            f"""
+            import contextlib, io, sys
+            from smirnov import cli
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main({argv!r})
+            print(code, *sorted(m for m in sys.modules if m.startswith("smirnov.verify.")))
+            """
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        ran = [f"smirnov.verify.{argv[2]}"] if argv[0] == "verify" else []
+        assert proc.stdout.split() == ["0", *ran]
+
+    def test_each_suite_is_one_module_of_the_package(self):
+        names = sorted(m.name for m in pkgutil.iter_modules(verify.__path__))
+        assert names == sorted(verify.SUITES)
+        for name in verify.SUITES:
+            module = importlib.import_module(f"smirnov.verify.{name}")
+            assert inspect.getmodule(getattr(module, f"suite_{name}")) is module
+
     def test_text_output_loads_no_json(self):
         # exact.dumps loads json at its first call, so importing exact and a
         # text answer, as the benchmark's set-up command prints, load none.
@@ -1304,15 +1362,25 @@ class TestEntryPoint:
         assert proc.stdout.split() == ["True", "True", "True"]
 
     # each module and the modules it imports, which come before it here;
-    # walks and symfun import only exact, and cli also registers the four
-    # modules that it defers
+    # walks imports only exact, symfun only exact and walks (for LIMITS),
+    # the verify package only what its records read, and each suite module
+    # what its suite reads; cli also registers the four modules that it
+    # defers
     LAYERS = {
         "exact": (),
         "walks": ("exact",),
-        "symfun": ("exact",),
+        "symfun": ("exact", "walks"),
         "combinat": ("exact", "walks", "symfun"),
-        "enumerators": ("exact", "walks", "symfun", "combinat"),
-        "verify": ("exact", "walks", "symfun", "combinat", "enumerators"),
+        "enumerators": ("exact", "walks", "symfun"),
+        "verify": ("exact", "walks", "symfun"),
+        **{
+            f"verify.{suite}": ("exact", "walks", "symfun", "enumerators", "verify")
+            for suite in ("f", "qexp", "roots", "unimodal", "series", "transfer")
+        },
+        **{
+            f"verify.{suite}": ("exact", "walks", "symfun", "combinat", "enumerators", "verify")
+            for suite in ("oracle", "powersum", "counting")
+        },
         "cli": ("exact", "walks", "symfun", "combinat", "enumerators", "verify"),
     }
 

@@ -10,20 +10,9 @@ from hypothesis import given, settings, strategies as st
 from smirnov import walks
 from smirnov.walks import perm_walk
 from smirnov.exact import ONE, T, LaurentPoly, QtPoly
-from smirnov.combinat import (
-    F_ones_specialization,
-    F_principal_series,
-    brute_enumerator,
-    compositions,
-    fundamental_F,
-    inverse_perm,
-    inverse_q_product,
-    packed_coeffs,
-    perm_stats,
-    permutations_of,
-    ring_colorings,
-    _insertion_ends,
-)
+from smirnov.combinat import brute_enumerator, compositions, packed_coeffs, ring_colorings, _insertion_ends
+from smirnov.verify.f import F_ones_specialization, F_principal_series, fundamental_F, inverse_q_product
+from smirnov.verify.qexp import inverse_perm, perm_stats, permutations_of
 from smirnov.symfun import QsymTable, SymFun, monomial_to_e
 from monomial_reference import MonomialTable, expand_in_variables
 from coloring_reference import Digraph, chromatic_qsym, colorings_by_content
@@ -196,6 +185,7 @@ class TestBruteEnumerator:
                 assert brute_enumerator(variant, n, k) == QsymTable(k, terms), (n, k)
 
     def test_insertion_dp_runs_once_per_n(self):
+        brute_enumerator.cache_clear()
         _insertion_ends.cache_clear()
         for k in range(1, 8):
             for variant in VARIANT_RULES:

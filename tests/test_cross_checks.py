@@ -14,7 +14,8 @@ import pytest
 from smirnov import combinat
 from smirnov import enumerators as en
 from smirnov.exact import ONE, T, ZERO, eval_at_root_of_unity, t_quantum
-from smirnov.symfun import SymFun, e_unimodal_direct, e_unimodal_palindromic
+from smirnov.symfun import SymFun
+from smirnov.verify.unimodal import e_unimodal_direct, e_unimodal_palindromic
 from monomial_reference import expand_in_variables
 
 

@@ -9,8 +9,16 @@ import pytest
 from smirnov.exact import ONE, T, ZERO, LaurentPoly, QtPoly, eulerian, t_quantum
 from smirnov import combinat
 from smirnov import enumerators as en
-from smirnov import verify
 from smirnov.symfun import SymFun, monomial_to_e, partitions_of
+from smirnov.verify.counting import suite_counting
+from smirnov.verify.f import fundamental_F
+from smirnov.verify.powersum import TOP_VARIANTS, _powersum_extraction
+from smirnov.verify.qexp import (
+    QEXP_IDENTITIES, inverse_perm, perm_stats, permutations_of, q_exp_identity_check, q_statistic_diagnostic,
+)
+from smirnov.verify.series import CLEARED_VARIANTS, cleared_form_check, quotient_form_check, suite_series
+from smirnov.verify.transfer import distinguished_element_check, transfer_matrix_check
+from smirnov.verify.unimodal import suite_unimodal
 from monomial_reference import MonomialTable, expand_in_variables, times_factorial_in_plain_p
 
 
@@ -51,7 +59,7 @@ class TestClosedForm:
         assert monomial_to_e(table) == en.closed_form("Wtilde", 5)
 
     def test_first_less_degree_three_positive(self):
-        from smirnov.symfun import e_positive
+        from smirnov.verify.unimodal import e_positive
 
         f = en.closed_form("Wless", 3)
         assert f == SymFun("e", 3, {(3,): ONE + 2 * T})
@@ -87,14 +95,14 @@ class TestClosedForm:
                 rhs = combinat.brute_enumerator(variant, n, 5)
             assert lhs == rhs, (variant, n)
 
-    @pytest.mark.parametrize("variant", en.CLEARED_VARIANTS)
+    @pytest.mark.parametrize("variant", CLEARED_VARIANTS)
     def test_cleared_forms(self, variant):
-        assert en.cleared_form_check(variant, 6)
-        assert en.cleared_form_check(variant, 1)
+        assert cleared_form_check(variant, 6)
+        assert cleared_form_check(variant, 1)
 
     def test_quotient_forms(self):
         for variant in en.VARIANTS:
-            assert en.quotient_form_check(variant, 6)
+            assert quotient_form_check(variant, 6)
 
 
 class TestPowersum:
@@ -137,7 +145,7 @@ class TestPowersum:
     def test_top_coefficient_matches_e_expansion(self):
         # D(z) has no degree-1 term and w_0 = 0, so the e_n coefficient of
         # N(z) / D(z) is the numerator weight w_n
-        for variant in en.TOP_VARIANTS:
+        for variant in TOP_VARIANTS:
             for n in range(2, 9):
                 assert en.closed_form(variant, n).coeff((n,)) == en.numerator_weight(variant, n)
 
@@ -182,7 +190,7 @@ class TestFExpansion:
             for k in range(1, n + 2):
                 expected = MonomialTable.zero(k)
                 for S, poly in by_set.items():
-                    f_table = MonomialTable(k, combinat.fundamental_F(n, S, k))
+                    f_table = MonomialTable(k, fundamental_F(n, S, k))
                     expected = expected + f_table.scale(poly)
                 assert fe.to_table(k) == expected, (variant, n, k)
 
@@ -193,7 +201,7 @@ class TestFExpansion:
                 S = tuple(i + 1 for i in range(n - 1) if bits >> i & 1)
                 for k in range(1, n + 2):
                     fe = en.FExpansion(n, ((0, S, 1),))
-                    f_table = MonomialTable(k, combinat.fundamental_F(n, S, k))
+                    f_table = MonomialTable(k, fundamental_F(n, S, k))
                     assert fe.to_table(k) == f_table, (S, k)
 
     def test_principal_numerators_are_q_eulerian(self):
@@ -226,28 +234,28 @@ class TestQEulerian:
             assert en.q_eulerian("Aless", n).at_q_one() == (T * eulerian(n - 1)).derivative()
 
     def test_statistic_diagnostic(self):
-        diag = en.q_statistic_diagnostic(3)
+        diag = q_statistic_diagnostic(3)
         assert diag["des_weighted_agree"]
         assert not diag["cdes_weighted_agree"]
-        diag4 = en.q_statistic_diagnostic(4)
+        diag4 = q_statistic_diagnostic(4)
         assert diag4["des_weighted_agree"]
 
-    @pytest.mark.parametrize("kind", en.QEXP_IDENTITIES)
+    @pytest.mark.parametrize("kind", QEXP_IDENTITIES)
     def test_q_exponential_identities(self, kind):
-        assert en.q_exp_identity_check(kind, 6)
+        assert q_exp_identity_check(kind, 6)
 
     def test_base_case(self):
         # one permutation of length 1, no cyclic descent
         assert en.q_eulerian("Atilde", 1) == QtPoly.one()
-        assert en.q_exp_identity_check("Atilde", 1)
+        assert q_exp_identity_check("Atilde", 1)
 
 
 @lru_cache(maxsize=None)
 def swept_permutations(n):
     """Every permutation of 1..n with its own and its inverse's statistics."""
     return [
-        (sigma, combinat.perm_stats(sigma), combinat.perm_stats(combinat.inverse_perm(sigma)))
-        for sigma in combinat.permutations_of(n)
+        (sigma, perm_stats(sigma), perm_stats(inverse_perm(sigma)))
+        for sigma in permutations_of(n)
     ]
 
 
@@ -354,33 +362,33 @@ class TestRootsOfUnity:
 
 class TestTransferMatrix:
     def test_two_by_two(self):
-        assert en.transfer_matrix_check(2)
+        assert transfer_matrix_check(2)
 
     @pytest.mark.parametrize("k", range(2, 7))
     def test_determinant_identity(self, k):
-        assert en.transfer_matrix_check(k)
+        assert transfer_matrix_check(k)
 
     @pytest.mark.parametrize("k", [0, 7])
     def test_out_of_range_is_rejected(self, k):
         with pytest.raises(ValueError, match="transfer_k"):
-            en.transfer_matrix_check(k)
+            transfer_matrix_check(k)
 
     def test_singleton_is_trivial(self):
-        assert en.transfer_matrix_check(1)
+        assert transfer_matrix_check(1)
 
     def test_distinguished_element(self):
         for k in range(1, 7):
             for j in range(0, 6):
-                assert en.distinguished_element_check(j, k)
+                assert distinguished_element_check(j, k)
 
 
 class TestSuites:
     def test_unimodality_records_all_pass(self):
-        records = verify.suite_unimodal()
+        records = suite_unimodal()
         assert records and all(r["status"] == "pass" for r in records)
 
     def test_counting_records_all_pass(self):
-        records = verify.suite_counting()
+        records = suite_counting()
         assert records and all(r["status"] == "pass" for r in records)
 
     def test_counting_hand_values(self):
@@ -393,12 +401,12 @@ class TestSuites:
         assert combinat.brute_enumerator("Wtilde", 3, 2).sum_coeffs() == 2 * T
 
     def test_series_suite_passes(self):
-        records = verify.suite_series(5)
+        records = suite_series(5)
         assert records and all(r["status"] == "pass" for r in records)
 
     def test_powersum_extraction_route(self):
         for n in range(1, 5):
-            lhs = verify._powersum_extraction(n)
+            lhs = _powersum_extraction(n)
             rhs = en.powersum_form("W", n)
             assert lhs.basis == "p/z" and lhs == rhs
 
@@ -411,14 +419,14 @@ class TestUnimodalityDetails:
             assert xc.coeff((2,) * m) == LaurentPoly.t_power(m - 1) + LaurentPoly.t_power(m + 1)
 
     def test_distinct_endpoint_center(self):
-        from smirnov.symfun import e_unimodal_palindromic
+        from smirnov.verify.unimodal import e_unimodal_palindromic
 
         for n in range(2, 9):
             flags = e_unimodal_palindromic(en.closed_form("Wneq", n), Fraction(n - 1, 2))
             assert flags == (True, True)
 
     def test_degree_five_cyclic_fails_both(self):
-        from smirnov.symfun import e_unimodal_direct, e_unimodal_palindromic
+        from smirnov.verify.unimodal import e_unimodal_direct, e_unimodal_palindromic
 
         w5 = en.closed_form("Wtilde", 5)
         assert not e_unimodal_direct(w5)

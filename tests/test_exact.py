@@ -15,14 +15,13 @@ from smirnov.exact import (
     QtPoly,
     cyclotomic,
     eulerian,
-    euler_series_check,
     eval_at_root_of_unity,
-    palindrome_unimodal,
-    q_binomial,
     qt_divmod,
-    sums_equal_at_point,
     t_quantum,
 )
+from smirnov.verify.qexp import q_binomial, sums_equal_at_point
+from smirnov.verify.series import euler_series_check
+from smirnov.verify.unimodal import palindrome_unimodal
 
 coeffs = st.integers(-9, 9)
 laurents = st.dictionaries(st.integers(-4, 6), coeffs, max_size=5).map(LaurentPoly)

@@ -21,15 +21,14 @@ from smirnov.symfun import (
     SymFun,
     SymSeries,
     conjugate,
-    e_positive,
-    e_unimodal_direct,
-    e_unimodal_palindromic,
     expand_at_compositions,
     monomial_to_e,
     omega_sign,
     partitions_of,
     z_of,
 )
+from smirnov.verify.series import product_equal_at_point
+from smirnov.verify.unimodal import e_positive, e_unimodal_direct, e_unimodal_palindromic
 from monomial_reference import (
     MonomialTable,
     expand_in_variables,
@@ -449,6 +448,22 @@ class TestQsymTable:
             assert row["coeff"] == table.terms[alpha].to_json_obj()
             assert row["coeff"] is shared.setdefault(alpha, row["coeff"])
 
+    def test_a_table_beyond_the_limits_keeps_no_layout(self):
+        # a sparse degree-24 table in 6 variables writes the 21 placements of
+        # its compositions, and neither builds nor keeps the 118 755 rows of
+        # every degree-24 vector in 6 variables
+        table = QsymTable(6, {(24,): ONE, (20, 4): T})
+        before = symfun._layout.cache_info()
+        obj = table.to_json_obj()
+        assert obj == monomial_table(table).to_json_obj() and len(obj["terms"]) == 6 + 15
+        assert table.pretty() == monomial_table(table).pretty()
+        # two such tables in one records_json call: the rows of each stay
+        # alive while its exponent lists' texts are kept by id
+        other = QsymTable(6, {(23, 1): T, (12, 12): ONE})
+        records = [verify._record("a", {}, table, table), verify._record("b", {}, other, other)]
+        assert verify.records_json(records) == records_line(records)
+        assert symfun._layout.cache_info() == before
+
 
 class TestOmega:
     def test_swaps_e_and_h(self):
@@ -632,10 +647,10 @@ class TestProductEqualAtPoint:
     def test_agrees_with_the_product(self, pair, data):
         a, b = pair
         product = a.mul(b)
-        assert symfun.product_equal_at_point(a, b, product)
-        assert symfun.product_equal_at_point(a, a, a.mul(a))
+        assert product_equal_at_point(a, b, product)
+        assert product_equal_at_point(a, a, a.mul(a))
         other = data.draw(sym_series(a.basis, product.order))
-        assert symfun.product_equal_at_point(a, b, other) == (product == other)
+        assert product_equal_at_point(a, b, other) == (product == other)
 
     @given(series_pair(), st.data(), st.sampled_from([-1, 1]))
     @settings(max_examples=60, deadline=None)
@@ -645,28 +660,28 @@ class TestProductEqualAtPoint:
         lam = data.draw(st.sampled_from(partitions_of(n)))
         b = data.draw(st.integers(-3, 10))
         bumped = with_coeff(product, n, lam, LaurentPoly.t_power(b, unit))
-        assert not symfun.product_equal_at_point(*pair, bumped)
+        assert not product_equal_at_point(*pair, bumped)
 
     def test_orders_and_bases(self):
         E, E_short = SymSeries.generating("e", 4), SymSeries.generating("e", 2)
-        assert symfun.product_equal_at_point(E, E_short, E_short.mul(E))
-        assert not symfun.product_equal_at_point(E, E, E_short.mul(E_short))
-        assert not symfun.product_equal_at_point(E, E, SymSeries.generating("h", 4))
+        assert product_equal_at_point(E, E_short, E_short.mul(E))
+        assert not product_equal_at_point(E, E, E_short.mul(E_short))
+        assert not product_equal_at_point(E, E, SymSeries.generating("h", 4))
         with pytest.raises(ValueError):
-            symfun.product_equal_at_point(E, SymSeries.generating("h", 4), E)
+            product_equal_at_point(E, SymSeries.generating("h", 4), E)
         with pytest.raises(ValueError):
-            symfun.product_equal_at_point(SymSeries.h_series_p(3), SymSeries.one("p", 3), E)
+            product_equal_at_point(SymSeries.h_series_p(3), SymSeries.one("p", 3), E)
 
     def test_a_carry_between_digits_is_not_a_match(self):
         # with too few bits per digit, c * t^0 and t^1 would meet at the point
         one, rhs = SymSeries.one("e", 0), SymSeries.from_weights(0, lambda i: T)
         for c in (1, 2, 3, 255, 256, 2**40):
             lhs = SymSeries.from_weights(0, lambda i: LaurentPoly.const(c))
-            assert not symfun.product_equal_at_point(lhs, one, rhs)
+            assert not product_equal_at_point(lhs, one, rhs)
         # 1 * 1 against 5 - t, which is 1 at t = 4: the digit bound counts
         # the right side's norm too
         five_minus_t = SymSeries.from_weights(0, lambda i: 5 * ONE - T)
-        assert not symfun.product_equal_at_point(one, one, five_minus_t)
+        assert not product_equal_at_point(one, one, five_minus_t)
 
     def test_a_structure_constant_is_in_the_digit_bound(self):
         # p_1 / z times p_(1^7) / z is 8 p_(1^8) / z, all l1 norms 1: a bound
@@ -676,7 +691,7 @@ class TestProductEqualAtPoint:
 
         a, b, ones = single((1,)), single((1,) * 7), (1,) * 8
         assert a.mul(b) == single(ones, 8)
-        assert not symfun.product_equal_at_point(a, b, single(ones, T))
+        assert not product_equal_at_point(a, b, single(ones, T))
 
 
 class TestReports:
