@@ -1,5 +1,3 @@
-import sys
+from . import cli
 
-from .cli import main
-
-sys.exit(main())
+cli.run()

@@ -21,14 +21,18 @@ is ``verify``.
 
 Output is byte-deterministic for fixed flags: partitions are listed in a
 fixed order and JSON objects are built in insertion order.  Exit codes are 0
-for success or an all-pass verification, 1 for a failed verification, and 2
-for usage errors.
+for success or an all-pass verification, 1 for a failed verification, 2 for
+usage errors, 70 for an internal error and 141 for a closed stdout pipe.
+``main`` returns its code; ``run``, the process entry, flushes stdout and
+stderr and ends with ``os._exit``, so no ``smirnov`` module may rely on an
+``atexit`` handler or on a file closed at interpreter shutdown.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib.util
+import os
 import sys
 
 from .exact import dumps
@@ -170,6 +174,29 @@ def main(argv=None) -> int:
         return 2
 
 
+def run():
+    """The process entry: ``main``, then a flush of stdout and stderr and
+    ``os._exit``, so no module teardown or last collection follows the answer.
+    A closed stdout pipe exits 141 silently; any other exception escaping
+    ``main`` prints its traceback and exits 70 (``EX_SOFTWARE``)."""
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse: --help is 0, a usage error 2
+        code = exc.code
+    except BrokenPipeError:
+        code = 141
+    except Exception:
+        import traceback
+        traceback.print_exc()
+        code = 70
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        code = 141
+    sys.stderr.flush()
+    os._exit(code)
+
+
 def _cmd_expand(parser, args) -> int:
     variant = _alias(parser, VARIANT_ALIASES, "enumerator variant", args.variant)
     _check(parser, "--n", check_limit, "n", args.n)
@@ -246,4 +273,4 @@ def _cmd_verify(parser, args) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1193,6 +1193,87 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert proc.stdout.strip() == "3*t^2"
 
+    # about 1 MB of JSON, more than a pipe buffer holds
+    ORACLE_DEEP = ["verify", "--suite", "oracle", "--max-n", "7", "--vars", "6"]
+
+    @staticmethod
+    def process(*args):
+        """``python *args`` with stdout block-buffered into a pipe, as in a
+        shell pipeline: cli.run ends with os._exit, so only its own flush
+        writes what is still buffered."""
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        return subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=120)
+
+    def entry(self, patch: str, argv: list[str]):
+        """``cli.run()`` on ``argv`` in a fresh process, after ``patch`` runs
+        with ``cli``, ``exact`` and ``walks`` imported."""
+        code = f"import sys\nfrom smirnov import cli, exact, walks\n{patch}\n"
+        return self.process("-c", code + f"sys.argv = ['smirnov', *{argv!r}]\ncli.run()\n")
+
+    def test_module_and_installed_command_take_the_one_exit_path(self):
+        root = Path(__file__).resolve().parent.parent
+        assert 'smirnov = "smirnov.cli:run"' in (root / "pyproject.toml").read_text()
+        assert "cli.run()" in (root / "src" / "smirnov" / "__main__.py").read_text()
+
+    def test_closed_pipe_exits_141_silently(self):
+        # 141 is what a shell reports for a process killed by SIGPIPE; a
+        # failing check is 1
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "smirnov", *self.ORACLE_DEEP, "--format", "json"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.read(1) == b"["
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 141
+        assert err == b""
+
+    @pytest.mark.parametrize(
+        "patch, argv, code, err",
+        [
+            ("raise RuntimeError('boom')", ["--n", "3"], 70, "RuntimeError: boom\n"),
+            ("raise ValueError('boom')", ["--n", "3"], 2, "error: boom\n"),
+            ("pass", ["--n", "99"], 2, "smirnov: error: --n: 99 is out of range"),
+        ],
+        ids=["internal", "library-value-error", "usage"],
+    )
+    def test_each_error_has_its_own_exit_code(self, patch, argv, code, err):
+        proc = self.entry(
+            f"def q_eulerian(*args):\n    {patch}\ncli.q_eulerian = q_eulerian",
+            ["qeuler", "--variant", "Ades", *argv],
+        )
+        assert proc.returncode == code
+        assert proc.stdout == b""
+        stderr = proc.stderr.decode()
+        assert err in stderr
+        assert ("Traceback (most recent call last)" in stderr) == (code == 70)
+
+    def test_block_buffered_stdout_is_complete(self, capsys):
+        run = self.process("-m", "smirnov", *self.ORACLE_DEEP, "--format", "json")
+        assert run.returncode == 0
+        records = verify.run_suites(("oracle",), max_n=7, vars=6)
+        assert run.stdout.decode() == verify.records_json(records) + "\n"
+        run = self.process("-m", "smirnov", *self.ORACLE_DEEP)
+        code, out, _ = run_cli(capsys, *self.ORACLE_DEEP)
+        assert run.returncode == code == 0
+        assert run.stdout.decode() == out
+        assert out.splitlines()[-1] == f"{len(records)}/{len(records)} checks passed"
+
+    def test_failing_check_exits_1_with_complete_stdout(self, capsys, monkeypatch):
+        argv = ["verify", "--suite", "roots", "--format", "json"]
+        run = self.entry(
+            "root = walks.eval_at_root_of_unity\n"
+            "walks.eval_at_root_of_unity = lambda f, k: root(f, k) + exact.ONE",
+            argv,
+        )
+        original = walks.eval_at_root_of_unity
+        monkeypatch.setattr(walks, "eval_at_root_of_unity", lambda f, k: original(f, k) + exact.ONE)
+        code, out, _ = run_cli(capsys, *argv)
+        assert run.returncode == code == 1
+        assert run.stdout.decode() == out
+        assert "fail" in {r["status"] for r in json.loads(out)}
+
     def test_readme_examples_run(self, capsys):
         # every command of the README's "Command line" block, so a renamed
         # verb or flag cannot leave the README stale
